@@ -1,0 +1,8 @@
+"""``python -m homhom``: the command-line interface, without an installed script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,6 +52,7 @@ from .oracle import (
     CLASS_CODES,
     BudgetExceededError,
     Witness,
+    env_budget,
     extension_symmetric,
     is_class_member,
     query_for_code,
@@ -293,6 +294,17 @@ def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> dict[str, Any]:
     return sweep_record(g6, codes, force)
 
 
+def sorted_graphs(args: argparse.Namespace) -> list[Graph]:
+    """Every graph on 1..--max-n vertices (connected ones with --connected),
+    one per isomorphism class, ordered by vertex count then canonical form."""
+    if args.max_n < 1:
+        raise InputError(f"--max-n must be at least 1, got {args.max_n}")
+    return sorted(
+        enumerate_graphs(args.max_n, connected_only=args.connected),
+        key=lambda g: (g.n, canonical_form(g)),
+    )
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     codes = parse_classes(args.classes, CLASS_CODES)
     if args.max_n > 7 and not args.force:
@@ -301,10 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "supported budget (7); pass --force to try anyway"
         )
     started = time.perf_counter_ns()
-    graphs = sorted(
-        enumerate_graphs(args.max_n, connected_only=args.connected),
-        key=lambda g: (g.n, canonical_form(g)),
-    )
+    graphs = sorted_graphs(args)
     position = {to_graph6(g): i for i, g in enumerate(graphs)}
     done: set[str] = set()
     if args.resume and args.out and os.path.exists(args.out):
@@ -332,8 +341,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for rec in records:
             print(dump_line(rec))
 
+    # yes/no count oracle verdicts only; a graph on which the oracle gave up
+    # counts in oracleUnknown, and also in unknown when no recognizer exists
     per_class: dict[str, dict[str, int]] = {
-        code: {"yes": 0, "no": 0, "unknown": 0} for code in codes
+        code: {"yes": 0, "no": 0, "oracleUnknown": 0, "unknown": 0} for code in codes
     }
     mismatches = 0
     for rec in records:
@@ -341,9 +352,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             mismatches += 1
         for code in codes:
             cell = rec["verdicts"][code]
-            verdict = cell["oracle"] if cell["oracle"] is not None else cell["recognizer"]
-            key = "unknown" if verdict is None else ("yes" if verdict else "no")
-            per_class[code][key] += 1
+            counts = per_class[code]
+            if cell["oracle"] is not None:
+                counts["yes" if cell["oracle"] else "no"] += 1
+            else:
+                counts["oracleUnknown"] += 1
+                if cell["recognizer"] is None:
+                    counts["unknown"] += 1
     summary = {
         "graphCount": len(records),
         "skippedCount": len(done),
@@ -393,8 +408,9 @@ def cmd_symmetric(args: argparse.Namespace) -> int:
 
 def cmd_core(args: argparse.Namespace) -> int:
     g = collect_graphs(args, 1)[0]
-    env = os.environ.get(BUDGET_ENV_VAR)
-    budget = int(env) if env else DEFAULT_CORE_BUDGET
+    budget = env_budget()
+    if budget is None:
+        budget = DEFAULT_CORE_BUDGET
     if g.n > budget and not args.force:
         raise BudgetExceededError(
             f"{g.n} vertices exceeds the core-search budget of {budget} "
@@ -429,11 +445,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    graphs = sorted(
-        enumerate_graphs(args.max_n, connected_only=args.connected),
-        key=lambda g: (g.n, canonical_form(g)),
-    )
-    for g in graphs:
+    for g in sorted_graphs(args):
         print(to_graph6(g))
     return 0
 
@@ -513,6 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        env_budget()  # a malformed HOMHOM_BUDGET is refused before any work
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except InputError as exc:

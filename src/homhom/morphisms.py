@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .graphs import (
     Graph,
@@ -236,13 +236,30 @@ def automorphisms(g: Graph) -> list[dict[int, int]]:
     return list(enumerate_morphisms(g, g, MorphKind.ISO))
 
 
-def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+# the graph object last asked about, and its generating set
+_last_generators: tuple[Graph, tuple[tuple[int, ...], ...]] | None = None
+
+
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """A small generating set for the automorphism group, as image tuples.
 
     Greedy over the full enumeration: keep a permutation iff it is not in the
     subgroup generated so far.  Each kept generator at least doubles the
     subgroup, so at most log2(|Aut|) generators are returned.
+
+    The enumeration takes time proportional to |Aut|, and a sweep record or a
+    ``classify`` asks once per per-map class of the same graph object, so the
+    result for the last object asked about is kept.  The memo is keyed by
+    identity, not equality, so a call on a new graph object, even an equal
+    one, does the same work whatever was asked before it.
     """
+    global _last_generators
+    if _last_generators is None or _last_generators[0] is not g:
+        _last_generators = (g, _generating_set(g))
+    return _last_generators[1]
+
+
+def _generating_set(g: Graph) -> tuple[tuple[int, ...], ...]:
     n = g.n
     identity = tuple(range(n))
     known = {identity}
@@ -262,10 +279,10 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
                 if s not in known:
                     known.add(s)
                     frontier.append(s)
-    return gens
+    return tuple(gens)
 
 
-def group_order_from_generators(n: int, gens: list[tuple[int, ...]]) -> int:
+def group_order_from_generators(n: int, gens: Sequence[tuple[int, ...]]) -> int:
     """Order of the permutation group the generators produce."""
     identity = tuple(range(n))
     known = {identity}

@@ -15,6 +15,16 @@ source map out of g1 landing in g2 must extend to a total morphism g1 -> g2.
 Everything here is exhaustive search with witnesses, meant as ground truth
 for the structural recognizers; budgets guard against accidentally feeding
 it graphs where exhaustion cannot finish.
+
+Two engines do the search.  The per-map engine completes every source map
+on one source subset per automorphism orbit.  Connected homo-homo uses the
+one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
+exactly when no homomorphism from a connected induced subgraph gets stuck,
+that is, has an adjacent vertex with no feasible image.  Stuckness is
+invariant under Aut(g1) x Aut(g2), so that engine starts only from the least
+vertex of each vertex orbit of g1, mapped to one vertex per orbit of g2,
+and grows each start only into orbits not already started from; see
+``_one_point_search`` for why this misses no stuck state.
 """
 
 from __future__ import annotations
@@ -120,13 +130,26 @@ DEFAULT_STATE_LIMIT = 2_000_000
 BUDGET_ENV_VAR = "HOMHOM_BUDGET"
 
 
+def env_budget() -> int | None:
+    """The vertex budget set by ``HOMHOM_BUDGET``, or None when it is unset.
+
+    Raises ValueError with a one-line message when the value is not an
+    integer.
+    """
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+
+
 def _resolve_budget(explicit: int | None, kind: MorphKind) -> int:
     if explicit is not None:
         return explicit
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_SOURCE_BUDGETS[kind]
+    env = env_budget()
+    return DEFAULT_SOURCE_BUDGETS[kind] if env is None else env
 
 
 # ---------------------------------------------------------------------------
@@ -218,59 +241,109 @@ def _per_map_search(
     return OracleResult(True, None, complete, checked)
 
 
+def _vertex_orbits(g: Graph) -> list[int]:
+    """The vertex orbits of Aut(g) as masks, ordered by least vertex.
+
+    A vertex joins the first earlier orbit whose least vertex some
+    automorphism sends to it, found by one ``complete_map`` call per
+    (vertex, representative) pair of equal degree.  The group itself is
+    never enumerated.
+    """
+    degrees = [popcount(row) for row in g.adj]
+    orbits: list[int] = []
+    for v in range(g.n):
+        for i, orbit in enumerate(orbits):
+            r = (orbit & -orbit).bit_length() - 1
+            if (
+                degrees[r] == degrees[v]
+                and complete_map(g, g, {r: v}, MorphKind.ISO) is not None
+            ):
+                orbits[i] |= 1 << v
+                break
+        else:
+            orbits.append(1 << v)
+    return orbits
+
+
 def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
     """Decide the connected homo-homo property by one-point extensions.
 
-    Explore every (connected domain, homomorphism into g2) state, growing
-    domains one adjacent vertex at a time.  A state where some adjacent
-    vertex has no feasible image is exactly a homomorphism from a connected
+    A state is a connected domain D of g1 with a homomorphism phi: D -> g2,
+    grown one adjacent vertex at a time.  A state where some vertex adjacent
+    to D has no feasible image is exactly a homomorphism from a connected
     induced subgraph with no total extension (any total extension would
     provide the missing image); if no state is stuck, greedy growth extends
     any source map across its component, and the caller guarantees the other
     components of g1 map into g2, so every source map extends.
 
+    Only one state per orbit of start points is explored.  Let O_1, O_2, ...
+    be the vertex orbits of Aut(g1) ordered by least vertex r_i, and R2 a set
+    of orbit representatives of Aut(g2).  Phase i seeds r_i -> w for w in R2
+    and grows domains only into vertices outside O_1 ... O_(i-1); the stuck
+    test still looks at every unmapped neighbour.  This is exact because
+    stuckness is invariant under Aut(g1) x Aut(g2): given a stuck state, let
+    i be the least index with D meeting O_i; an automorphism pair moves it
+    to a stuck state containing r_i -> (a member of R2) that avoids the
+    earlier orbits, and that state is reached by growth from its seed inside
+    the allowed vertices, since a connected set containing r_i can be built
+    from r_i one adjacent vertex at a time.
+
+    A state is packed into one int: the field of vertex v, ``width`` bits
+    wide, holds phi(v) + 1, and 0 marks v unmapped, so the int also
+    determines D.  The stack holds (D, state) pairs.
+
     Assumes the caller verified each component of g1 admits a homomorphism
     into g2 (within one graph that is the identity).
     """
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    stack: list[tuple[int, tuple[int, ...]]] = []
-    for v in range(g1.n):
-        for w in range(g2.n):
-            state = (1 << v, (w,))
-            seen.add(state)
-            stack.append(state)
+    orbits1 = _vertex_orbits(g1)
+    orbits2 = orbits1 if g2 is g1 else _vertex_orbits(g2)
+    reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in orbits2]
+    width = g2.n.bit_length()
+    field = (1 << width) - 1
+    # image rows indexed by field value; an unmapped field (0) imposes nothing
+    rows2 = (g2.full_mask,) + g2.adj
+    neighbour_shifts = [[u * width for u in bits(row)] for row in g1.adj]
+    seen: set[int] = set()
     checked = 0
-    while stack:
-        domain, images = stack.pop()
-        checked += 1
-        verts = list(bits(domain))
-        for v in range(g1.n):
-            if domain >> v & 1 or not g1.adj[v] & domain:
-                continue
-            cand = g2.full_mask
-            for u, w in zip(verts, images):
-                if g1.adj[v] >> u & 1:
-                    cand &= g2.adj[w]
-            if not cand:
-                wit = Witness(
-                    domain,
-                    dict(zip(verts, images)),
-                    v,
-                    "no image is adjacent to the images of the vertex's "
-                    "mapped neighbours",
-                )
-                return OracleResult(False, wit, True, checked)
-            pos = popcount(domain & ((1 << v) - 1))
-            grown = domain | 1 << v
-            for w in bits(cand):
-                state = (grown, images[:pos] + (w,) + images[pos:])
-                if state not in seen:
-                    if len(seen) >= state_limit:
-                        raise BudgetExceededError(
-                            f"more than {state_limit} partial-map states"
-                        )
-                    seen.add(state)
-                    stack.append(state)
+    allowed = g1.full_mask
+    for orbit in orbits1:
+        r = (orbit & -orbit).bit_length() - 1
+        stack: list[tuple[int, int]] = []
+        for w in reps2:
+            state = (w + 1) << r * width
+            seen.add(state)
+            stack.append((1 << r, state))
+        while stack:
+            domain, state = stack.pop()
+            checked += 1
+            for v, row in enumerate(g1.adj):
+                if domain >> v & 1 or not row & domain:
+                    continue
+                cand = g2.full_mask
+                for shift in neighbour_shifts[v]:
+                    cand &= rows2[state >> shift & field]
+                if not cand:
+                    wit = Witness(
+                        domain,
+                        {u: (state >> u * width & field) - 1 for u in bits(domain)},
+                        v,
+                        "no image is adjacent to the images of the vertex's "
+                        "mapped neighbours",
+                    )
+                    return OracleResult(False, wit, True, checked)
+                if not allowed >> v & 1:
+                    continue
+                grown = domain | 1 << v
+                for w in bits(cand):
+                    nxt = state | (w + 1) << v * width
+                    if nxt not in seen:
+                        if len(seen) >= state_limit:
+                            raise BudgetExceededError(
+                                f"more than {state_limit} partial-map states"
+                            )
+                        seen.add(nxt)
+                        stack.append((grown, nxt))
+        allowed &= ~orbit
     return OracleResult(True, None, True, checked)
 
 

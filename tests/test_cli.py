@@ -264,6 +264,21 @@ class TestSweep:
             json.loads(l)["graph6"] for l in full
         ]
 
+    def test_budget_aborts_count_as_oracle_unknown(self, capsys, monkeypatch):
+        # a 3-vertex budget refuses the oracle on all eleven 4-vertex graphs
+        monkeypatch.setenv("HOMHOM_BUDGET", "3")
+        code, out, err = run_cli(
+            capsys, ["sweep", "--max-n", "4", "--classes", "c-hh", "--force"]
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        undecided = [r for r in records if r["verdicts"]["homo-homo"]["oracle"] is None]
+        assert {r["n"] for r in undecided} == {4} and len(undecided) == 11
+        counts = json.loads(err)["perClass"]["homo-homo"]
+        assert counts["oracleUnknown"] == 11
+        assert counts["yes"] + counts["no"] == 7  # graphs on 1..3 vertices
+        assert counts["unknown"] == 0  # the recognizer decided every graph
+
     def test_max_n_above_budget_needs_force(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--max-n", "8"])
         assert code == 3
@@ -449,6 +464,30 @@ ENTRY_POINT_PROGRAM = (
 CLASSIFY_K3 = ["classify", "--family", "complete", "3", "--classes", "c-ii"]
 
 
+def checkout_env(**overrides: str) -> dict[str, str]:
+    """The test's environment with this checkout's ``src`` first on
+    PYTHONPATH, no HOMHOM_BUDGET, then ``overrides``."""
+    env = dict(os.environ)
+    env.pop("HOMHOM_BUDGET", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    env.update(overrides)
+    return env
+
+
+def run_module(args, cwd, **env_overrides: str) -> subprocess.CompletedProcess:
+    """``python -m homhom ARGS`` from ``cwd``, run from this checkout."""
+    return subprocess.run(
+        [sys.executable, "-m", "homhom", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+        env=checkout_env(**env_overrides),
+    )
+
+
 def assert_k3_iso_iso(proc: subprocess.CompletedProcess) -> None:
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -459,10 +498,7 @@ def assert_k3_iso_iso(proc: subprocess.CompletedProcess) -> None:
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         """The declared console script runs end to end from any directory."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
+        env = checkout_env()
 
         def run(args):
             return subprocess.run(
@@ -486,6 +522,13 @@ class TestConsoleScript:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts["homhom"] == "homhom.cli:main"
 
+    def test_python_dash_m(self, tmp_path):
+        """``python -m homhom`` runs the same CLI, exit code included."""
+        assert_k3_iso_iso(run_module(CLASSIFY_K3, tmp_path))
+        bad = run_module(["classify", "--family", "moebius", "5"], tmp_path)
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("error: unknown family")
+
     @pytest.mark.skipif(
         shutil.which("homhom") is None, reason="homhom console script not installed"
     )
@@ -497,3 +540,32 @@ class TestConsoleScript:
             timeout=60,
         )
         assert_k3_iso_iso(proc)
+
+
+class TestErrorContract:
+    """Bad input exits 2 with one ``error:`` line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["core", "--family", "cycle", "5"], {"HOMHOM_BUDGET": "abc"}),
+            (["classify", "--family", "cycle", "5"], {"HOMHOM_BUDGET": "abc"}),
+            (["sweep", "--max-n", "3"], {"HOMHOM_BUDGET": "2.5"}),
+            (["sweep", "--max-n", "0"], {}),
+            (["enumerate", "--max-n", "0"], {}),
+        ],
+        ids=[
+            "core-budget",
+            "classify-budget",
+            "sweep-budget",
+            "sweep-n0",
+            "enumerate-n0",
+        ],
+    )
+    def test_one_line_error(self, tmp_path, args, env):
+        proc = run_module(args, tmp_path, **env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert proc.stdout == ""

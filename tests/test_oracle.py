@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homhom import morphisms, oracle
 from homhom.families import (
     bcpm_graph,
     complete_graph,
@@ -16,8 +17,8 @@ from homhom.families import (
     regular_multipartite_graph,
     two_squares_graph,
 )
-from homhom.graphs import Graph, disjoint_union, from_edges
-from homhom.morphisms import MorphKind
+from homhom.graphs import Graph, disjoint_union, from_edges, from_graph6, mask_of
+from homhom.morphisms import MorphKind, automorphisms
 from homhom.oracle import (
     CLASS_CODES,
     BudgetExceededError,
@@ -114,6 +115,53 @@ class TestEngineAgreement:
             assert fast.holds == slow.holds, g
             assert fast.complete and slow.complete
 
+    def test_one_point_matches_per_map_on_all_small_pairs(self):
+        # 18 graphs on at most 4 vertices, 324 ordered pairs; the diagonal
+        # passes the same object twice, which shares the vertex orbits
+        q = query_for_code("homo-homo")
+        graphs = list(enumerate_graphs(4, connected_only=False))
+        assert len(graphs) == 18
+        for g1 in graphs:
+            for g2 in graphs:
+                fast = extension_morphic(g1, g2, q)
+                slow = extension_morphic(g1, g2, q, force_per_map=True)
+                assert fast.holds == slow.holds, (g1, g2)
+                if not fast.holds:
+                    assert validate_witness(g1, g2, q, fast.witness), (g1, g2)
+
+    def test_vertex_orbits_match_the_automorphism_group(self):
+        for g in enumerate_graphs(6, connected_only=False):
+            auts = automorphisms(g)
+            want = sorted(
+                {mask_of(a[v] for a in auts) for v in range(g.n)},
+                key=lambda m: m & -m,
+            )
+            assert oracle._vertex_orbits(g) == want, g
+
+    def test_k8_counter_gate_never_enumerates_the_group(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("the one-point engine enumerated Aut(g)")
+
+        monkeypatch.setattr(morphisms, "automorphism_generators", refuse)
+        monkeypatch.setattr(oracle, "automorphism_generators", refuse)
+        res = is_class_member(
+            complete_graph(8), query_for_code("homo-homo"), state_limit=200_000
+        )
+        assert res.holds and res.checked_maps <= 200_000
+
+    def test_generators_computed_once_per_graph_object(self, monkeypatch):
+        calls = []
+        real = morphisms._generating_set
+        monkeypatch.setattr(
+            morphisms, "_generating_set", lambda g: calls.append(g) or real(g)
+        )
+        g = cycle_graph(6)
+        for code in CLASS_CODES:  # five per-map classes, then the one-point engine
+            is_class_member(g, query_for_code(code))
+        assert calls == [g]
+        is_class_member(cycle_graph(6), query_for_code("iso-iso"))
+        assert len(calls) == 2
+
     def test_orbit_reduction_is_exact(self):
         for g in enumerate_graphs(5):
             for code in CLASS_CODES:
@@ -151,6 +199,17 @@ class TestBetweenGraphs:
         assert validate_witness(c6, p4, q, res.witness)
         phi = {i: i for i in range(5)}
         assert validate_witness(c6, p4, q, type(res.witness)(0b011111, phi))
+
+    @pytest.mark.parametrize("g1, g2", [("E?CW", "EKYW"), ("EBj?", "E_Cw")])
+    def test_seeds_use_the_targets_own_orbits(self, g1, g2):
+        # equal-sized pairs whose failures all need a start image that g1's
+        # orbit representatives, read as vertices of g2, do not reach
+        q = query_for_code("homo-homo")
+        g1, g2 = from_graph6(g1), from_graph6(g2)
+        res = extension_morphic(g1, g2, q)
+        assert not res.holds
+        assert not extension_morphic(g1, g2, q, force_per_map=True).holds
+        assert validate_witness(g1, g2, q, res.witness)
 
     def test_unmappable_component(self):
         q = query_for_code("homo-homo")
