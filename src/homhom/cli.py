@@ -20,6 +20,7 @@ import time
 from typing import Any, Callable, Iterable, Sequence
 
 from .families import (
+    ENUMERATION_HARD_CAP,
     FamilyDescriptor,
     bcpm_graph,
     biclique_chain,
@@ -297,8 +298,10 @@ def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> dict[str, Any]:
 def sorted_graphs(args: argparse.Namespace) -> list[Graph]:
     """Every graph on 1..--max-n vertices (connected ones with --connected),
     one per isomorphism class, ordered by vertex count then canonical form."""
-    if args.max_n < 1:
-        raise InputError(f"--max-n must be at least 1, got {args.max_n}")
+    if not 1 <= args.max_n <= ENUMERATION_HARD_CAP:
+        raise InputError(
+            f"--max-n must be in 1..{ENUMERATION_HARD_CAP}, got {args.max_n}"
+        )
     return sorted(
         enumerate_graphs(args.max_n, connected_only=args.connected),
         key=lambda g: (g.n, canonical_form(g)),
@@ -318,10 +321,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     done: set[str] = set()
     if args.resume and args.out and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     done.add(json.loads(line)["graph6"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise InputError(
+                        f"cannot resume from {args.out!r}: line {lineno} is not "
+                        f"a sweep record ({type(exc).__name__}: {exc})"
+                    ) from None
     payloads = [
         (g6, tuple(codes), args.force) for g6 in position if g6 not in done
     ]
@@ -531,13 +541,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+    except BrokenPipeError:
+        code = 0  # the reader stopped early (``| head``), which is not an error
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    try:
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+    except BrokenPipeError:
+        # The command's exit code stands: a closed reader does not hide a
+        # mismatch or a budget refusal.  Later flushes of stdout go to the
+        # null device, so the interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -525,13 +525,12 @@ def canonical_graph(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> Gr
 
 
 # ---------------------------------------------------------------------------
-# graph6 format (standard, <= 62 vertices)
+# graph6 format (standard; n <= 62 in one byte, larger n as '~' and three
+# 6-bit characters)
 
 
 def _graph6_from_rows(n: int, rows: tuple[int, ...]) -> bytes:
     """graph6 bytes from upper-triangle rows (row j-1 = bits (i, j), i < j)."""
-    if n > 62:
-        raise ValueError("graph6 output supports at most 62 vertices")
     bits_out: list[int] = []
     for j in range(1, n):
         row = rows[j - 1]
@@ -539,7 +538,10 @@ def _graph6_from_rows(n: int, rows: tuple[int, ...]) -> bytes:
             bits_out.append(row >> k & 1)
     while len(bits_out) % 6:
         bits_out.append(0)
-    chars = [chr(n + 63)]
+    if n <= 62:
+        chars = [chr(n + 63)]
+    else:
+        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
     for i in range(0, len(bits_out), 6):
         group = 0
         for b in bits_out[i : i + 6]:
@@ -566,11 +568,22 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ValueError("empty graph6 string")
-    n = ord(s[0]) - 63
-    if not 1 <= n <= 62:
-        raise ValueError(f"unsupported graph6 vertex count byte {s[0]!r}")
+    if s[0] == "~":
+        header = s[1:4]
+        if len(header) < 3 or not all(63 <= ord(ch) < 127 for ch in header):
+            raise ValueError(f"unsupported graph6 vertex count {s[:4]!r}")
+        n = 0
+        for ch in header:
+            n = n << 6 | ord(ch) - 63
+        body = s[4:]
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"unsupported graph6 vertex count {n}")
+    else:
+        n = ord(s[0]) - 63
+        body = s[1:]
+        if not 1 <= n <= 62:
+            raise ValueError(f"unsupported graph6 vertex count byte {s[0]!r}")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
     if len(body) != need:
         raise ValueError(
             f"graph6 body length {len(body)} does not match n={n} (need {need})"

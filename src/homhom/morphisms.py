@@ -84,9 +84,14 @@ def enumerate_morphisms(
     g2: Graph,
     kind: MorphKind,
     domain_mask: int | None = None,
+    *,
+    first_images: int | None = None,
 ) -> Iterator[dict[int, int]]:
     """Stream every ``kind``-morphism from the induced subgraph of ``g1`` on
     ``domain_mask`` (default: all of ``g1``) into ``g2``.
+
+    ``first_images``, when given, is a mask of the images allowed for the
+    first vertex of the variable order; only those maps are streamed.
 
     Maps are keyed by original ``g1`` vertex ids.  The stream is
     deterministic: a fixed variable order with candidate images ascending.
@@ -110,6 +115,8 @@ def enumerate_morphisms(
             return
         v = order[i]
         cand = g2.full_mask & ~used if injective else g2.full_mask
+        if i == 0 and first_images is not None:
+            cand &= first_images
         for u, w in assign.items():
             if g1.has_edge(u, v):
                 cand &= g2.adj[w]

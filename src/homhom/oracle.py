@@ -17,7 +17,14 @@ for the structural recognizers; budgets guard against accidentally feeding
 it graphs where exhaustion cannot finish.
 
 Two engines do the search.  The per-map engine completes every source map
-on one source subset per automorphism orbit.  Connected homo-homo uses the
+on one source subset per automorphism orbit of g1, and only those maps
+whose first vertex lands on one chosen vertex per orbit of Aut(g2).  Both
+reductions are exact.  Pre-composing a failing map with an automorphism of
+g1 gives a failing map on the orbit-mate subset.  For a in Aut(g2), a o phi
+extends exactly when phi does (a o e extends a o phi, and a^-1 o e' extends
+phi), so post-composition keeps the failing maps on the same subset and can
+move phi's first image to its orbit's representative; the two compositions
+act on different sides, so they combine.  Connected homo-homo uses the
 one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
 exactly when no homomorphism from a connected induced subgraph gets stuck,
 that is, has an adjacent vertex with no feasible image.  Stuckness is
@@ -224,11 +231,24 @@ def _per_map_search(
     query: ClassQuery,
     sources: list[int],
     complete: bool,
+    first_images: int,
 ) -> OracleResult:
-    """Try every source map individually; extension via the CSP completer."""
+    """Try every source map individually; extension via the CSP completer.
+
+    On each domain only the maps sending the first vertex of the variable
+    order into ``first_images`` are tried.  With one vertex per orbit of
+    Aut(g2) that misses no failing map: for a in Aut(g2), a o phi is a
+    source map on the same domain, and it extends exactly when phi does
+    (a o e extends a o phi, and a^-1 o e' extends phi), so some failing map
+    has its first image on an orbit representative whenever any map fails.
+    This is post-composition, while the choice of one domain per Aut(g1)
+    orbit is pre-composition; the two commute, so they combine.
+    """
     checked = 0
     for domain in sources:
-        for phi in enumerate_morphisms(g1, g2, query.source, domain):
+        for phi in enumerate_morphisms(
+            g1, g2, query.source, domain, first_images=first_images
+        ):
             checked += 1
             if complete_map(g1, g2, phi, query.target) is None:
                 wit = Witness(
@@ -370,8 +390,9 @@ def extension_morphic(
     ``HOMHOM_BUDGET`` overrides); ``max_source_size`` and ``sample_stride``
     deliberately skip sources (the result is then marked incomplete when it
     holds); ``orbit_reduction`` checks one source subset per automorphism
-    orbit of g1 (exact, on by default); ``force_per_map`` disables the
-    one-point fast engine (for cross-validation in tests).
+    orbit of g1 and one first image per orbit of Aut(g2) (exact, on by
+    default); ``force_per_map`` disables the one-point fast engine (for
+    cross-validation in tests).
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
@@ -404,14 +425,23 @@ def extension_morphic(
                     return OracleResult(False, wit, True, 0)
         return _one_point_search(g1, g2, state_limit)
     sources = _source_masks(g1, query.connected_sources, max_source_size)
+    first_images = g2.full_mask
     if orbit_reduction:
         sources = _orbit_representatives(g1, sources)
+        if g2 is g1:
+            # sources come smallest first, so the singletons kept are the
+            # least vertex of each vertex orbit, and no search runs for them
+            first_images = sum(m for m in sources if m & (m - 1) == 0)
+        else:
+            first_images = mask_of(
+                (orbit & -orbit).bit_length() - 1 for orbit in _vertex_orbits(g2)
+            )
     if sample_stride > 1:
         sources = sources[::sample_stride]
     complete = (
         max_source_size is None or max_source_size >= g1.n
     ) and sample_stride == 1
-    return _per_map_search(g1, g2, query, sources, complete)
+    return _per_map_search(g1, g2, query, sources, complete, first_images)
 
 
 def is_class_member(g: Graph, query: ClassQuery, **options) -> OracleResult:

@@ -182,6 +182,19 @@ class TestClassify:
         assert code == 2
         assert "error:" in err
 
+    def test_64_vertex_edge_list(self, capsys, tmp_path):
+        # 63 and more vertices take graph6's long header in the output
+        edges = tmp_path / "c64.txt"
+        edges.write_text(
+            "64 64\n" + "".join(f"{i} {(i + 1) % 64}\n" for i in range(64))
+        )
+        code, out, _ = run_cli(capsys, ["classify", "--edges", str(edges)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 64 and doc["graph6"].startswith("~?@?")
+        assert from_graph6(doc["graph6"]) == cycle_graph(64)
+        assert doc["classes"]["iso-iso"]["family"] == "cycle(64)"
+
     def test_two_graphs_is_an_input_error(self, capsys):
         code, _, err = run_cli(
             capsys, ["classify", "--family", "cycle", "5", "--g6", "A_"]
@@ -553,6 +566,9 @@ class TestErrorContract:
             (["sweep", "--max-n", "3"], {"HOMHOM_BUDGET": "2.5"}),
             (["sweep", "--max-n", "0"], {}),
             (["enumerate", "--max-n", "0"], {}),
+            (["enumerate", "--max-n", "9"], {}),
+            (["sweep", "--max-n", "9", "--force"], {}),
+            (["sweep", "--max-n", "2", "--resume", "--out", "truncated.jsonl"], {}),
         ],
         ids=[
             "core-budget",
@@ -560,12 +576,75 @@ class TestErrorContract:
             "sweep-budget",
             "sweep-n0",
             "enumerate-n0",
+            "enumerate-n9",
+            "sweep-n9-force",
+            "resume-truncated",
         ],
     )
     def test_one_line_error(self, tmp_path, args, env):
+        # the resume row reads this file: one record, then a line cut short
+        (tmp_path / "truncated.jsonl").write_text('{"graph6":"@"}\n{"graph6":"A')
         proc = run_module(args, tmp_path, **env)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args", [["enumerate", "--max-n", "5"], CLASSIFY_K3], ids=["enumerate", "classify"]
+    )
+    def test_closed_reader_exits_quietly(self, tmp_path, args, unbuffered):
+        # like ``| head -1`` that has already exited: every write hits a
+        # pipe with no reader, from print or from the final flush
+        proc = run_into_closed_pipe(
+            ["-m", "homhom", *args], tmp_path, PYTHONUNBUFFERED=unbuffered
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "action, code",
+        [("return 1", 1), ("raise cli.BudgetExceededError('over budget')", 3)],
+        ids=["mismatch", "budget"],
+    )
+    def test_closed_reader_keeps_failure_codes(self, tmp_path, action, code):
+        # a command that prints, then reports a mismatch (1) or a budget
+        # refusal (3): its buffered output only meets the closed pipe in the
+        # final flush, which must not turn the failure into success
+        script = (
+            "import sys\n"
+            "from homhom import cli\n"
+            "def fake(args):\n"
+            "    print('partial output')\n"
+            f"    {action}\n"
+            "cli.cmd_enumerate = fake\n"
+            "sys.exit(cli.main(['enumerate']))\n"
+        )
+        proc = run_into_closed_pipe(["-c", script], tmp_path, PYTHONUNBUFFERED="")
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+        expected = ["error: over budget"] if code == 3 else []
+        assert proc.stderr.splitlines() == expected
+
+
+def run_into_closed_pipe(
+    python_args, cwd, **env_overrides: str
+) -> subprocess.CompletedProcess:
+    """``python PYTHON_ARGS`` with stdout a pipe whose reader has already
+    closed, as under ``| head -1`` once head has exited."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, *python_args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            cwd=cwd,
+            env=checkout_env(**env_overrides),
+        )
+    finally:
+        os.close(write_end)

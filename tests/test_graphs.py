@@ -306,11 +306,28 @@ def test_graph6_round_trip(g):
     assert from_graph6(to_graph6(g)) == g
 
 
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_graph6_round_trip_up_to_64_vertices(n):
+    # from 63 vertices on, the count is '~' and three 6-bit characters
+    for g in [path(n - 1), cycle(n), random_graph(n, n)]:
+        text = to_graph6(g)
+        assert text == nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+        assert from_graph6(text) == g
+    assert to_graph6(cycle(n)).startswith({62: "}", 63: "~??~", 64: "~?@?"}[n])
+
+
 def test_graph6_rejects_garbage():
     with pytest.raises(ValueError):
         from_graph6("")
     with pytest.raises(ValueError):
         from_graph6("D")  # promises 5 vertices, no body
+    for header in ["~", "~??", "~?@@", "~~??????"]:  # short, 65, 258048 vertices
+        with pytest.raises(ValueError):
+            from_graph6(header)
+    # 64 vertices need the long header; DEL as a one-byte count is not graph6
+    with pytest.raises(ValueError):
+        from_graph6("\x7f" + "?" * 336)
+    assert from_graph6("~?@?" + "?" * 336).n == 64
 
 
 # -- edge-list text ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from homhom.families import (
     path_graph,
     petersen_graph,
     regular_multipartite_graph,
+    rook_graph,
     two_squares_graph,
 )
 from homhom.graphs import Graph, disjoint_union, from_edges, from_graph6, mask_of
@@ -170,6 +171,39 @@ class TestEngineAgreement:
                 b = is_class_member(g, q, orbit_reduction=False, force_per_map=True)
                 assert a.holds == b.holds, (g, code)
 
+    def test_orbit_reduction_is_exact_between_graphs(self):
+        # targets are separate objects, so g2 is never g1 and the target's
+        # orbits come from _vertex_orbits; 324 ordered pairs, five classes
+        sources = list(enumerate_graphs(4, connected_only=False))
+        targets = list(enumerate_graphs(4, connected_only=False))
+        for code in CLASS_CODES[:5]:
+            q = query_for_code(code)
+            for g1 in sources:
+                for g2 in targets:
+                    on = extension_morphic(g1, g2, q, force_per_map=True)
+                    off = extension_morphic(
+                        g1, g2, q, force_per_map=True, orbit_reduction=False
+                    )
+                    assert on.holds == off.holds, (code, g1, g2)
+                    for res in (on, off):
+                        if not res.holds:
+                            assert validate_witness(g1, g2, q, res.witness)
+
+    @pytest.mark.parametrize(
+        "g, code, limit",
+        [
+            (complete_graph(8), "iso-homo", 13_700),
+            (complete_graph(8), "mono-homo", 13_700),
+            (rook_graph(4), "iso-homo", 11_000),
+        ],
+        ids=["K8-iso-homo", "K8-mono-homo", "rook4-iso-homo"],
+    )
+    def test_per_map_counter_gate(self, g, code, limit):
+        # one first image per Aut(g) orbit: a vertex-transitive graph checks
+        # 1/n of the maps (K8: 109 600 -> 13 700, rook(4): 164 656 -> 10 291)
+        res = is_class_member(g, query_for_code(code))
+        assert res.holds and res.complete and res.checked_maps <= limit
+
     def test_componentwise_criterion_matches(self):
         for g in enumerate_graphs(4, connected_only=False):
             for code in CLASS_CODES:
@@ -203,7 +237,8 @@ class TestBetweenGraphs:
     @pytest.mark.parametrize("g1, g2", [("E?CW", "EKYW"), ("EBj?", "E_Cw")])
     def test_seeds_use_the_targets_own_orbits(self, g1, g2):
         # equal-sized pairs whose failures all need a start image that g1's
-        # orbit representatives, read as vertices of g2, do not reach
+        # orbit representatives, read as vertices of g2, do not reach; the
+        # per-map engine's first images are chosen the same way
         q = query_for_code("homo-homo")
         g1, g2 = from_graph6(g1), from_graph6(g2)
         res = extension_morphic(g1, g2, q)
