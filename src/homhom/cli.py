@@ -12,6 +12,7 @@ error, 3 oracle budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -59,6 +60,7 @@ from .oracle import (
     query_for_code,
 )
 from .recognizers import (
+    ChhFamily,
     chh_connected_families,
     chh_symmetric,
     classify,
@@ -208,20 +210,25 @@ def print_object(obj: Any) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def family_tags(g: Graph) -> list[str]:
+def family_tags(
+    g: Graph,
+    cii: FamilyDescriptor | None,
+    hh_case: str | None,
+    hh_families: Sequence[ChhFamily],
+) -> list[str]:
+    """Sorted family tags of ``g``, from the recognizer results the caller
+    already has: its iso-iso family, its homo-homo case and, for a
+    connected member, its homo-homo families."""
     tags: list[str] = []
-    fam = classify_cii(g)
-    if fam is not None:
-        tags.append(str(fam))
+    if cii is not None:
+        tags.append(str(cii))
     claw = multiclaw_parameters(g)
     if claw is not None:
         clique_size, blob_size, counts = claw
         tags.append(str(FamilyDescriptor("MULTICLAW", (clique_size, blob_size) + counts)))
-    case = is_chh(g)
-    if case is not None:
-        tags.append(f"homo-homo-case-{case}")
-        if is_connected(g):
-            tags.extend(str(f) for f in chh_connected_families(g))
+    if hh_case is not None:
+        tags.append(f"homo-homo-case-{hh_case}")
+        tags.extend(str(f) for f in hh_families)
     return sorted(set(tags))
 
 
@@ -248,7 +255,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "n": g.n,
             "classes": classes_json,
-            "familyTags": family_tags(g),
+            "familyTags": family_tags(
+                g, report.classes["iso-iso"].family, report.hh_case, report.hh_families
+            ),
         }
     )
     return 0
@@ -261,11 +270,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
     g = from_graph6(g6)
     started = time.perf_counter_ns()
+    # the family tags need the iso-iso family and the homo-homo case, so
+    # those two recognizer verdicts are read off them, not computed again
+    cii, case = classify_cii(g), is_chh(g)
+    structural = {"iso-iso": cii is not None, "homo-homo": case is not None}
     verdicts: dict[str, Any] = {}
     witnesses: list[dict[str, Any]] = []
     mismatch = False
     for code in codes:
-        rec = recognizer_verdict(g, code)
+        rec = structural[code] if code in structural else recognizer_verdict(g, code)
         try:
             result = is_class_member(g, query_for_code(code))
             orc: bool | None = result.holds
@@ -283,7 +296,9 @@ def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
         "graph6": g6,
         "n": g.n,
         "verdicts": verdicts,
-        "familyTags": family_tags(g),
+        "familyTags": family_tags(
+            g, cii, case, chh_connected_families(g) if case is not None and is_connected(g) else ()
+        ),
         "witnesses": witnesses,
         "mismatch": mismatch,
         "elapsedMs": elapsed_ms,
@@ -335,21 +350,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     payloads = [
         (g6, tuple(codes), args.force) for g6 in position if g6 not in done
     ]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            records = list(pool.imap(_sweep_worker, payloads, chunksize=8))
-    else:
-        records = [_sweep_worker(p) for p in payloads]
-    records.sort(key=lambda r: position[r["graph6"]])
-
+    # --out is opened before the sweep, so that a path that cannot be
+    # written is refused before any work is done
+    sink: Any = contextlib.nullcontext(sys.stdout)
     if args.out:
-        mode = "a" if args.resume and done else "w"
-        with open(args.out, mode, encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(dump_line(rec) + "\n")
-    else:
+        try:
+            sink = open(args.out, "a" if done else "w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out!r}: {exc}") from None
+    with sink as fh:
+        if args.jobs > 1:
+            with multiprocessing.Pool(args.jobs) as pool:
+                records = list(pool.imap(_sweep_worker, payloads, chunksize=8))
+        else:
+            records = [_sweep_worker(p) for p in payloads]
+        records.sort(key=lambda r: position[r["graph6"]])
         for rec in records:
-            print(dump_line(rec))
+            fh.write(dump_line(rec) + "\n")
 
     # yes/no count oracle verdicts only; a graph on which the oracle gave up
     # counts in oracleUnknown, and also in unknown when no recognizer exists

@@ -24,7 +24,6 @@ from .families import (
     clebsch_graph,
     petersen_graph,
     rook_graph,
-    two_squares_graph,
 )
 from .graphs import (
     Graph,
@@ -35,8 +34,6 @@ from .graphs import (
     connected_components,
     connected_within,
     degree,
-    embeds,
-    induced_cycle_lengths,
     induced_subgraph,
     is_connected,
     is_isomorphic,
@@ -87,18 +84,31 @@ __all__ = [
 
 
 def is_kn_treelike(g: Graph) -> int | None:
-    """Block size n if ``g`` is a tree of n-cliques glued at cut vertices.
+    """Block size k if ``g`` is a tree of k-cliques glued at cut vertices.
 
-    Equivalent test: every induced cycle is a triangle and every vertex
-    neighbourhood induces a disjoint union of cliques of one global size n-1.
-    Returns None when no (unique) n >= 2 fits; a single vertex has no unique
+    Two polynomial tests.  First, every vertex neighbourhood must induce a
+    disjoint union of cliques of one global size k-1.  Then every edge uv
+    lies in exactly one k-clique, v plus the clique of u in N(v), so the m
+    edges split into b = m / C(k,2) such cliques.  Their vertex-clique
+    incidence graph is connected, with n + b vertices and k*b edges, so
+    n - 1 <= (k-1)*b, with equality exactly when it is a tree.  The second
+    test is that identity, (n-1)*C(k,2) = (k-1)*m, or 2m = k(n-1).
+
+    It is exact: a chordless cycle of length >= 4 in ``g`` would give a
+    closed walk in the tree, alternating cycle vertices and the cliques of
+    consecutive cycle edges.  Such a walk must turn back somewhere, and it
+    can only do so at a vertex whose two cycle edges lie in one clique,
+    which makes a chord.  Conversely, when the neighbourhood test holds
+    ``g`` has no induced diamond, and a graph with no diamond and no hole is
+    a block graph, whose incidence graph is a tree (Bandelt & Mulder,
+    "Distance-hereditary graphs", JCTB 1986).
+
+    Returns None when no (unique) k >= 2 fits; a single vertex has no unique
     block size.  Raises ValueError on a disconnected graph.
     """
     if not is_connected(g):
         raise ValueError("is_kn_treelike requires a connected graph")
     if g.n == 1:
-        return None
-    if not induced_cycle_lengths(g).issubset({3}):
         return None
     block: int | None = None
     for v in range(g.n):
@@ -112,15 +122,40 @@ def is_kn_treelike(g: Graph) -> int | None:
             elif block != k:
                 return None
     assert block is not None  # connected with n >= 2: every vertex has a neighbour
-    return block + 1
-
-
-_TWO_SQUARES = two_squares_graph()
+    k = block + 1
+    return k if 2 * g.edge_count() == k * (g.n - 1) else None
 
 
 def b1_holds(g: Graph) -> bool:
-    """Every induced cycle is a square and the two-squares graph does not embed."""
-    return induced_cycle_lengths(g).issubset({4}) and not embeds(_TWO_SQUARES, g)
+    """Every induced cycle is a square and the two-squares graph (the
+    domino) does not embed; that is, ``g`` is bipartite and
+    distance-hereditary.
+
+    Distance-hereditary graphs are those with no induced house, hole of
+    length >= 5, domino or gem, and the connected ones are exactly those
+    built from one vertex by adding pendant vertices and twins (Bandelt &
+    Mulder, JCTB 1986).  A bipartite graph has no house, gem or odd hole,
+    and a graph whose induced cycles are all squares has no odd cycle, so
+    the two descriptions agree.  In a bipartite graph, adjacent twins only
+    form a K2 component, so pendant vertices and non-adjacent twins
+    (N(u) = N(v)) suffice, and these two steps build only bipartite graphs.
+    The test undoes them: delete, one at a time, a vertex of degree at most
+    1 or one vertex of a pair with N(u) = N(v).  Each deletion keeps the
+    graph inside or outside the class, so ``g`` passes exactly when the
+    deletions empty it.  At most n deletions, each found in one pass.
+    """
+    alive = g.full_mask
+    while alive:
+        seen: set[int] = set()
+        for v in bits(alive):
+            nbhd = g.adj[v] & alive
+            if nbhd & (nbhd - 1) == 0 or nbhd in seen:
+                break
+            seen.add(nbhd)
+        else:
+            return False
+        alive &= ~(1 << v)
+    return True
 
 
 def _connected_bipartition(g: Graph) -> tuple[int, int] | None:
@@ -247,12 +282,42 @@ def _complement_matching(g: Graph, z_list: list[int], w_list: list[int]) -> dict
     return {z: w for w, z in owner.items()}
 
 
+def _may_hold_pcm(g: Graph, z_side: int, w_side: int, n: int) -> bool:
+    """Whether a bipartite host could hold a pattern with its small part in
+    ``z_side`` and its target part in ``w_side``: that side needs n
+    vertices, and two vertices of ``z_side`` need distinct non-neighbours in
+    it.  Two such vertices exist exactly when at least two vertices miss
+    something there and, together, they miss at least two vertices."""
+    if popcount(w_side) < n:
+        return False
+    missed = [w_side & ~neighbors(g, z) for z in bits(z_side)]
+    missed = [m for m in missed if m]
+    union = 0
+    for m in missed:
+        union |= m
+    return len(missed) >= 2 and popcount(union) >= 2
+
+
 def embeds_pcm(g: Graph, n: int) -> PcmCertificate | None:
     """Smallest (by vertex count, then lexicographic) complement-matching
     pattern with target part size ``n`` inside ``g``, or None when ``g`` is
-    PCM(n)-free.  Brute force over vertex subsets; n must be at least 3."""
+    PCM(n)-free.  n must be at least 3.
+
+    Brute force over vertex subsets, after one exact early exit.  A pattern
+    is connected, so in a bipartite host its two parts lie on opposite
+    sides of the host's bipartition, each z opposite its matched w.  When
+    neither side can hold the small part (see ``_may_hold_pcm``), no
+    pattern exists and the search is skipped; a complete bipartite host
+    always exits here.  Other hosts still take the search, which is
+    exponential in n.
+    """
     if n < 3:
         raise ValueError(f"the pattern's target part size must be at least 3, got {n}")
+    parts = bipartition(g)
+    if parts is not None and not any(
+        _may_hold_pcm(g, z_side, w_side, n) for z_side, w_side in (parts, parts[::-1])
+    ):
+        return None
     for size in range(n + 2, min(2 * n, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
             mask = mask_of(combo)
@@ -702,9 +767,14 @@ class ClassEntry:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Per-class entries for one graph, keyed by class code."""
+    """Per-class entries for one graph, keyed by class code, with the
+    homo-homo recognizer's full result: ``hh_case`` is the case tag (None
+    for a non-member), and ``hh_families`` every family a connected member
+    matches (empty otherwise)."""
 
     classes: Mapping[str, ClassEntry]
+    hh_case: str | None = None
+    hh_families: tuple[ChhFamily, ...] = ()
 
     def verdict(self, code: str) -> Verdict:
         return self.classes[code].verdict
@@ -765,11 +835,11 @@ def classify(g: Graph, *, use_oracle: bool = True, budget: int | None = None, **
         Verdict.YES if is_chi(g) else Verdict.NO, "recognizer"
     )
     case = is_chh(g)
-    hh_family = is_chh_connected(g) if is_connected(g) and case is not None else None
+    hh_families = chh_connected_families(g) if case is not None and is_connected(g) else ()
     entries["homo-homo"] = ClassEntry(
         Verdict.YES if case is not None else Verdict.NO,
         "recognizer",
-        family=hh_family,
+        family=hh_families[0] if hh_families else None,
         note=f"components match case ({case})" if case is not None else "",
     )
     for code in ("iso-homo", "mono-homo"):
@@ -790,4 +860,4 @@ def classify(g: Graph, *, use_oracle: bool = True, budget: int | None = None, **
             note, desc = _known_one_sided_note(g, code)
             entry = ClassEntry(Verdict.ORACLE_ONLY, "", family=desc, note=note)
         entries[code] = entry
-    return ClassReport(MappingProxyType(entries))
+    return ClassReport(MappingProxyType(entries), case, hh_families)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from homhom import cli, recognizers
 from homhom.cli import build_family, main, parse_classes
 from homhom.families import bcpm_graph, clique_chain, cycle_graph, path_graph
 from homhom.graphs import Graph, from_graph6, is_isomorphic, to_graph6
@@ -194,6 +195,26 @@ class TestClassify:
         assert doc["n"] == 64 and doc["graph6"].startswith("~?@?")
         assert from_graph6(doc["graph6"]) == cycle_graph(64)
         assert doc["classes"]["iso-iso"]["family"] == "cycle(64)"
+
+    def test_recognizers_run_once_per_graph(self, capsys, rebind):
+        # the family tags reuse the recognizer results of the verdicts
+        calls: list[str] = []
+        for name in ("is_chh", "classify_cii"):
+            original = getattr(recognizers, name)
+
+            def counted(g, _name=name, _original=original):
+                calls.append(_name)
+                return _original(g)
+
+            rebind(original, counted)
+        code, out, _ = run_cli(capsys, ["classify", "--family", "cycle", "6"])
+        assert code == 0
+        assert "matching-complement(3)" in json.loads(out)["familyTags"]
+        assert sorted(calls) == ["classify_cii", "is_chh"]
+        calls.clear()
+        record = cli.sweep_record(to_graph6(cycle_graph(6)), CLASS_CODES, False)
+        assert "matching-complement(3)" in record["familyTags"]
+        assert sorted(calls) == ["classify_cii", "is_chh"]
 
     def test_two_graphs_is_an_input_error(self, capsys):
         code, _, err = run_cli(
@@ -569,6 +590,7 @@ class TestErrorContract:
             (["enumerate", "--max-n", "9"], {}),
             (["sweep", "--max-n", "9", "--force"], {}),
             (["sweep", "--max-n", "2", "--resume", "--out", "truncated.jsonl"], {}),
+            (["sweep", "--max-n", "2", "--out", "missing/records.jsonl"], {}),
         ],
         ids=[
             "core-budget",
@@ -579,6 +601,7 @@ class TestErrorContract:
             "enumerate-n9",
             "sweep-n9-force",
             "resume-truncated",
+            "out-missing-directory",
         ],
     )
     def test_one_line_error(self, tmp_path, args, env):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -29,14 +30,18 @@ from homhom.graphs import (
     Graph,
     bipartition,
     bits,
+    canonical_form,
     connected_components,
+    connected_within,
     disjoint_union,
     embeds,
     from_edges,
     girth,
+    induced_cycle_lengths,
     induced_subgraph,
     is_connected,
     max_degree,
+    popcount,
     to_graph6,
 )
 from homhom.oracle import (
@@ -652,6 +657,17 @@ class TestClassifyReport:
         assert rep.verdict("homo-homo") is Verdict.YES
         assert "case (e)" in rep.classes["homo-homo"].note
 
+    def test_report_carries_the_homo_homo_result(self):
+        rep = classify(STAR5, use_oracle=False)
+        assert rep.hh_case == "c"
+        assert rep.hh_families == chh_connected_families(STAR5)
+        assert rep.classes["homo-homo"].family == rep.hh_families[0]
+        two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
+        rep = classify(two_triangles, use_oracle=False)
+        assert (rep.hh_case, rep.hh_families) == ("b", ())
+        rep = classify(petersen_graph(), use_oracle=False)
+        assert (rep.hh_case, rep.hh_families) == (None, ())
+
     def test_known_one_sided_notes(self):
         rep = classify(clebsch_graph(), use_oracle=False)
         assert rep.verdict("mono-homo") is Verdict.ORACLE_ONLY
@@ -713,3 +729,163 @@ class TestFamilyDescriptorsFromRecognizers:
         fam = rep.classes["iso-homo"].family
         assert isinstance(fam, FamilyDescriptor)
         assert fam.tag == "MULTICLAW"
+
+
+# --------------------------------------------------------------------------
+# The polynomial family tests against their cycle-based definitions
+
+
+def kn_treelike_by_cycles(g: Graph) -> int | None:
+    """Reference clique-tree test: every induced cycle is a triangle, and
+    every neighbourhood is a disjoint union of cliques of one size k-1."""
+    if g.n == 1 or not induced_cycle_lengths(g) <= {3}:
+        return None
+    sizes = set()
+    for v in range(g.n):
+        nbhd = g.adj[v]
+        for u in bits(nbhd):
+            clique = nbhd & (g.adj[u] | 1 << u)  # u's clique inside N(v)
+            if any(nbhd & (g.adj[w] | 1 << w) != clique for w in bits(clique)):
+                return None
+            sizes.add(popcount(clique))
+    return sizes.pop() + 1 if len(sizes) == 1 else None
+
+
+def b1_by_cycles(g: Graph) -> bool:
+    """Reference square-only test: induced cycles are squares, no domino."""
+    return induced_cycle_lengths(g) <= {4} and not embeds(two_squares_graph(), g)
+
+
+def pcm_parts_by_brute_force(g: Graph, n: int) -> tuple[int, int] | None:
+    """Reference pattern search, with no early exit: the (Z, W) masks of the
+    smallest pattern, by vertex count then lexicographically, or None."""
+    for size in range(n + 2, min(2 * n, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            sub_mask = mask(combo)
+            if not connected_within(g, sub_mask):
+                continue
+            parts = bipartition(induced_subgraph(g, sub_mask))
+            if parts is None:
+                continue
+            sides = [mask(combo[i] for i in bits(part)) for part in parts]
+            for z_side, w_side in (sides, sides[::-1]):
+                if popcount(w_side) != n or not 2 <= popcount(z_side) <= n:
+                    continue
+                z_list = list(bits(z_side))
+                for images in itertools.permutations(bits(w_side), len(z_list)):
+                    if all(not g.has_edge(z, w) for z, w in zip(z_list, images)):
+                        return z_side, w_side
+    return None
+
+
+def bipartite_graphs_up_to_8() -> list[Graph]:
+    """One graph per isomorphism class of bipartite graphs on 1..8 vertices
+    (452 of them): the ones on up to 7 vertices, then every bipartite
+    extension of a 7-vertex one by an eighth vertex."""
+    small = [g for g in enumerate_graphs(7, connected_only=False) if bipartition(g) is not None]
+    forms: dict[bytes, Graph] = {}
+    for g in small:
+        if g.n != 7:
+            continue
+        for new_nbhd in range(1 << 7):
+            adj = [row | (new_nbhd >> v & 1) << 7 for v, row in enumerate(g.adj)]
+            h = Graph(8, (*adj, new_nbhd))
+            if bipartition(h) is not None:
+                forms.setdefault(canonical_form(h), h)
+    return small + list(forms.values())
+
+
+def grown_graph(n: int, mode: int, extra_edge: bool, seed: int) -> Graph:
+    """A random graph on n vertices grown the way members are: mode 0 glues
+    cliques of one random size at existing vertices, mode 1 adds pendant
+    vertices and false twins (a bipartite distance-hereditary graph), mode 2
+    adds random edges with probability 0.3.  ``extra_edge`` adds one more
+    random edge, which usually turns a member into a near miss."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    if mode == 0:
+        k, count = rng.randint(2, 4), 1
+        while count + k - 1 <= n:
+            clique = [rng.randrange(count), *range(count, count + k - 1)]
+            edges.update(itertools.combinations(sorted(clique), 2))
+            count += k - 1
+    elif mode == 1:
+        nbhds: list[set[int]] = [set()]
+        for v in range(1, n):
+            u = rng.randrange(v)
+            nbhds.append(set(nbhds[u]) if nbhds[u] and rng.random() < 0.5 else {u})
+            for w in nbhds[v]:
+                nbhds[w].add(v)
+        edges = {(min(u, v), max(u, v)) for v in range(n) for u in nbhds[v]}
+    else:
+        edges = {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.3}
+    if extra_edge and n >= 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return from_edges(n, sorted(edges))
+
+
+def hypercube(d: int) -> Graph:
+    return from_edges(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1])
+
+
+class TestPolynomialRecognizers:
+    def test_agree_with_cycle_definitions_on_all_graphs_up_to_7(self):
+        graphs = list(enumerate_graphs(7, connected_only=False))
+        assert len(graphs) == 1252
+        for g in graphs:
+            if is_connected(g):
+                assert is_kn_treelike(g) == kn_treelike_by_cycles(g), to_graph6(g)
+            assert b1_holds(g) == b1_by_cycles(g), to_graph6(g)
+
+    @given(
+        st.integers(1, 11),
+        st.integers(0, 2),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agree_with_cycle_definitions_on_random_graphs(self, n, mode, extra_edge, seed):
+        g = grown_graph(n, mode, extra_edge, seed)
+        if is_connected(g):
+            assert is_kn_treelike(g) == kn_treelike_by_cycles(g), to_graph6(g)
+        assert b1_holds(g) == b1_by_cycles(g), to_graph6(g)
+
+    def test_embeds_pcm_matches_brute_force_on_bipartite_graphs_up_to_8(self):
+        graphs = bipartite_graphs_up_to_8()
+        assert len(graphs) == 452
+        found = 0
+        for g in graphs:
+            for n in (3, 4):
+                cert = embeds_pcm(g, n)
+                expected = pcm_parts_by_brute_force(g, n)
+                got = None if cert is None else (cert.z_mask, cert.w_mask)
+                assert got == expected, f"n={n} on {to_graph6(g)}"
+                if cert is not None:
+                    found += 1
+                    assert validate_pcm_certificate(g, cert, n)
+        assert found >= 100
+
+    @pytest.mark.parametrize(
+        "build, members",
+        [
+            (lambda: rook_graph(7), {"iso-iso"}),
+            (lambda: rook_graph(8), {"iso-iso"}),
+            (lambda: hypercube(6), set()),
+            (lambda: bcpm_graph(32), {"iso-iso", "homo-homo"}),
+            (lambda: regular_multipartite_graph(2, 32), {"iso-iso", "mono-iso", "homo-homo"}),
+            (lambda: disjoint_union(bcpm_graph(6), regular_multipartite_graph(2, 8)), {"homo-homo"}),
+        ],
+        ids=["rook7", "rook8", "Q6", "bcpm32", "K32,32", "bcpm6+K8,8"],
+    )
+    def test_large_graphs_decided_without_cycle_enumeration(self, rebind, build, members):
+        # the families fix these verdicts; the cycle-based recognizers took
+        # 149 s on rook(7) and did not finish Q6 within 100 s
+        def refuse(*args, **kwargs):
+            raise AssertionError("induced_cycle_lengths was called")
+
+        rebind(induced_cycle_lengths, refuse)
+        report = classify(build(), use_oracle=False)
+        codes = ("iso-iso", "mono-iso", "homo-iso", "homo-homo")
+        assert {c for c in codes if report.verdict(c) is Verdict.YES} == members
+        assert {c for c in codes if report.verdict(c) is Verdict.NO} == set(codes) - members
