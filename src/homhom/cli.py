@@ -351,11 +351,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         (g6, tuple(codes), args.force) for g6 in position if g6 not in done
     ]
     # --out is opened before the sweep, so that a path that cannot be
-    # written is refused before any work is done
+    # written is refused before any work is done; it is opened for appending
+    # and emptied only once the records are ready, so a sweep that stops
+    # early leaves the file as it was
     sink: Any = contextlib.nullcontext(sys.stdout)
     if args.out:
         try:
-            sink = open(args.out, "a" if done else "w", encoding="utf-8")
+            sink = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {args.out!r}: {exc}") from None
     with sink as fh:
@@ -365,6 +367,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             records = [_sweep_worker(p) for p in payloads]
         records.sort(key=lambda r: position[r["graph6"]])
+        if args.out and not done:
+            fh.truncate(0)
         for rec in records:
             fh.write(dump_line(rec) + "\n")
 

@@ -31,7 +31,13 @@ that is, has an adjacent vertex with no feasible image.  Stuckness is
 invariant under Aut(g1) x Aut(g2), so that engine starts only from the least
 vertex of each vertex orbit of g1, mapped to one vertex per orbit of g2,
 and grows each start only into orbits not already started from; see
-``_one_point_search`` for why this misses no stuck state.
+``_one_point_search`` for why this misses no stuck state.  It also keeps
+one state per pair (D, cand), where D is the domain and cand(v), for v
+outside D, is the set of images still adjacent to every image of v's
+neighbours in D.  The stuck test and every growth step read only that
+pair, so two maps with the same pair have the same future and one of them
+is explored.  The map kept for a pair is the first that reached it, grown
+only by images from its own cand, so each witness is a real homomorphism.
 """
 
 from __future__ import annotations
@@ -308,9 +314,28 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
     the allowed vertices, since a connected set containing r_i can be built
     from r_i one adjacent vertex at a time.
 
-    A state is packed into one int: the field of vertex v, ``width`` bits
-    wide, holds phi(v) + 1, and 0 marks v unmapped, so the int also
-    determines D.  The stack holds (D, state) pairs.
+    States are told apart by their key (D, cand), not by phi.  For v outside
+    D, cand(v) is the intersection of N(phi(u)) over the neighbours u of v
+    in D, all of g2 when there are none.  The stuck test asks whether some
+    cand(v) is empty, and mapping v to w allows exactly the w in cand(v) and
+    replaces cand(x) by cand(x) & N(w) for each neighbour x of v; the allowed
+    vertices are fixed by D's phase, because each phase's domains contain
+    its start vertex and avoid the earlier orbits.  So everything reachable
+    from a state, stuck states included, depends only on its key, and two
+    maps with the same key need one exploration.  The stack keeps the first
+    phi that reached each key.  Its children take their images from cand of
+    that key, which is cand of that phi, so every phi kept is a genuine
+    homomorphism and the witness returned is one.
+
+    A key is one int: D in the low n1 bits, then one g2.n-bit field per
+    vertex of g1 holding cand, with the fields of D cleared.  Mapping v to w
+    is ``key & (keep[v] | adj2[w] * spread[v]) | 1 << v``: ``spread[v]`` has
+    the lowest bit of each neighbour's field, so the product puts N(w) into
+    every neighbour's field, and ``keep[v]`` keeps D and the fields of the
+    other vertices whole.  A field equals all of g2 exactly when its vertex
+    has no neighbour in D, since a row of g2 never contains its own vertex.
+    The stack holds (key, phi) pairs, phi packed with phi(v) + 1 in a
+    ``width``-bit field per vertex.
 
     Assumes the caller verified each component of g1 admits a homomorphism
     into g2 (within one graph that is the identity).
@@ -318,34 +343,39 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
     orbits1 = _vertex_orbits(g1)
     orbits2 = orbits1 if g2 is g1 else _vertex_orbits(g2)
     reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in orbits2]
-    width = g2.n.bit_length()
+    n1, n2, full2, adj2 = g1.n, g2.n, g2.full_mask, g2.adj
+    shifts = [n1 + v * n2 for v in range(n1)]
+    everything = (1 << n1 + n1 * n2) - 1
+    spread = [sum(1 << shifts[x] for x in bits(row)) for row in g1.adj]
+    keep = [
+        everything & ~(full2 * (spread[v] | 1 << shifts[v])) for v in range(n1)
+    ]
+    width = n2.bit_length()
     field = (1 << width) - 1
-    # image rows indexed by field value; an unmapped field (0) imposes nothing
-    rows2 = (g2.full_mask,) + g2.adj
-    neighbour_shifts = [[u * width for u in bits(row)] for row in g1.adj]
+    start = everything & ~g1.full_mask  # D empty, every cand all of g2
     seen: set[int] = set()
     checked = 0
     allowed = g1.full_mask
-    for orbit in orbits1:
+    for phase, orbit in enumerate(orbits1, 1):
         r = (orbit & -orbit).bit_length() - 1
         stack: list[tuple[int, int]] = []
         for w in reps2:
-            state = (w + 1) << r * width
-            seen.add(state)
-            stack.append((1 << r, state))
+            key = start & (keep[r] | adj2[w] * spread[r]) | 1 << r
+            if key not in seen:
+                seen.add(key)
+                stack.append((key, (w + 1) << r * width))
         while stack:
-            domain, state = stack.pop()
+            key, phi = stack.pop()
             checked += 1
-            for v, row in enumerate(g1.adj):
-                if domain >> v & 1 or not row & domain:
+            for v, shift in enumerate(shifts):
+                cand = key >> shift & full2
+                if cand == full2 or key >> v & 1:
                     continue
-                cand = g2.full_mask
-                for shift in neighbour_shifts[v]:
-                    cand &= rows2[state >> shift & field]
                 if not cand:
+                    domain = key & g1.full_mask
                     wit = Witness(
                         domain,
-                        {u: (state >> u * width & field) - 1 for u in bits(domain)},
+                        {u: (phi >> u * width & field) - 1 for u in bits(domain)},
                         v,
                         "no image is adjacent to the images of the vertex's "
                         "mapped neighbours",
@@ -353,16 +383,20 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
                     return OracleResult(False, wit, True, checked)
                 if not allowed >> v & 1:
                     continue
-                grown = domain | 1 << v
+                kept, sp, bit = key & keep[v], spread[v], 1 << v
                 for w in bits(cand):
-                    nxt = state | (w + 1) << v * width
+                    nxt = kept | key & adj2[w] * sp | bit
                     if nxt not in seen:
                         if len(seen) >= state_limit:
+                            largest = max(popcount(k & g1.full_mask) for k in seen)
                             raise BudgetExceededError(
-                                f"more than {state_limit} partial-map states"
+                                f"more than {state_limit} partial-map states "
+                                f"(popped {checked}, seeding phase {phase} of "
+                                f"{len(orbits1)}, largest domain {largest} of "
+                                f"{n1} vertices)"
                             )
                         seen.add(nxt)
-                        stack.append((grown, nxt))
+                        stack.append((nxt, phi | (w + 1) << v * width))
         allowed &= ~orbit
     return OracleResult(True, None, True, checked)
 

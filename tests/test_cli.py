@@ -313,6 +313,18 @@ class TestSweep:
         assert counts["yes"] + counts["no"] == 7  # graphs on 1..3 vertices
         assert counts["unknown"] == 0  # the recognizer decided every graph
 
+    def test_budget_abort_leaves_out_file_untouched(self, capsys, monkeypatch, tmp_path):
+        # without --force a 3-vertex budget stops the sweep at the first
+        # 4-vertex graph (exit 3), after --out was opened
+        out_file = tmp_path / "sweep.jsonl"
+        out_file.write_text("keep\n")
+        monkeypatch.setenv("HOMHOM_BUDGET", "3")
+        code, _, err = run_cli(
+            capsys, ["sweep", "--max-n", "4", "--classes", "c-hh", "--out", str(out_file)]
+        )
+        assert code == 3 and err.startswith("error: ")
+        assert out_file.read_text() == "keep\n"
+
     def test_max_n_above_budget_needs_force(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--max-n", "8"])
         assert code == 3

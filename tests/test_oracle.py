@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,13 +45,21 @@ def memberships(g: Graph, **opts) -> dict[str, bool]:
 
 
 def random_graph(n: int, seed: int) -> Graph:
-    import random
-
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
     ]
     return from_edges(n, edges)
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def star_graph(n: int, centre: int) -> Graph:
+    return from_edges(n, [(centre, v) for v in range(n) if v != centre])
 
 
 class TestQueryCodes:
@@ -118,17 +128,25 @@ class TestEngineAgreement:
 
     def test_one_point_matches_per_map_on_all_small_pairs(self):
         # 18 graphs on at most 4 vertices, 324 ordered pairs; the diagonal
-        # passes the same object twice, which shares the vertex orbits
+        # passes the same object twice, which shares the vertex orbits.
+        # Then 400 sampled pairs with g1 on 5-6 vertices and g2 on at most
+        # 5: g2 is never g1, so the seeds come from g2's own orbits, and the
+        # candidate fields are g2.n bits wide for a g1 of another size
         q = query_for_code("homo-homo")
         graphs = list(enumerate_graphs(4, connected_only=False))
         assert len(graphs) == 18
-        for g1 in graphs:
-            for g2 in graphs:
-                fast = extension_morphic(g1, g2, q)
-                slow = extension_morphic(g1, g2, q, force_per_map=True)
-                assert fast.holds == slow.holds, (g1, g2)
-                if not fast.holds:
-                    assert validate_witness(g1, g2, q, fast.witness), (g1, g2)
+        sources = [g for g in enumerate_graphs(6, connected_only=False) if g.n >= 5]
+        targets = list(enumerate_graphs(5, connected_only=False))
+        rng = random.Random(2026)
+        pairs = [(g1, g2) for g1 in graphs for g2 in graphs] + [
+            (rng.choice(sources), rng.choice(targets)) for _ in range(400)
+        ]
+        for g1, g2 in pairs:
+            fast = extension_morphic(g1, g2, q)
+            slow = extension_morphic(g1, g2, q, force_per_map=True)
+            assert fast.holds == slow.holds, (g1, g2)
+            if not fast.holds:
+                assert validate_witness(g1, g2, q, fast.witness), (g1, g2)
 
     def test_vertex_orbits_match_the_automorphism_group(self):
         for g in enumerate_graphs(6, connected_only=False):
@@ -146,9 +164,67 @@ class TestEngineAgreement:
         monkeypatch.setattr(morphisms, "automorphism_generators", refuse)
         monkeypatch.setattr(oracle, "automorphism_generators", refuse)
         res = is_class_member(
-            complete_graph(8), query_for_code("homo-homo"), state_limit=200_000
+            complete_graph(8), query_for_code("homo-homo"), state_limit=5_000
         )
-        assert res.holds and res.checked_maps <= 200_000
+        assert res.holds and res.checked_maps <= 5_000  # 3 432 (D, cand) keys
+
+    @pytest.mark.parametrize("centre", [0, 7])
+    def test_star_decided_whatever_its_labels(self, centre):
+        # K_{1,7}: keyed by phi, centre 0 took over 2 M states and centre 7
+        # took 262 k; keyed by (D, cand) they take 257 and 131
+        g = star_graph(8, centre)
+        res = is_class_member(g, query_for_code("homo-homo"), state_limit=1_000)
+        assert res.holds and res.checked_maps <= 1_000
+
+    def test_connected_population_counter_gate(self):
+        # all 996 connected graphs on at most 7 vertices pop 40 631 states
+        # (423 575 when states were keyed by phi)
+        q = query_for_code("homo-homo")
+        total = sum(
+            is_class_member(g, q).checked_maps
+            for g in enumerate_graphs(7, connected_only=True)
+        )
+        assert total <= 45_000
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_survive_relabelling(self, n1, n2, seed):
+        q = query_for_code("homo-homo")
+        g1 = random_graph(n1, seed)
+        g2 = random_graph(n2, seed + 1)
+        h1, h2 = relabelled(g1, seed + 2), relabelled(g2, seed + 3)
+        runs = [
+            (g1, g2, extension_morphic(g1, g2, q)),
+            (h1, h2, extension_morphic(h1, h2, q)),
+            (g1, g1, is_class_member(g1, q)),
+            (h1, h1, is_class_member(h1, q)),
+        ]
+        assert runs[0][2].holds == runs[1][2].holds
+        assert runs[2][2].holds == runs[3][2].holds
+        for a, b, res in runs:
+            if not res.holds:
+                assert validate_witness(a, b, q, res.witness)
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (
+                star_graph(8, 0),
+                "more than 5 partial-map states (popped 1, seeding phase 1 "
+                "of 2, largest domain 2 of 8 vertices)",
+            ),
+            (
+                star_graph(8, 7),
+                "more than 5 partial-map states (popped 2, seeding phase 1 "
+                "of 2, largest domain 3 of 8 vertices)",
+            ),
+        ],
+        ids=["centre-0", "centre-7"],
+    )
+    def test_state_budget_error_says_how_far_it_got(self, g, message):
+        with pytest.raises(BudgetExceededError) as info:
+            is_class_member(g, query_for_code("homo-homo"), state_limit=5)
+        assert str(info.value) == message
 
     def test_generators_computed_once_per_graph_object(self, monkeypatch):
         calls = []
