@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .families import (
     ENUMERATION_HARD_CAP,
+    ENUMERATION_SOFT_CAP,
     FamilyDescriptor,
     bcpm_graph,
     biclique_chain,
@@ -325,10 +326,10 @@ def sorted_graphs(args: argparse.Namespace) -> list[Graph]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     codes = parse_classes(args.classes, CLASS_CODES)
-    if args.max_n > 7 and not args.force:
+    if args.max_n > ENUMERATION_SOFT_CAP and not args.force:
         raise BudgetExceededError(
             f"sweeping all graphs on up to {args.max_n} vertices is outside the "
-            "supported budget (7); pass --force to try anyway"
+            f"supported budget ({ENUMERATION_SOFT_CAP}); pass --force to try anyway"
         )
     started = time.perf_counter_ns()
     graphs = sorted_graphs(args)

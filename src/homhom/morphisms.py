@@ -248,17 +248,13 @@ _last_generators: tuple[Graph, tuple[tuple[int, ...], ...]] | None = None
 
 
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """A small generating set for the automorphism group, as image tuples.
+    """A strong generating set for the automorphism group, as image tuples.
 
-    Greedy over the full enumeration: keep a permutation iff it is not in the
-    subgroup generated so far.  Each kept generator at least doubles the
-    subgroup, so at most log2(|Aut|) generators are returned.
-
-    The enumeration takes time proportional to |Aut|, and a sweep record or a
-    ``classify`` asks once per per-map class of the same graph object, so the
-    result for the last object asked about is kept.  The memo is keyed by
-    identity, not equality, so a call on a new graph object, even an equal
-    one, does the same work whatever was asked before it.
+    See ``_generating_set``.  A sweep record or a ``classify`` asks once per
+    per-map class of the same graph object, so the result for the last
+    object asked about is kept.  The memo is keyed by identity, not
+    equality, so a call on a new graph object, even an equal one, does the
+    same work whatever was asked before it.
     """
     global _last_generators
     if _last_generators is None or _last_generators[0] is not g:
@@ -267,25 +263,44 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _generating_set(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """A strong generating set for Aut(g) relative to the base 0, 1, ...,
+    n-1, found by individualisation; the group itself is never enumerated.
+
+    Let G_b be the automorphisms fixing 0..b-1 pointwise, so G_0 = Aut(g)
+    and G_(n-1) is trivial.  Levels run deepest first, b = n-2 down to 0,
+    and on entering level b the generators found so far generate G_(b+1).
+    They all lie in G_b, so closing {b} under them gives part of b's orbit
+    under G_b.  For each v > b of b's degree outside that part, one
+    ``complete_map`` call looks for an automorphism fixing 0..b-1 and
+    sending b to v; each one found becomes a generator, and the orbit is
+    closed again under all generators so far.  A v that no member of G_b
+    reaches stays outside, so the generated group H lies in G_b, has b's
+    whole G_b-orbit, and contains G_(b+1), which is the stabiliser of b in
+    G_b; hence |H| = |orbit| * |G_(b+1)| = |G_b|, and the invariant holds
+    at level b-1.  So for every b the generators fixing 0..b-1 generate
+    G_b.  Level b makes at most n-1-b calls, n(n-1)/2 in all, and each
+    generator at least doubles the group generated before it.
+    """
     n = g.n
-    identity = tuple(range(n))
-    known = {identity}
+    degrees = [popcount(row) for row in g.adj]
     gens: list[tuple[int, ...]] = []
-    for m in enumerate_morphisms(g, g, MorphKind.ISO):
-        p = tuple(m[v] for v in range(n))
-        if p in known:
-            continue
-        gens.append(p)
-        frontier = list(known)
-        known.add(p)
-        frontier.append(p)
-        while frontier:
-            q = frontier.pop()
-            for r in gens:
-                s = tuple(q[r[v]] for v in range(n))
-                if s not in known:
-                    known.add(s)
-                    frontier.append(s)
+    for b in range(n - 2, -1, -1):
+        fixed = {u: u for u in range(b)}
+        orbit = 1 << b  # every generator so far fixes b
+        for v in range(b + 1, n):
+            if orbit >> v & 1 or degrees[v] != degrees[b]:
+                continue
+            m = complete_map(g, g, {**fixed, b: v}, MorphKind.ISO)
+            if m is None:
+                continue
+            gens.append(tuple(m[u] for u in range(n)))
+            frontier = list(bits(orbit))
+            while frontier:
+                u = frontier.pop()
+                for p in gens:
+                    if not orbit >> p[u] & 1:
+                        orbit |= 1 << p[u]
+                        frontier.append(p[u])
     return tuple(gens)
 
 

@@ -169,62 +169,89 @@ def _resolve_budget(explicit: int | None, kind: MorphKind) -> int:
 # source enumeration
 
 
-def _source_masks(g: Graph, connected: bool, max_size: int | None) -> list[int]:
-    """All candidate source subsets, smallest first (size, then subset order)."""
-    cap = g.n if max_size is None else min(max_size, g.n)
-    out: list[int] = []
-    for size in range(1, cap + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            m = mask_of(combo)
-            if not connected or connected_within(g, m):
-                out.append(m)
-    return out
-
-
-def _orbit_representatives(g: Graph, masks: Iterable[int]) -> list[int]:
-    """One subset per automorphism orbit, keeping first appearances.
+def _source_representatives(
+    g: Graph,
+    connected: bool,
+    max_size: int | None,
+    gens: tuple[tuple[int, ...], ...],
+) -> list[int]:
+    """The source subsets of ``g``, one per orbit of the group ``gens``
+    generates, each orbit represented by its lexicographically first
+    member: smallest first, then ascending as ``tuple(bits(mask))``.
 
     Sound for extension checking: relabelling a failing source map by an
-    automorphism yields a failing source map on the orbit-mate.
-    """
-    gens = automorphism_generators(g)
-    if not gens:
-        return list(masks)
-    # permutation applied to a vertex mask, via byte lookup tables
-    tables: list[tuple[list[int], list[int]]] = []
-    for p in gens:
-        t0 = [0] * 256
-        t1 = [0] * 256
-        for b in range(1, 256):
-            low = b & -b
-            i = low.bit_length() - 1
-            t0[b] = t0[b ^ low] | (1 << p[i] if i < g.n else 0)
-            t1[b] = t1[b ^ low] | (1 << p[i + 8] if i + 8 < g.n else 0)
-        tables.append((t0, t1))
+    automorphism yields a failing source map on the orbit-mate.  With no
+    generators every orbit is one subset, so this is every source subset.
 
-    def images(q: int) -> Iterable[int]:
-        if g.n <= 16:
+    The subsets are grown one size at a time and never filtered out of all
+    2^n.  Size 1 is the singletons.  The candidates of size k+1 are R | {v}
+    for each representative R of size k and each v outside R, adjacent to R
+    when sources must be connected.  Each candidate not yet seen has its
+    orbit closed under the generators, and the orbit's first member is kept.
+    Every orbit of size k+1 is reached: a connected set S of size k+1 has a
+    vertex whose removal leaves a connected set T (a leaf of a spanning
+    tree), and if a sends T to its representative R, then a(S) = R | {a(v)}
+    is a candidate in S's orbit.  Without connectedness any vertex of S will
+    do.  So each size lists the same subsets as filtering every subset and
+    keeping the first of each orbit in ``tuple(bits)`` order.
+    """
+    cap = g.n if max_size is None else min(max_size, g.n)
+    if g.n <= 16:
+        # permutation applied to a vertex mask, via byte lookup tables
+        tables: list[tuple[list[int], list[int]]] = []
+        for p in gens:
+            t0 = [0] * 256
+            t1 = [0] * 256
+            for b in range(1, 256):
+                low = b & -b
+                i = low.bit_length() - 1
+                t0[b] = t0[b ^ low] | (1 << p[i] if i < g.n else 0)
+                t1[b] = t1[b ^ low] | (1 << p[i + 8] if i + 8 < g.n else 0)
+            tables.append((t0, t1))
+
+        def images(q: int) -> Iterable[int]:
             for t0, t1 in tables:
-                yield t0[q & 255] | t1[q >> 8 & 255]
-        else:  # general fallback, unused under default budgets
+                yield t0[q & 255] | t1[q >> 8]
+
+    else:  # general fallback, reached only with a budget above 16
+
+        def images(q: int) -> Iterable[int]:
             for p in gens:
                 yield mask_of(p[v] for v in bits(q))
 
-    seen: set[int] = set()
-    reps: list[int] = []
-    for m in masks:
-        if m in seen:
-            continue
-        reps.append(m)
-        seen.add(m)
-        frontier = [m]
-        while frontier:
-            q = frontier.pop()
-            for im in images(q):
-                if im not in seen:
-                    seen.add(im)
-                    frontier.append(im)
-    return reps
+    def growth(r: int) -> int:
+        if not connected:
+            return g.full_mask & ~r
+        reach = 0
+        for v in bits(r):
+            reach |= g.adj[v]
+        return reach & ~r
+
+    out: list[int] = []
+    candidates: Iterable[int] = [1 << v for v in range(g.n)]
+    for size in range(1, cap + 1):
+        seen: set[int] = set()
+        reps: list[int] = []
+        for m in candidates:
+            if m in seen:
+                continue
+            seen.add(m)
+            first = m
+            frontier = [m]
+            while frontier:
+                q = frontier.pop()
+                for im in images(q):
+                    if im not in seen:
+                        seen.add(im)
+                        frontier.append(im)
+                        low = (im ^ first) & -(im ^ first)
+                        if im & low:  # im has the least element they differ on
+                            first = im
+            reps.append(first)
+        reps.sort(key=lambda m: tuple(bits(m)))
+        out.extend(reps)
+        candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +485,14 @@ def extension_morphic(
                     )
                     return OracleResult(False, wit, True, 0)
         return _one_point_search(g1, g2, state_limit)
-    sources = _source_masks(g1, query.connected_sources, max_source_size)
+    sources = _source_representatives(
+        g1,
+        query.connected_sources,
+        max_source_size,
+        automorphism_generators(g1) if orbit_reduction else (),
+    )
     first_images = g2.full_mask
     if orbit_reduction:
-        sources = _orbit_representatives(g1, sources)
         if g2 is g1:
             # sources come smallest first, so the singletons kept are the
             # least vertex of each vertex orbit, and no search runs for them

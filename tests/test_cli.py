@@ -328,7 +328,10 @@ class TestSweep:
     def test_max_n_above_budget_needs_force(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--max-n", "8"])
         assert code == 3
-        assert "--force" in err
+        assert err == (
+            "error: sweeping all graphs on up to 8 vertices is outside the "
+            "supported budget (7); pass --force to try anyway\n"
+        )
 
 
 class TestSymmetric:

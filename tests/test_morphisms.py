@@ -15,6 +15,7 @@ from homhom.families import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    rook_graph,
     two_squares_graph,
 )
 from homhom.graphs import (
@@ -182,6 +183,8 @@ class TestAutomorphisms:
             (path_graph(3), 2),
             (two_squares_graph(), 4),
             (petersen_graph(), 120),
+            (complete_graph(8), 40_320),
+            (rook_graph(4), 1_152),
         ],
     )
     def test_group_orders(self, g, order):
@@ -189,6 +192,31 @@ class TestAutomorphisms:
         assert len(auts) == order
         gens = automorphism_generators(g)
         assert group_order_from_generators(g.n, gens) == order
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: complete_graph(8), lambda: rook_graph(4), clebsch_graph],
+        ids=["K8", "rook4", "clebsch"],
+    )
+    def test_generators_never_enumerate_the_group(self, make, rebind):
+        # K8 has 40 320 automorphisms; individualisation finds 7 generators
+        # with at most 28 completions, rook(4) 6 and Clebsch 5
+        def refuse(*args, **kwargs):
+            raise AssertionError("the automorphism group was enumerated")
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return complete_map(*args, **kwargs)
+
+        rebind(enumerate_morphisms, refuse)
+        rebind(complete_map, counted)
+        g = make()  # a new object, so the memo cannot answer
+        gens = automorphism_generators(g)
+        assert len(calls) <= g.n * (g.n - 1) // 2
+        assert len(gens) <= g.n - 1
+        assert all(sorted(p) == list(range(g.n)) for p in gens)
 
     def test_clebsch_group_order(self):
         g = clebsch_graph()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from homhom import morphisms, oracle
 from homhom.families import (
     bcpm_graph,
+    clique_chain,
     complete_graph,
     cycle_graph,
     enumerate_graphs,
@@ -20,8 +22,16 @@ from homhom.families import (
     rook_graph,
     two_squares_graph,
 )
-from homhom.graphs import Graph, disjoint_union, from_edges, from_graph6, mask_of
-from homhom.morphisms import MorphKind, automorphisms
+from homhom.graphs import (
+    Graph,
+    bits,
+    connected_within,
+    disjoint_union,
+    from_edges,
+    from_graph6,
+    mask_of,
+)
+from homhom.morphisms import MorphKind, automorphism_generators, automorphisms
 from homhom.oracle import (
     CLASS_CODES,
     BudgetExceededError,
@@ -115,6 +125,70 @@ class TestFrozenProfiles:
         res = is_class_member(g, query_for_code("mono-iso"))
         assert not res.holds
         assert validate_witness(g, g, query_for_code("mono-iso"), res.witness)
+
+
+def brute_force_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
+    """The per-map sources by definition: every subset, connected ones when
+    asked, smallest first and then in ``tuple(bits)`` order; with ``reduce``,
+    the first subset of each orbit under the whole automorphism group."""
+    masks = [
+        m
+        for size in range(1, g.n + 1)
+        for m in map(mask_of, itertools.combinations(range(g.n), size))
+        if not connected or connected_within(g, m)
+    ]
+    if not reduce:
+        return masks
+    auts = automorphisms(g)
+    seen: set[int] = set()
+    reps = []
+    for m in masks:
+        if m not in seen:
+            reps.append(m)
+            seen.update(mask_of(a[v] for v in bits(m)) for a in auts)
+    return reps
+
+
+def grown_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
+    gens = automorphism_generators(g) if reduce else ()
+    return oracle._source_representatives(g, connected, None, gens)
+
+
+class TestSourceRepresentatives:
+    def test_match_brute_force_on_all_small_graphs(self):
+        graphs = list(enumerate_graphs(6, connected_only=False))
+        assert len(graphs) == 208
+        for g in graphs:
+            for connected, reduce in itertools.product((True, False), repeat=2):
+                want = brute_force_sources(g, connected, reduce)
+                assert grown_sources(g, connected, reduce) == want, (
+                    g,
+                    connected,
+                    reduce,
+                )
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            rook_graph(3),
+            petersen_graph(),
+            bcpm_graph(4),
+            cycle_graph(12),
+            regular_multipartite_graph(3, 3),
+        ],
+        ids=["rook3", "petersen", "bcpm4", "cycle12", "K333"],
+    )
+    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_match_brute_force_on_named_graphs(self, g, connected, reduce):
+        want = brute_force_sources(g, connected, reduce)
+        assert grown_sources(g, connected, reduce) == want
+
+    def test_size_cap(self):
+        g = petersen_graph()
+        capped = oracle._source_representatives(g, True, 3, automorphism_generators(g))
+        assert capped == [m for m in grown_sources(g, True, True) if m.bit_count() <= 3]
+        assert oracle._source_representatives(g, True, 0, ()) == []
 
 
 class TestEngineAgreement:
@@ -274,9 +348,14 @@ class TestEngineAgreement:
         ],
         ids=["K8-iso-homo", "K8-mono-homo", "rook4-iso-homo"],
     )
-    def test_per_map_counter_gate(self, g, code, limit):
+    def test_per_map_counter_gate(self, g, code, limit, rebind):
         # one first image per Aut(g) orbit: a vertex-transitive graph checks
-        # 1/n of the maps (K8: 109 600 -> 13 700, rook(4): 164 656 -> 10 291)
+        # 1/n of the maps (K8: 109 600 -> 13 700, rook(4): 164 656 -> 10 291);
+        # the sources are grown, never filtered out of all 2^n subsets
+        def refuse(g, mask):
+            raise AssertionError("a source subset was tested for connectedness")
+
+        rebind(connected_within, refuse)
         res = is_class_member(g, query_for_code(code))
         assert res.holds and res.complete and res.checked_maps <= limit
 
@@ -364,6 +443,26 @@ class TestBudgetsAndSampling:
         assert res.holds and not res.complete
         with pytest.raises(ValueError):
             is_class_member(g, query_for_code("iso-iso"), sample_stride=0)
+
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_sources_above_sixteen_vertices(self, reduce):
+        # 17 vertices take the generic mask images instead of the byte
+        # tables; C17 checks 33 maps with orbit reduction and 8 993 without
+        res = is_class_member(
+            cycle_graph(17),
+            query_for_code("iso-iso"),
+            budget=17,
+            orbit_reduction=reduce,
+        )
+        assert res.holds and res.complete
+        assert res.checked_maps == (33 if reduce else 8_993)
+
+    def test_witness_above_sixteen_vertices(self):
+        g = clique_chain(2, 16)  # the path on 17 vertices
+        q = query_for_code("iso-iso")
+        res = is_class_member(g, q, budget=17)
+        assert not res.holds
+        assert validate_witness(g, g, q, res.witness)
 
     def test_refutation_is_complete_even_when_sampled(self):
         res = is_class_member(
