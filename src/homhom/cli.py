@@ -46,7 +46,6 @@ from .graphs import (
     from_edge_list_text,
     from_graph6,
     induced_subgraph,
-    is_connected,
     to_graph6,
 )
 from .morphisms import MorphKind, complete_map, core_mask
@@ -62,11 +61,10 @@ from .oracle import (
 )
 from .recognizers import (
     ChhFamily,
-    chh_connected_families,
+    chh_case_and_families,
     chh_symmetric,
     classify,
     classify_cii,
-    is_chh,
     multiclaw_parameters,
     recognizer_verdict,
 )
@@ -155,7 +153,11 @@ def collect_graphs(args: argparse.Namespace, want: int) -> list[Graph]:
             raise InputError(f"bad graph6 string {g6!r}: {exc}") from exc
     for path in args.edges or []:
         try:
-            text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {path!r}: {exc}") from exc
         try:
@@ -271,9 +273,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
     g = from_graph6(g6)
     started = time.perf_counter_ns()
-    # the family tags need the iso-iso family and the homo-homo case, so
-    # those two recognizer verdicts are read off them, not computed again
-    cii, case = classify_cii(g), is_chh(g)
+    # the family tags need the iso-iso family and the homo-homo case and
+    # families, so those two recognizer verdicts are read off them, not
+    # computed again
+    cii, (case, hh_families) = classify_cii(g), chh_case_and_families(g)
     structural = {"iso-iso": cii is not None, "homo-homo": case is not None}
     verdicts: dict[str, Any] = {}
     witnesses: list[dict[str, Any]] = []
@@ -297,9 +300,7 @@ def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
         "graph6": g6,
         "n": g.n,
         "verdicts": verdicts,
-        "familyTags": family_tags(
-            g, cii, case, chh_connected_families(g) if case is not None and is_connected(g) else ()
-        ),
+        "familyTags": family_tags(g, cii, case, hh_families),
         "witnesses": witnesses,
         "mismatch": mismatch,
         "elapsedMs": elapsed_ms,

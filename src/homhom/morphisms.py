@@ -105,35 +105,42 @@ def enumerate_morphisms(
     order = _variable_order(g1, domain_mask)
     injective = kind is not MorphKind.HOMO
     iso = kind is MorphKind.ISO
-    assign: dict[int, int] = {}
-    used = 0
+    v = order[0]
+    first = g2.full_mask if first_images is None else g2.full_mask & first_images
+    for w in bits(first):
+        yield from _extend_morphism(g1, g2, order, 1, {v: w}, 1 << w, injective, iso)
 
-    def rec(i: int) -> Iterator[dict[int, int]]:
-        nonlocal used
-        if i == len(order):
-            yield dict(assign)
+
+def _extend_morphism(
+    g1: Graph,
+    g2: Graph,
+    order: list[int],
+    i: int,
+    assign: dict[int, int],
+    used: int,
+    injective: bool,
+    iso: bool,
+) -> Iterator[dict[int, int]]:
+    """Stream the extensions of ``assign`` (the images of ``order[:i]``)
+    over the rest of ``order``; ``used`` is the mask of its images."""
+    if i == len(order):
+        yield dict(assign)
+        return
+    v = order[i]
+    cand = g2.full_mask & ~used if injective else g2.full_mask
+    for u, w in assign.items():
+        if g1.has_edge(u, v):
+            cand &= g2.adj[w]
+        elif iso:
+            cand &= ~g2.adj[w]
+        if not cand:
             return
-        v = order[i]
-        cand = g2.full_mask & ~used if injective else g2.full_mask
-        if i == 0 and first_images is not None:
-            cand &= first_images
-        for u, w in assign.items():
-            if g1.has_edge(u, v):
-                cand &= g2.adj[w]
-            elif iso:
-                cand &= ~g2.adj[w]
-            if not cand:
-                return
-        for w in bits(cand):
-            assign[v] = w
-            if injective:
-                used |= 1 << w
-            yield from rec(i + 1)
-            del assign[v]
-            if injective:
-                used &= ~(1 << w)
-
-    yield from rec(0)
+    for w in bits(cand):
+        assign[v] = w
+        yield from _extend_morphism(
+            g1, g2, order, i + 1, assign, used | 1 << w, injective, iso
+        )
+        del assign[v]
 
 
 def count_morphisms(g1: Graph, g2: Graph, kind: MorphKind, domain_mask: int | None = None) -> int:
@@ -186,33 +193,37 @@ def complete_map(
         cand[v] = c
 
     assign = dict(partial)
+    return assign if _complete(g1, g2, iso, cand, assign) else None
 
-    def dfs(cand: dict[int, int]) -> bool:
-        if not cand:
-            return True
-        v = min(cand, key=lambda u: (popcount(cand[u]), u))
-        for w in bits(cand[v]):
-            narrowed: dict[int, int] = {}
-            dead = False
-            for u, c in cand.items():
-                if u == v:
-                    continue
-                if g1.has_edge(u, v):
-                    c &= g2.adj[w]
-                elif iso:
-                    c &= ~g2.adj[w] & ~(1 << w)
-                if not c:
-                    dead = True
-                    break
-                narrowed[u] = c
-            if not dead:
-                assign[v] = w
-                if dfs(narrowed):
-                    return True
-                del assign[v]
-        return False
 
-    return assign if dfs(cand) else None
+def _complete(
+    g1: Graph, g2: Graph, iso: bool, cand: dict[int, int], assign: dict[int, int]
+) -> bool:
+    """Assign every vertex of ``cand`` an image from its candidate mask,
+    consistently with ``assign``, recording the images in ``assign``."""
+    if not cand:
+        return True
+    v = min(cand, key=lambda u: (popcount(cand[u]), u))
+    for w in bits(cand[v]):
+        narrowed: dict[int, int] = {}
+        dead = False
+        for u, c in cand.items():
+            if u == v:
+                continue
+            if g1.has_edge(u, v):
+                c &= g2.adj[w]
+            elif iso:
+                c &= ~g2.adj[w] & ~(1 << w)
+            if not c:
+                dead = True
+                break
+            narrowed[u] = c
+        if not dead:
+            assign[v] = w
+            if _complete(g1, g2, iso, narrowed, assign):
+                return True
+            del assign[v]
+    return False
 
 
 def extend_to_endomorphism(
@@ -294,14 +305,22 @@ def _generating_set(g: Graph) -> tuple[tuple[int, ...], ...]:
             if m is None:
                 continue
             gens.append(tuple(m[u] for u in range(n)))
-            frontier = list(bits(orbit))
-            while frontier:
-                u = frontier.pop()
-                for p in gens:
-                    if not orbit >> p[u] & 1:
-                        orbit |= 1 << p[u]
-                        frontier.append(p[u])
+            orbit = orbit_closure(orbit, gens)
     return tuple(gens)
+
+
+def orbit_closure(mask: int, gens: Sequence[tuple[int, ...]]) -> int:
+    """The least vertex mask containing ``mask`` that every permutation in
+    ``gens`` maps to itself: the union of the orbits of its vertices under
+    the group ``gens`` generates."""
+    frontier = list(bits(mask))
+    while frontier:
+        u = frontier.pop()
+        for p in gens:
+            if not mask >> p[u] & 1:
+                mask |= 1 << p[u]
+                frontier.append(p[u])
+    return mask
 
 
 def group_order_from_generators(n: int, gens: Sequence[tuple[int, ...]]) -> int:

@@ -63,6 +63,7 @@ from .morphisms import (
     complete_map,
     enumerate_morphisms,
     has_homomorphism,
+    orbit_closure,
 )
 
 
@@ -129,7 +130,6 @@ class Witness:
 class OracleResult:
     holds: bool
     witness: Witness | None
-    complete: bool
     checked_maps: int
 
 
@@ -170,10 +170,7 @@ def _resolve_budget(explicit: int | None, kind: MorphKind) -> int:
 
 
 def _source_representatives(
-    g: Graph,
-    connected: bool,
-    max_size: int | None,
-    gens: tuple[tuple[int, ...], ...],
+    g: Graph, connected: bool, gens: tuple[tuple[int, ...], ...]
 ) -> list[int]:
     """The source subsets of ``g``, one per orbit of the group ``gens``
     generates, each orbit represented by its lexicographically first
@@ -195,7 +192,6 @@ def _source_representatives(
     do.  So each size lists the same subsets as filtering every subset and
     keeping the first of each orbit in ``tuple(bits)`` order.
     """
-    cap = g.n if max_size is None else min(max_size, g.n)
     if g.n <= 16:
         # permutation applied to a vertex mask, via byte lookup tables
         tables: list[tuple[list[int], list[int]]] = []
@@ -229,7 +225,7 @@ def _source_representatives(
 
     out: list[int] = []
     candidates: Iterable[int] = [1 << v for v in range(g.n)]
-    for size in range(1, cap + 1):
+    for size in range(1, g.n + 1):
         seen: set[int] = set()
         reps: list[int] = []
         for m in candidates:
@@ -263,7 +259,6 @@ def _per_map_search(
     g2: Graph,
     query: ClassQuery,
     sources: list[int],
-    complete: bool,
     first_images: int,
 ) -> OracleResult:
     """Try every source map individually; extension via the CSP completer.
@@ -290,31 +285,25 @@ def _per_map_search(
                     None,
                     f"no total {query.target.value} extension exists",
                 )
-                return OracleResult(False, wit, True, checked)
-    return OracleResult(True, None, complete, checked)
+                return OracleResult(False, wit, checked)
+    return OracleResult(True, None, checked)
 
 
 def _vertex_orbits(g: Graph) -> list[int]:
     """The vertex orbits of Aut(g) as masks, ordered by least vertex.
 
-    A vertex joins the first earlier orbit whose least vertex some
-    automorphism sends to it, found by one ``complete_map`` call per
-    (vertex, representative) pair of equal degree.  The group itself is
-    never enumerated.
+    Each vertex not yet placed starts an orbit, closed under the generators
+    of ``automorphism_generators``; they generate Aut(g), so the closure is
+    the vertex's whole orbit.  A sweep record or a ``classify`` has already
+    built them for the per-map classes of the same graph object.
     """
-    degrees = [popcount(row) for row in g.adj]
+    gens = automorphism_generators(g)
     orbits: list[int] = []
+    placed = 0
     for v in range(g.n):
-        for i, orbit in enumerate(orbits):
-            r = (orbit & -orbit).bit_length() - 1
-            if (
-                degrees[r] == degrees[v]
-                and complete_map(g, g, {r: v}, MorphKind.ISO) is not None
-            ):
-                orbits[i] |= 1 << v
-                break
-        else:
-            orbits.append(1 << v)
+        if not placed >> v & 1:
+            orbits.append(orbit_closure(1 << v, gens))
+            placed |= orbits[-1]
     return orbits
 
 
@@ -407,7 +396,7 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
                         "no image is adjacent to the images of the vertex's "
                         "mapped neighbours",
                     )
-                    return OracleResult(False, wit, True, checked)
+                    return OracleResult(False, wit, checked)
                 if not allowed >> v & 1:
                     continue
                 kept, sp, bit = key & keep[v], spread[v], 1 << v
@@ -425,7 +414,7 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
                         seen.add(nxt)
                         stack.append((nxt, phi | (w + 1) << v * width))
         allowed &= ~orbit
-    return OracleResult(True, None, True, checked)
+    return OracleResult(True, None, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +427,6 @@ def extension_morphic(
     query: ClassQuery,
     *,
     budget: int | None = None,
-    max_source_size: int | None = None,
-    sample_stride: int = 1,
     orbit_reduction: bool = True,
     state_limit: int = DEFAULT_STATE_LIMIT,
     force_per_map: bool = False,
@@ -447,16 +434,14 @@ def extension_morphic(
     """Does every source map out of g1 into g2 extend to a total morphism
     g1 -> g2 of the target kind?
 
-    Options: ``budget`` caps g1's vertex count (default per source kind,
-    ``HOMHOM_BUDGET`` overrides); ``max_source_size`` and ``sample_stride``
-    deliberately skip sources (the result is then marked incomplete when it
-    holds); ``orbit_reduction`` checks one source subset per automorphism
-    orbit of g1 and one first image per orbit of Aut(g2) (exact, on by
-    default); ``force_per_map`` disables the one-point fast engine (for
-    cross-validation in tests).
+    The search is always exhaustive.  Options: ``budget`` caps g1's vertex
+    count (default per source kind, ``HOMHOM_BUDGET`` overrides);
+    ``orbit_reduction`` checks one source subset per automorphism orbit of
+    g1 and one first image per orbit of Aut(g2), the least vertex of each
+    orbit of ``_vertex_orbits`` (exact, on by default); ``state_limit``
+    caps the one-point engine's states; ``force_per_map`` disables the
+    one-point engine (for cross-validation in tests).
     """
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
     budget_n = _resolve_budget(budget, query.source)
     if g1.n > budget_n:
         raise BudgetExceededError(
@@ -468,8 +453,6 @@ def extension_morphic(
         and query.target is MorphKind.HOMO
         and query.connected_sources
         and not force_per_map
-        and max_source_size is None
-        and sample_stride == 1
     )
     if fast:
         if g1 is not g2:
@@ -483,30 +466,17 @@ def extension_morphic(
                         "the vertex's whole component admits no homomorphism "
                         "into the target graph",
                     )
-                    return OracleResult(False, wit, True, 0)
+                    return OracleResult(False, wit, 0)
         return _one_point_search(g1, g2, state_limit)
-    sources = _source_representatives(
-        g1,
-        query.connected_sources,
-        max_source_size,
-        automorphism_generators(g1) if orbit_reduction else (),
-    )
-    first_images = g2.full_mask
     if orbit_reduction:
-        if g2 is g1:
-            # sources come smallest first, so the singletons kept are the
-            # least vertex of each vertex orbit, and no search runs for them
-            first_images = sum(m for m in sources if m & (m - 1) == 0)
-        else:
-            first_images = mask_of(
-                (orbit & -orbit).bit_length() - 1 for orbit in _vertex_orbits(g2)
-            )
-    if sample_stride > 1:
-        sources = sources[::sample_stride]
-    complete = (
-        max_source_size is None or max_source_size >= g1.n
-    ) and sample_stride == 1
-    return _per_map_search(g1, g2, query, sources, complete, first_images)
+        gens = automorphism_generators(g1)
+        first_images = mask_of(
+            (orbit & -orbit).bit_length() - 1 for orbit in _vertex_orbits(g2)
+        )
+    else:
+        gens, first_images = (), g2.full_mask
+    sources = _source_representatives(g1, query.connected_sources, gens)
+    return _per_map_search(g1, g2, query, sources, first_images)
 
 
 def is_class_member(g: Graph, query: ClassQuery, **options) -> OracleResult:
@@ -526,7 +496,7 @@ def extension_symmetric(
             fwd.witness.stuck_vertex,
             f"forward direction: {fwd.witness.note}",
         )
-        return OracleResult(False, wit, True, fwd.checked_maps)
+        return OracleResult(False, wit, fwd.checked_maps)
     bwd = extension_morphic(g2, g1, query, **options)
     if not bwd.holds:
         wit = Witness(
@@ -535,13 +505,8 @@ def extension_symmetric(
             bwd.witness.stuck_vertex,
             f"backward direction: {bwd.witness.note}",
         )
-        return OracleResult(False, wit, True, fwd.checked_maps + bwd.checked_maps)
-    return OracleResult(
-        True,
-        None,
-        fwd.complete and bwd.complete,
-        fwd.checked_maps + bwd.checked_maps,
-    )
+        return OracleResult(False, wit, fwd.checked_maps + bwd.checked_maps)
+    return OracleResult(True, None, fwd.checked_maps + bwd.checked_maps)
 
 
 def member_via_components(g: Graph, query: ClassQuery, **options) -> bool:

@@ -59,6 +59,7 @@ __all__ = [
     "b1_holds",
     "b2_holds",
     "b2_star_holds",
+    "chh_case_and_families",
     "chh_connected_families",
     "chh_symmetric",
     "classify",
@@ -576,13 +577,27 @@ def is_chh(g: Graph) -> str | None:
     pattern.  The first matching case is reported.  A connected graph lands
     in the case its single component matches.
     """
+    return chh_case_and_families(g)[0]
+
+
+def chh_case_and_families(g: Graph) -> tuple[str | None, tuple[ChhFamily, ...]]:
+    """``is_chh(g)``, and with it ``chh_connected_families(g)`` when ``g`` is
+    a connected member (empty otherwise), from one family match per
+    component."""
     comps = [induced_subgraph(g, m) for m in connected_components(g)]
     fams = []
     for comp in comps:
         kinds = {fam.kind: fam for fam in chh_connected_families(comp)}
         if not kinds:
-            return None
+            return None, ()
         fams.append(kinds)
+    case = _chh_case(comps, fams)
+    return case, tuple(fams[0].values()) if case is not None and len(comps) == 1 else ()
+
+
+def _chh_case(comps: list[Graph], fams: list[dict[str, ChhFamily]]) -> str | None:
+    """The case tag of ``is_chh`` from the components, each of which matches
+    at least one family, and their families keyed by kind."""
     if any(comp.n == 1 for comp in comps):
         # A single vertex admits no homomorphism from an edge, so it can only
         # sit beside other single vertices.
@@ -815,7 +830,7 @@ def _known_one_sided_note(g: Graph, code: str) -> tuple[str, FamilyDescriptor | 
     return "", None
 
 
-def classify(g: Graph, *, use_oracle: bool = True, budget: int | None = None, **oracle_options) -> ClassReport:
+def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
     """Full per-class report for ``g``.
 
     The four structurally characterised classes are decided by the
@@ -834,8 +849,7 @@ def classify(g: Graph, *, use_oracle: bool = True, budget: int | None = None, **
     entries["homo-iso"] = ClassEntry(
         Verdict.YES if is_chi(g) else Verdict.NO, "recognizer"
     )
-    case = is_chh(g)
-    hh_families = chh_connected_families(g) if case is not None and is_connected(g) else ()
+    case, hh_families = chh_case_and_families(g)
     entries["homo-homo"] = ClassEntry(
         Verdict.YES if case is not None else Verdict.NO,
         "recognizer",
@@ -846,15 +860,12 @@ def classify(g: Graph, *, use_oracle: bool = True, budget: int | None = None, **
         entry: ClassEntry | None = None
         if use_oracle:
             try:
-                result = is_class_member(g, query_for_code(code), budget=budget, **oracle_options)
+                result = is_class_member(g, query_for_code(code))
             except BudgetExceededError:
                 pass
             else:
                 entry = ClassEntry(
-                    Verdict.YES if result.holds else Verdict.NO,
-                    "oracle",
-                    witness=result.witness,
-                    note="" if result.complete else "sampled search; a positive verdict is not exhaustive",
+                    Verdict.YES if result.holds else Verdict.NO, "oracle", witness=result.witness
                 )
         if entry is None:
             note, desc = _known_one_sided_note(g, code)

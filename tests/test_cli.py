@@ -198,8 +198,9 @@ class TestClassify:
 
     def test_recognizers_run_once_per_graph(self, capsys, rebind):
         # the family tags reuse the recognizer results of the verdicts
+        names = ("chh_case_and_families", "classify_cii")
         calls: list[str] = []
-        for name in ("is_chh", "classify_cii"):
+        for name in names:
             original = getattr(recognizers, name)
 
             def counted(g, _name=name, _original=original):
@@ -210,11 +211,21 @@ class TestClassify:
         code, out, _ = run_cli(capsys, ["classify", "--family", "cycle", "6"])
         assert code == 0
         assert "matching-complement(3)" in json.loads(out)["familyTags"]
-        assert sorted(calls) == ["classify_cii", "is_chh"]
+        assert sorted(calls) == list(names)
         calls.clear()
         record = cli.sweep_record(to_graph6(cycle_graph(6)), CLASS_CODES, False)
         assert "matching-complement(3)" in record["familyTags"]
-        assert sorted(calls) == ["classify_cii", "is_chh"]
+        assert sorted(calls) == list(names)
+
+    def test_homo_homo_families_matched_once_per_graph(self, capsys, rebind):
+        # the case tag and the families come from one match per component
+        original = recognizers.chh_connected_families
+        calls = []
+        rebind(original, lambda g: calls.append(g) or original(g))
+        code, _, _ = run_cli(capsys, ["classify", "--family", "cycle", "6"])
+        assert code == 0 and len(calls) == 1
+        cli.sweep_record(to_graph6(cycle_graph(6)), CLASS_CODES, False)
+        assert len(calls) == 2
 
     def test_two_graphs_is_an_input_error(self, capsys):
         code, _, err = run_cli(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,7 @@ from homhom.morphisms import (
     has_homomorphism,
     hom_equivalent,
 )
+from homhom.oracle import is_class_member, query_for_code
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
@@ -172,6 +175,19 @@ class TestCompletion:
         assert (found is not None) == (total > 0)
         if found is not None:
             assert check_kind(g, h, found, HOMO) and len(found) == g.n
+
+    @pytest.mark.parametrize("code, holds", [("iso-iso", True), ("homo-homo", False)])
+    def test_searches_leave_no_reference_cycles(self, code, holds):
+        # the recursive searches are module-level functions, so the
+        # refcounts free everything they build without the cyclic collector
+        g = petersen_graph()
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_class_member(g, query_for_code(code)).holds == holds
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAutomorphisms:

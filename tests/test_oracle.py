@@ -31,7 +31,13 @@ from homhom.graphs import (
     from_graph6,
     mask_of,
 )
-from homhom.morphisms import MorphKind, automorphism_generators, automorphisms
+from homhom.morphisms import (
+    MorphKind,
+    automorphism_generators,
+    automorphisms,
+    complete_map,
+    enumerate_morphisms,
+)
 from homhom.oracle import (
     CLASS_CODES,
     BudgetExceededError,
@@ -151,7 +157,7 @@ def brute_force_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
 
 def grown_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
     gens = automorphism_generators(g) if reduce else ()
-    return oracle._source_representatives(g, connected, None, gens)
+    return oracle._source_representatives(g, connected, gens)
 
 
 class TestSourceRepresentatives:
@@ -184,12 +190,6 @@ class TestSourceRepresentatives:
         want = brute_force_sources(g, connected, reduce)
         assert grown_sources(g, connected, reduce) == want
 
-    def test_size_cap(self):
-        g = petersen_graph()
-        capped = oracle._source_representatives(g, True, 3, automorphism_generators(g))
-        assert capped == [m for m in grown_sources(g, True, True) if m.bit_count() <= 3]
-        assert oracle._source_representatives(g, True, 0, ()) == []
-
 
 class TestEngineAgreement:
     def test_one_point_matches_per_map_on_all_small_graphs(self):
@@ -198,7 +198,6 @@ class TestEngineAgreement:
             fast = is_class_member(g, q)
             slow = is_class_member(g, q, force_per_map=True)
             assert fast.holds == slow.holds, g
-            assert fast.complete and slow.complete
 
     def test_one_point_matches_per_map_on_all_small_pairs(self):
         # 18 graphs on at most 4 vertices, 324 ordered pairs; the diagonal
@@ -231,16 +230,22 @@ class TestEngineAgreement:
             )
             assert oracle._vertex_orbits(g) == want, g
 
-    def test_k8_counter_gate_never_enumerates_the_group(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("the one-point engine enumerated Aut(g)")
+    def test_k8_counter_gate_never_enumerates_the_group(self, rebind):
+        # the start orbits come from the generators: at most n(n-1)/2 = 28
+        # completions on a fresh K8, and no morphism is enumerated
+        def refuse(*args, **kwargs):
+            raise AssertionError("the one-point engine enumerated morphisms")
 
-        monkeypatch.setattr(morphisms, "automorphism_generators", refuse)
-        monkeypatch.setattr(oracle, "automorphism_generators", refuse)
+        completions = []
+        rebind(enumerate_morphisms, refuse)
+        rebind(
+            complete_map, lambda *args: completions.append(args) or complete_map(*args)
+        )
         res = is_class_member(
             complete_graph(8), query_for_code("homo-homo"), state_limit=5_000
         )
         assert res.holds and res.checked_maps <= 5_000  # 3 432 (D, cand) keys
+        assert len(completions) <= 8 * 7 // 2
 
     @pytest.mark.parametrize("centre", [0, 7])
     def test_star_decided_whatever_its_labels(self, centre):
@@ -300,16 +305,23 @@ class TestEngineAgreement:
             is_class_member(g, query_for_code("homo-homo"), state_limit=5)
         assert str(info.value) == message
 
-    def test_generators_computed_once_per_graph_object(self, monkeypatch):
+    def test_generators_computed_once_per_graph_object(self, monkeypatch, rebind):
         calls = []
         real = morphisms._generating_set
         monkeypatch.setattr(
             morphisms, "_generating_set", lambda g: calls.append(g) or real(g)
         )
         g = cycle_graph(6)
-        for code in CLASS_CODES:  # five per-map classes, then the one-point engine
+        for code in CLASS_CODES[:5]:  # the per-map classes
             is_class_member(g, query_for_code(code))
         assert calls == [g]
+        # the one-point engine reads its start orbits off the same generators
+        completions = []
+        rebind(
+            complete_map, lambda *args: completions.append(args) or complete_map(*args)
+        )
+        assert is_class_member(g, query_for_code("homo-homo")).holds
+        assert calls == [g] and completions == []
         is_class_member(cycle_graph(6), query_for_code("iso-iso"))
         assert len(calls) == 2
 
@@ -357,7 +369,7 @@ class TestEngineAgreement:
 
         rebind(connected_within, refuse)
         res = is_class_member(g, query_for_code(code))
-        assert res.holds and res.complete and res.checked_maps <= limit
+        assert res.holds and res.checked_maps <= limit
 
     def test_componentwise_criterion_matches(self):
         for g in enumerate_graphs(4, connected_only=False):
@@ -435,15 +447,6 @@ class TestBudgetsAndSampling:
         with pytest.raises(BudgetExceededError):
             is_class_member(cycle_graph(6), query_for_code("homo-homo"), budget=5)
 
-    def test_sampling_marks_incomplete(self):
-        g = petersen_graph()
-        res = is_class_member(g, query_for_code("iso-iso"), max_source_size=3)
-        assert res.holds and not res.complete
-        res = is_class_member(g, query_for_code("iso-iso"), sample_stride=3)
-        assert res.holds and not res.complete
-        with pytest.raises(ValueError):
-            is_class_member(g, query_for_code("iso-iso"), sample_stride=0)
-
     @pytest.mark.parametrize("reduce", [True, False])
     def test_sources_above_sixteen_vertices(self, reduce):
         # 17 vertices take the generic mask images instead of the byte
@@ -454,7 +457,7 @@ class TestBudgetsAndSampling:
             budget=17,
             orbit_reduction=reduce,
         )
-        assert res.holds and res.complete
+        assert res.holds
         assert res.checked_maps == (33 if reduce else 8_993)
 
     def test_witness_above_sixteen_vertices(self):
@@ -463,12 +466,6 @@ class TestBudgetsAndSampling:
         res = is_class_member(g, q, budget=17)
         assert not res.holds
         assert validate_witness(g, g, q, res.witness)
-
-    def test_refutation_is_complete_even_when_sampled(self):
-        res = is_class_member(
-            petersen_graph(), query_for_code("mono-iso"), max_source_size=6
-        )
-        assert not res.holds and res.complete
 
 
 class TestHierarchyAndWitnesses:
