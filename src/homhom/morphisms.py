@@ -48,12 +48,14 @@ def check_kind(g1: Graph, g2: Graph, mapping: Mapping[int, int], kind: MorphKind
     if kind is not MorphKind.HOMO:
         if len({w for _, w in items}) != len(items):
             return False
+    iso = kind is MorphKind.ISO
     for i, (u, wu) in enumerate(items):
+        row1, row2 = g1.adj[u], g2.adj[wu]
         for v, wv in items[i + 1 :]:
-            if g1.has_edge(u, v):
-                if not g2.has_edge(wu, wv):
+            if row1 >> v & 1:
+                if not row2 >> wv & 1:
                     return False
-            elif kind is MorphKind.ISO and g2.has_edge(wu, wv):
+            elif iso and row2 >> wv & 1:
                 return False
     return True
 
@@ -84,14 +86,9 @@ def enumerate_morphisms(
     g2: Graph,
     kind: MorphKind,
     domain_mask: int | None = None,
-    *,
-    first_images: int | None = None,
 ) -> Iterator[dict[int, int]]:
     """Stream every ``kind``-morphism from the induced subgraph of ``g1`` on
     ``domain_mask`` (default: all of ``g1``) into ``g2``.
-
-    ``first_images``, when given, is a mask of the images allowed for the
-    first vertex of the variable order; only those maps are streamed.
 
     Maps are keyed by original ``g1`` vertex ids.  The stream is
     deterministic: a fixed variable order with candidate images ascending.
@@ -105,10 +102,7 @@ def enumerate_morphisms(
     order = _variable_order(g1, domain_mask)
     injective = kind is not MorphKind.HOMO
     iso = kind is MorphKind.ISO
-    v = order[0]
-    first = g2.full_mask if first_images is None else g2.full_mask & first_images
-    for w in bits(first):
-        yield from _extend_morphism(g1, g2, order, 1, {v: w}, 1 << w, injective, iso)
+    yield from _extend_morphism(g1, g2, order, 0, {}, 0, injective, iso)
 
 
 def _extend_morphism(
@@ -183,8 +177,9 @@ def complete_map(
         if v in partial:
             continue
         c = allowed & ~used
+        row = g1.adj[v]
         for u, w in partial.items():
-            if g1.has_edge(u, v):
+            if row >> u & 1:
                 c &= g2.adj[w]
             elif iso:
                 c &= ~g2.adj[w]
@@ -203,17 +198,25 @@ def _complete(
     consistently with ``assign``, recording the images in ``assign``."""
     if not cand:
         return True
-    v = min(cand, key=lambda u: (popcount(cand[u]), u))
+    # fewest candidates, then the least id: the keys of cand ascend
+    v, fewest = -1, g2.n + 1
+    for u, c in cand.items():
+        k = c.bit_count()
+        if k < fewest:
+            v, fewest = u, k
+    row = g1.adj[v]
     for w in bits(cand[v]):
+        adj_w = g2.adj[w]
+        non_adj_w = ~adj_w & ~(1 << w)
         narrowed: dict[int, int] = {}
         dead = False
         for u, c in cand.items():
             if u == v:
                 continue
-            if g1.has_edge(u, v):
-                c &= g2.adj[w]
+            if row >> u & 1:
+                c &= adj_w
             elif iso:
-                c &= ~g2.adj[w] & ~(1 << w)
+                c &= non_adj_w
             if not c:
                 dead = True
                 break

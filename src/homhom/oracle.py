@@ -16,15 +16,22 @@ Everything here is exhaustive search with witnesses, meant as ground truth
 for the structural recognizers; budgets guard against accidentally feeding
 it graphs where exhaustion cannot finish.
 
-Two engines do the search.  The per-map engine completes every source map
-on one source subset per automorphism orbit of g1, and only those maps
-whose first vertex lands on one chosen vertex per orbit of Aut(g2).  Both
+Two engines do the search.  The per-map engine tries the source maps on
+one source subset per automorphism orbit of g1, and only those maps whose
+first vertex lands on one chosen vertex per orbit of Aut(g2).  Both
 reductions are exact.  Pre-composing a failing map with an automorphism of
 g1 gives a failing map on the orbit-mate subset.  For a in Aut(g2), a o phi
 extends exactly when phi does (a o e extends a o phi, and a^-1 o e' extends
 phi), so post-composition keeps the failing maps on the same subset and can
 move phi's first image to its orbit's representative; the two compositions
-act on different sides, so they combine.  Connected homo-homo uses the
+act on different sides, so they combine.  It builds the maps of one subset
+by a depth-first search keyed by the candidate images left for each
+unassigned vertex: source-kind candidates inside the subset, target-kind
+ones outside it.  Those masks fix every map below a state and whether each
+extends, so a key already seen, which held no failing map, is skipped, and
+a complete map is completed only when its outside masks are new.  The
+search meets maps in stream order, so its witness is the first failing map
+of the stream; see ``_per_map_search``.  Connected homo-homo uses the
 one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
 exactly when no homomorphism from a connected induced subgraph gets stuck,
 that is, has an adjacent vertex with no feasible image.  Stuckness is
@@ -58,10 +65,10 @@ from .graphs import (
 )
 from .morphisms import (
     MorphKind,
+    _variable_order,
     automorphism_generators,
     check_kind,
     complete_map,
-    enumerate_morphisms,
     has_homomorphism,
     orbit_closure,
 )
@@ -261,31 +268,119 @@ def _per_map_search(
     sources: list[int],
     first_images: int,
 ) -> OracleResult:
-    """Try every source map individually; extension via the CSP completer.
+    """Decide the property by trying every source map on each domain of
+    ``sources``, skipping the maps whose future an earlier map already had.
 
-    On each domain only the maps sending the first vertex of the variable
-    order into ``first_images`` are tried.  With one vertex per orbit of
-    Aut(g2) that misses no failing map: for a in Aut(g2), a o phi is a
-    source map on the same domain, and it extends exactly when phi does
-    (a o e extends a o phi, and a^-1 o e' extends phi), so some failing map
-    has its first image on an orbit representative whenever any map fails.
-    This is post-composition, while the choice of one domain per Aut(g1)
-    orbit is pre-composition; the two commute, so they combine.
+    One depth-first search per domain D assigns the vertices of
+    ``_variable_order(g1, D)`` in turn, images ascending, so it meets the
+    source maps in the order ``enumerate_morphisms`` streams them.  Only
+    maps sending the first vertex into ``first_images`` are tried.  With
+    one vertex per orbit of Aut(g2) that misses no failing map: for a in
+    Aut(g2), a o phi is a source map on the same domain, and it extends
+    exactly when phi does (a o e extends a o phi, and a^-1 o e' extends
+    phi), so some failing map has its first image on an orbit
+    representative whenever any map fails.  This is post-composition,
+    while the choice of one domain per Aut(g1) orbit is pre-composition;
+    the two commute, so they combine.
+
+    A state is keyed by its depth and candidate masks.  Each unassigned
+    domain vertex has its source mask: the images adjacent to the images
+    of its assigned neighbours, for an iso source also not adjacent to
+    those of its other assigned vertices, and for a mono or iso source not
+    yet used.  Each outside vertex has its target mask, built the same way
+    with the target kind and adjacent to its neighbours in D.  When the
+    target is iso and the source is not, each unassigned domain vertex
+    also has its target mask.  Assigning v to w allows exactly the w in
+    v's source mask and narrows every other mask by w alone.  A complete
+    map extends exactly when its total target-kind extension exists; for
+    an iso target that needs each domain image inside its target mask, and
+    then the completer's candidates are the outside target masks.  So
+    every map below a state, and whether it extends, depends only on the
+    key.  A child whose key this domain has seen is skipped: that key was
+    explored to the end with no failing map, else the search would have
+    stopped, so skipping is exact.  A choice outside a domain vertex's
+    target mask makes every map below it fail, and the first source map
+    below is returned.  A complete map is handed to ``complete_map`` only
+    when its key is new, and ``checked_maps`` counts those completions.
+
+    Skipped states hold no failing map, so the first failing map met is
+    the first in ``enumerate_morphisms`` order, and the witness is the one
+    that enumerating and completing every map would return.
+
+    A key is one int: the depth in the low ``dbits`` bits, then one
+    2 * g2.n-bit field per vertex x of g1, x's source mask in the low half
+    and its target mask in the high half.  Masks a vertex does not have
+    are zero.  Assigning v to w is ``(key & step[v][w]) + 1``: the mask
+    ANDs every neighbour's field with ``near[w]`` and every other vertex's
+    with ``far[w]``, through a product with the spread of the neighbours
+    or the others, and clears v's own field; the sum adds one to the
+    depth.  A row of ``step`` is built the first time its vertex is
+    assigned.
     """
+    n1, n2, full2, adj2 = g1.n, g2.n, g2.full_mask, g2.adj
+    src_iso = query.source is MorphKind.ISO
+    src_inj = query.source is not MorphKind.HOMO
+    tgt_iso = query.target is MorphKind.ISO
+    track = tgt_iso and not src_iso  # domain vertices carry target masks
+    dbits = n1.bit_length()
+    at = [dbits + x * 2 * n2 for x in range(n1)]
+    depth_bits = (1 << dbits) - 1
+    spread_all = sum(1 << a for a in at)
+    near_spread = [sum(1 << at[x] for x in bits(row)) for row in g1.adj]
+    far_spread = [spread_all ^ near_spread[v] ^ 1 << at[v] for v in range(n1)]
+    near: list[int] = []
+    far: list[int] = []
+    for w in range(n2):
+        unused = full2 & ~(1 << w)
+        src_w = unused if src_inj else full2
+        tgt_w = unused if tgt_iso else full2
+        near.append(adj2[w] & src_w | (adj2[w] & tgt_w) << n2)
+        far.append(
+            (~adj2[w] if src_iso else full2) & src_w
+            | ((~adj2[w] if tgt_iso else full2) & tgt_w) << n2
+        )
+    step: list[list[int] | None] = [None] * n1
+    note = f"no total {query.target.value} extension exists"
     checked = 0
     for domain in sources:
-        for phi in enumerate_morphisms(
-            g1, g2, query.source, domain, first_images=first_images
-        ):
-            checked += 1
-            if complete_map(g1, g2, phi, query.target) is None:
-                wit = Witness(
-                    domain,
-                    phi,
-                    None,
-                    f"no total {query.target.value} extension exists",
-                )
-                return OracleResult(False, wit, checked)
+        order = _variable_order(g1, domain)
+        inside = sum(1 << at[x] for x in bits(domain))
+        outside = spread_all if track else spread_all ^ inside
+        start = full2 * inside | (full2 << n2) * outside
+        seen: set[int] = set()
+        # (key, images of order[:depth], whether every map below fails)
+        stack: list[tuple[int, tuple[int, ...], bool]] = [(start, (), False)]
+        while stack:
+            key, images, doomed = stack.pop()
+            depth = len(images)
+            if depth == len(order):
+                phi = dict(zip(order, images))
+                if not doomed:
+                    checked += 1
+                    if complete_map(g1, g2, phi, query.target) is not None:
+                        continue
+                return OracleResult(False, Witness(domain, phi, None, note), checked)
+            v = order[depth]
+            cand = key >> at[v] & full2
+            if depth == 0:
+                cand &= first_images
+            allowed = key >> at[v] + n2 & full2 if track else full2
+            row = step[v]
+            if row is None:
+                near_v, far_v = near_spread[v], far_spread[v]
+                row = step[v] = [
+                    depth_bits | near[w] * near_v | far[w] * far_v for w in range(n2)
+                ]
+            children = []
+            for w in bits(cand):
+                child = (key & row[w]) + 1
+                dooms = doomed or not allowed >> w & 1
+                if not dooms:
+                    if child in seen:
+                        continue
+                    seen.add(child)
+                children.append((child, images + (w,), dooms))
+            stack.extend(reversed(children))
     return OracleResult(True, None, checked)
 
 

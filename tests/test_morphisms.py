@@ -111,16 +111,6 @@ class TestCounts:
         b = list(enumerate_morphisms(cycle_graph(5), complete_graph(3), HOMO))
         assert a == b and len(a) == 30  # 5-cycle into a triangle: 30 maps
 
-    def test_first_images_split_the_stream(self):
-        # the first vertex of the variable order is 0 here (all degrees tie)
-        c5, k3 = cycle_graph(5), complete_graph(3)
-        parts = [
-            list(enumerate_morphisms(c5, k3, HOMO, first_images=1 << w))
-            for w in range(3)
-        ]
-        assert [{m[0] for m in part} for part in parts] == [{0}, {1}, {2}]
-        assert sum(parts, []) == list(enumerate_morphisms(c5, k3, HOMO))
-
     @given(graph_strategy, st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_every_enumerated_map_checks_out(self, g, seed):
@@ -176,7 +166,9 @@ class TestCompletion:
         if found is not None:
             assert check_kind(g, h, found, HOMO) and len(found) == g.n
 
-    @pytest.mark.parametrize("code, holds", [("iso-iso", True), ("homo-homo", False)])
+    @pytest.mark.parametrize(
+        "code, holds", [("iso-iso", True), ("mono-homo", False), ("homo-homo", False)]
+    )
     def test_searches_leave_no_reference_cycles(self, code, holds):
         # the recursive searches are module-level functions, so the
         # refcounts free everything they build without the cyclic collector

@@ -16,6 +16,7 @@ from homhom.families import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
+    multiclaw_graph,
     path_graph,
     petersen_graph,
     regular_multipartite_graph,
@@ -191,6 +192,101 @@ class TestSourceRepresentatives:
         assert grown_sources(g, connected, reduce) == want
 
 
+def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, dict]:
+    """The per-map search without keys: every source map on each orbit
+    representative domain whose first vertex lands on an orbit
+    representative of g2, completed one by one in stream order."""
+    gens = automorphism_generators(g1)
+    reps = mask_of((o & -o).bit_length() - 1 for o in oracle._vertex_orbits(g2))
+    for domain in oracle._source_representatives(g1, q.connected_sources, gens):
+        for phi in enumerate_morphisms(g1, g2, q.source, domain):
+            if reps >> phi[next(iter(phi))] & 1:
+                if complete_map(g1, g2, phi, q.target) is None:
+                    return False, domain, phi
+    return True, 0, {}
+
+
+def assert_matches_reference(g1: Graph, g2: Graph, q: ClassQuery) -> None:
+    res = extension_morphic(g1, g2, q, force_per_map=True)
+    holds, domain, phi = reference_per_map(g1, g2, q)
+    assert res.holds == holds, (g1, g2, q)
+    if not holds:
+        assert res.witness.domain_mask == domain, (g1, g2, q)
+        assert list(res.witness.mapping.items()) == list(phi.items()), (g1, g2, q)
+
+
+class TestKeyedPerMapSearch:
+    # the keyed search skips states whose future an earlier map had; it
+    # must return the verdict and the witness of completing every map
+    QUERIES = [
+        query_for_code(code, connected)
+        for code in CLASS_CODES
+        for connected in (True, False)
+    ]
+
+    def test_matches_reference_on_all_small_graphs(self):
+        graphs = list(enumerate_graphs(6, connected_only=False))
+        assert len(graphs) == 208
+        for g in graphs:
+            for q in self.QUERIES:
+                assert_matches_reference(g, g, q)
+
+    def test_matches_reference_between_graphs(self):
+        # iso targets between graphs of different sizes fail on every map,
+        # and homo sources into iso targets fail once a map is not an
+        # induced embedding; 324 ordered pairs
+        graphs = list(enumerate_graphs(4, connected_only=False))
+        for g1 in graphs:
+            for g2 in graphs:
+                for q in self.QUERIES:
+                    assert_matches_reference(g1, g2, q)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            petersen_graph(),
+            rook_graph(3),
+            regular_multipartite_graph(3, 3),
+            bcpm_graph(4),
+            multiclaw_graph(2, 1, (3, 3)),
+        ],
+        ids=["petersen", "rook3", "K333", "bcpm4", "multiclaw-2-1-3-3"],
+    )
+    def test_matches_reference_on_named_graphs(self, g):
+        for q in self.QUERIES:
+            assert_matches_reference(g, g, q)
+
+    def test_first_failing_map_on_each_domain(self):
+        # one domain at a time and every first image, so that no earlier
+        # domain fails first: on every subset, connected or not, the search
+        # returns the first map of the stream that does not extend
+        for g in enumerate_graphs(5, connected_only=False):
+            for code in CLASS_CODES:
+                q = query_for_code(code, False)
+                for domain in range(1, 1 << g.n):
+                    res = oracle._per_map_search(g, g, q, [domain], g.full_mask)
+                    want = next(
+                        (
+                            phi
+                            for phi in enumerate_morphisms(g, g, q.source, domain)
+                            if complete_map(g, g, phi, q.target) is None
+                        ),
+                        {},
+                    )
+                    got = {} if res.holds else res.witness.mapping
+                    assert list(got.items()) == list(want.items()), (g, code, domain)
+
+    def test_population_counter_gate(self):
+        # the five per-map classes on all 208 graphs with at most 6
+        # vertices complete 7 605 maps; completing every map took 14 427
+        total = sum(
+            is_class_member(g, query_for_code(code)).checked_maps
+            for g in enumerate_graphs(6, connected_only=False)
+            for code in CLASS_CODES[:5]
+        )
+        assert total <= 8_000
+
+
 class TestEngineAgreement:
     def test_one_point_matches_per_map_on_all_small_graphs(self):
         q = query_for_code("homo-homo")
@@ -354,16 +450,18 @@ class TestEngineAgreement:
     @pytest.mark.parametrize(
         "g, code, limit",
         [
-            (complete_graph(8), "iso-homo", 13_700),
-            (complete_graph(8), "mono-homo", 13_700),
-            (rook_graph(4), "iso-homo", 11_000),
+            (complete_graph(8), "iso-homo", 128),
+            (complete_graph(8), "mono-homo", 128),
+            (rook_graph(4), "iso-homo", 9_977),
         ],
         ids=["K8-iso-homo", "K8-mono-homo", "rook4-iso-homo"],
     )
     def test_per_map_counter_gate(self, g, code, limit, rebind):
-        # one first image per Aut(g) orbit: a vertex-transitive graph checks
-        # 1/n of the maps (K8: 109 600 -> 13 700, rook(4): 164 656 -> 10 291);
-        # the sources are grown, never filtered out of all 2^n subsets
+        # one first image per Aut(g) orbit: a vertex-transitive graph tries
+        # 1/n of the maps (K8: 109 600 -> 13 700, rook(4): 164 656 -> 10 291),
+        # and only maps with new candidate masks are completed (K8: one per
+        # image set containing vertex 0, 2^7 = 128; rook(4): 9 977); the
+        # sources are grown, never filtered out of all 2^n subsets
         def refuse(g, mask):
             raise AssertionError("a source subset was tested for connectedness")
 
@@ -450,7 +548,8 @@ class TestBudgetsAndSampling:
     @pytest.mark.parametrize("reduce", [True, False])
     def test_sources_above_sixteen_vertices(self, reduce):
         # 17 vertices take the generic mask images instead of the byte
-        # tables; C17 checks 33 maps with orbit reduction and 8 993 without
+        # tables; C17 completes 32 maps with orbit reduction and 8 671
+        # without (33 and 8 993 when every map was completed)
         res = is_class_member(
             cycle_graph(17),
             query_for_code("iso-iso"),
@@ -458,7 +557,7 @@ class TestBudgetsAndSampling:
             orbit_reduction=reduce,
         )
         assert res.holds
-        assert res.checked_maps == (33 if reduce else 8_993)
+        assert res.checked_maps == (32 if reduce else 8_671)
 
     def test_witness_above_sixteen_vertices(self):
         g = clique_chain(2, 16)  # the path on 17 vertices
