@@ -257,28 +257,11 @@ def automorphisms(g: Graph) -> list[dict[int, int]]:
     return list(enumerate_morphisms(g, g, MorphKind.ISO))
 
 
-# the graph object last asked about, and its generating set
-_last_generators: tuple[Graph, tuple[tuple[int, ...], ...]] | None = None
-
-
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """A strong generating set for the automorphism group, as image tuples.
-
-    See ``_generating_set``.  A sweep record or a ``classify`` asks once per
-    per-map class of the same graph object, so the result for the last
-    object asked about is kept.  The memo is keyed by identity, not
-    equality, so a call on a new graph object, even an equal one, does the
-    same work whatever was asked before it.
-    """
-    global _last_generators
-    if _last_generators is None or _last_generators[0] is not g:
-        _last_generators = (g, _generating_set(g))
-    return _last_generators[1]
-
-
-def _generating_set(g: Graph) -> tuple[tuple[int, ...], ...]:
     """A strong generating set for Aut(g) relative to the base 0, 1, ...,
-    n-1, found by individualisation; the group itself is never enumerated.
+    n-1, as image tuples, found by individualisation; the group itself is
+    never enumerated.  Nothing is kept between calls; ``oracle`` keeps the
+    set of the last graph it asked about.
 
     Let G_b be the automorphisms fixing 0..b-1 pointwise, so G_0 = Aut(g)
     and G_(n-1) is trivial.  Levels run deepest first, b = n-2 down to 0,
@@ -324,21 +307,6 @@ def orbit_closure(mask: int, gens: Sequence[tuple[int, ...]]) -> int:
                 mask |= 1 << p[u]
                 frontier.append(p[u])
     return mask
-
-
-def group_order_from_generators(n: int, gens: Sequence[tuple[int, ...]]) -> int:
-    """Order of the permutation group the generators produce."""
-    identity = tuple(range(n))
-    known = {identity}
-    frontier = [identity]
-    while frontier:
-        q = frontier.pop()
-        for r in gens:
-            s = tuple(q[r[v]] for v in range(n))
-            if s not in known:
-                known.add(s)
-                frontier.append(s)
-    return len(known)
 
 
 # ---------------------------------------------------------------------------

@@ -200,17 +200,17 @@ def _source_representatives(
     keeping the first of each orbit in ``tuple(bits)`` order.
     """
     if g.n <= 16:
-        # permutation applied to a vertex mask, via byte lookup tables
-        tables: list[tuple[list[int], list[int]]] = []
-        for p in gens:
-            t0 = [0] * 256
-            t1 = [0] * 256
-            for b in range(1, 256):
+        # permutation applied to a vertex mask, via lookup tables on its
+        # low 8 bits and on the rest, each sized to the bits the graph has
+        def table(p: tuple[int, ...], offset: int, size: int) -> list[int]:
+            t = [0] * size
+            for b in range(1, size):
                 low = b & -b
-                i = low.bit_length() - 1
-                t0[b] = t0[b ^ low] | (1 << p[i] if i < g.n else 0)
-                t1[b] = t1[b ^ low] | (1 << p[i + 8] if i + 8 < g.n else 0)
-            tables.append((t0, t1))
+                t[b] = t[b ^ low] | 1 << p[offset + low.bit_length() - 1]
+            return t
+
+        low_size, high_size = 1 << min(g.n, 8), 1 << max(g.n - 8, 0)
+        tables = [(table(p, 0, low_size), table(p, 8, high_size)) for p in gens]
 
         def images(q: int) -> Iterable[int]:
             for t0, t1 in tables:
@@ -255,6 +255,71 @@ def _source_representatives(
         out.extend(reps)
         candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the symmetry data of the last graph asked about
+
+
+class _Symmetry:
+    """The symmetry data of one graph object, shared by every oracle call on
+    it.
+
+    ``generators`` is ``automorphism_generators(graph)``.  ``orbits`` lists
+    the vertex orbits of Aut(graph) as masks, ordered by least vertex: each
+    vertex not yet placed starts an orbit, closed under the generators, and
+    since they generate Aut(graph) the closure is the vertex's whole orbit.
+    ``sources(connected)`` is ``_source_representatives`` under the same
+    generators, built the first time each flag is asked for.  The lists are
+    shared by every later call on the graph object, so callers only read
+    them.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.graph = g
+        self.generators = automorphism_generators(g)
+        self.orbits: list[int] = []
+        placed = 0
+        for v in range(g.n):
+            if not placed >> v & 1:
+                self.orbits.append(orbit_closure(1 << v, self.generators))
+                placed |= self.orbits[-1]
+        self._sources: dict[bool, list[int]] = {}
+
+    def sources(self, connected: bool) -> list[int]:
+        if connected not in self._sources:
+            self._sources[connected] = _source_representatives(
+                self.graph, connected, self.generators
+            )
+        return self._sources[connected]
+
+
+_last_symmetry: _Symmetry | None = None
+
+
+def _symmetry(g: Graph) -> _Symmetry:
+    """The symmetry data of ``g``, kept for the last graph object asked
+    about.
+
+    The slot is keyed by identity, not equality, so a new graph object, even
+    an equal one, does the same work whatever was asked before it; and as
+    the slot holds its graph, no later object can take that graph's
+    identity.  One slot is enough: a sweep record and a ``classify`` ask
+    about one graph object at a time, so its five per-map classes build the
+    generators, orbits and connected sources once, and the one-point engine
+    reads the same orbits.  ``extension_symmetric`` alternates between two
+    graphs, so most of its calls build the data again.
+    """
+    global _last_symmetry
+    if _last_symmetry is None or _last_symmetry.graph is not g:
+        _last_symmetry = _Symmetry(g)
+    return _last_symmetry
+
+
+def _vertex_orbits(g: Graph) -> list[int]:
+    """The vertex orbits of Aut(g) as masks, ordered by least vertex; see
+    ``_Symmetry``.  Callers only read the list."""
+    return _symmetry(g).orbits
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +447,6 @@ def _per_map_search(
                 children.append((child, images + (w,), dooms))
             stack.extend(reversed(children))
     return OracleResult(True, None, checked)
-
-
-def _vertex_orbits(g: Graph) -> list[int]:
-    """The vertex orbits of Aut(g) as masks, ordered by least vertex.
-
-    Each vertex not yet placed starts an orbit, closed under the generators
-    of ``automorphism_generators``; they generate Aut(g), so the closure is
-    the vertex's whole orbit.  A sweep record or a ``classify`` has already
-    built them for the per-map classes of the same graph object.
-    """
-    gens = automorphism_generators(g)
-    orbits: list[int] = []
-    placed = 0
-    for v in range(g.n):
-        if not placed >> v & 1:
-            orbits.append(orbit_closure(1 << v, gens))
-            placed |= orbits[-1]
-    return orbits
 
 
 def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
@@ -564,13 +611,14 @@ def extension_morphic(
                     return OracleResult(False, wit, 0)
         return _one_point_search(g1, g2, state_limit)
     if orbit_reduction:
-        gens = automorphism_generators(g1)
+        # g2 first, so that the slot ends on g1 when they differ
         first_images = mask_of(
             (orbit & -orbit).bit_length() - 1 for orbit in _vertex_orbits(g2)
         )
+        sources = _symmetry(g1).sources(query.connected_sources)
     else:
-        gens, first_images = (), g2.full_mask
-    sources = _source_representatives(g1, query.connected_sources, gens)
+        first_images = g2.full_mask
+        sources = _source_representatives(g1, query.connected_sources, ())
     return _per_map_search(g1, g2, query, sources, first_images)
 
 

@@ -40,13 +40,26 @@ from homhom.morphisms import (
     enumerate_morphisms,
     extend_to_automorphism,
     extend_to_endomorphism,
-    group_order_from_generators,
     has_homomorphism,
     hom_equivalent,
+    orbit_closure,
 )
 from homhom.oracle import is_class_member, query_for_code
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
+
+
+def group_order_from_generators(n: int, gens) -> int:
+    """The product over b of the orbit length of b under the generators
+    that fix 0..b-1.  Those orbits lie inside the orbits of the stabilisers
+    in the generated group H, so the product is at most |H|, and it equals
+    |H| for a strong generating set relative to the base 0, 1, ..., n-1.
+    So a product equal to |Aut(g)| shows the generators generate Aut(g)."""
+    order = 1
+    for b in range(n):
+        level = [p for p in gens if all(p[u] == u for u in range(b))]
+        order *= popcount(orbit_closure(1 << b, level))
+    return order
 
 
 def random_graph(n: int, seed: int) -> Graph:
@@ -220,7 +233,7 @@ class TestAutomorphisms:
 
         rebind(enumerate_morphisms, refuse)
         rebind(complete_map, counted)
-        g = make()  # a new object, so the memo cannot answer
+        g = make()
         gens = automorphism_generators(g)
         assert len(calls) <= g.n * (g.n - 1) // 2
         assert len(gens) <= g.n - 1

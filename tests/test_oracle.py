@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homhom import morphisms, oracle
+from homhom import oracle
+from homhom.cli import sweep_record
 from homhom.families import (
     bcpm_graph,
     clique_chain,
@@ -31,6 +32,7 @@ from homhom.graphs import (
     from_edges,
     from_graph6,
     mask_of,
+    to_graph6,
 )
 from homhom.morphisms import (
     MorphKind,
@@ -50,6 +52,7 @@ from homhom.oracle import (
     query_for_code,
     validate_witness,
 )
+from homhom.recognizers import classify
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
@@ -190,6 +193,13 @@ class TestSourceRepresentatives:
     def test_match_brute_force_on_named_graphs(self, g, connected, reduce):
         want = brute_force_sources(g, connected, reduce)
         assert grown_sources(g, connected, reduce) == want
+
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_match_brute_force_at_sixteen_vertices(self, reduce):
+        # the largest graphs the lookup tables serve, with both tables full
+        # length; connected sources keep the brute force to 2^16 subsets
+        g = cycle_graph(16)
+        assert grown_sources(g, True, reduce) == brute_force_sources(g, True, reduce)
 
 
 def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, dict]:
@@ -401,16 +411,20 @@ class TestEngineAgreement:
             is_class_member(g, query_for_code("homo-homo"), state_limit=5)
         assert str(info.value) == message
 
-    def test_generators_computed_once_per_graph_object(self, monkeypatch, rebind):
-        calls = []
-        real = morphisms._generating_set
-        monkeypatch.setattr(
-            morphisms, "_generating_set", lambda g: calls.append(g) or real(g)
+    def test_generators_computed_once_per_graph_object(self, rebind):
+        # the generators, vertex orbits and source lists of a graph object
+        # are built once, whatever classes are asked about it
+        calls, source_calls = [], []
+        rebind(
+            automorphism_generators,
+            lambda g: calls.append(g) or automorphism_generators(g),
         )
+        grow = oracle._source_representatives
+        rebind(grow, lambda *args: source_calls.append(args) or grow(*args))
         g = cycle_graph(6)
         for code in CLASS_CODES[:5]:  # the per-map classes
             is_class_member(g, query_for_code(code))
-        assert calls == [g]
+        assert calls == [g] and len(source_calls) == 1
         # the one-point engine reads its start orbits off the same generators
         completions = []
         rebind(
@@ -419,7 +433,23 @@ class TestEngineAgreement:
         assert is_class_member(g, query_for_code("homo-homo")).holds
         assert calls == [g] and completions == []
         is_class_member(cycle_graph(6), query_for_code("iso-iso"))
-        assert len(calls) == 2
+        assert len(calls) == 2 and len(source_calls) == 2
+
+    def test_sources_grown_once_per_record_and_classify(self, rebind):
+        # all five per-map classes use connected sources, so one list serves
+        # a whole sweep record, and both oracle classes of a classify
+        source_calls = []
+        grow = oracle._source_representatives
+        rebind(grow, lambda *args: source_calls.append(args) or grow(*args))
+        for g in enumerate_graphs(6, connected_only=False):
+            before = len(source_calls)
+            sweep_record(to_graph6(g), CLASS_CODES, False)
+            assert len(source_calls) == before + 1, g
+        source_calls.clear()
+        report = classify(complete_graph(8))
+        assert len(source_calls) == 1
+        for code in ("iso-homo", "mono-homo"):
+            assert report.classes[code].source == "oracle"
 
     def test_orbit_reduction_is_exact(self):
         for g in enumerate_graphs(5):
