@@ -42,7 +42,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    canonical_form,
     from_edge_list_text,
     from_graph6,
     induced_subgraph,
@@ -314,15 +313,13 @@ def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> dict[str, Any]:
 
 def sorted_graphs(args: argparse.Namespace) -> list[Graph]:
     """Every graph on 1..--max-n vertices (connected ones with --connected),
-    one per isomorphism class, ordered by vertex count then canonical form."""
+    one per isomorphism class, ordered by vertex count then canonical form,
+    as ``enumerate_graphs`` yields them."""
     if not 1 <= args.max_n <= ENUMERATION_HARD_CAP:
         raise InputError(
             f"--max-n must be in 1..{ENUMERATION_HARD_CAP}, got {args.max_n}"
         )
-    return sorted(
-        enumerate_graphs(args.max_n, connected_only=args.connected),
-        key=lambda g: (g.n, canonical_form(g)),
-    )
+    return list(enumerate_graphs(args.max_n, connected_only=args.connected))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

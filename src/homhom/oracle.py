@@ -16,14 +16,15 @@ Everything here is exhaustive search with witnesses, meant as ground truth
 for the structural recognizers; budgets guard against accidentally feeding
 it graphs where exhaustion cannot finish.
 
-Two engines do the search.  The per-map engine tries the source maps on
-one source subset per automorphism orbit of g1, and only those maps whose
-first vertex lands on one chosen vertex per orbit of Aut(g2).  Both
-reductions are exact.  Pre-composing a failing map with an automorphism of
-g1 gives a failing map on the orbit-mate subset.  For a in Aut(g2), a o phi
-extends exactly when phi does (a o e extends a o phi, and a^-1 o e' extends
-phi), so post-composition keeps the failing maps on the same subset and can
-move phi's first image to its orbit's representative; the two compositions
+Two engines do the search.  The per-map engine tries the source maps on one
+source subset per automorphism orbit of g1, and at every depth only the
+images least in their orbit under the generators of Aut(g2) that fix every
+image assigned so far.  Both reductions are exact.  Pre-composing a failing
+map with an automorphism of g1 gives a failing map on the orbit-mate
+subset.  For a in Aut(g2), a o phi extends exactly when phi does (a o e
+extends a o phi, and a^-1 o e' extends phi), so post-composition by an a
+fixing the images assigned so far keeps the failing maps below the state
+and can move the next image to the least of its orbit; the two compositions
 act on different sides, so they combine.  It builds the maps of one subset
 by a depth-first search keyed by the candidate images left for each
 unassigned vertex: source-kind candidates inside the subset, target-kind
@@ -52,7 +53,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -261,30 +263,50 @@ def _source_representatives(
 # the symmetry data of the last graph asked about
 
 
+def _orbits(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
+    """The vertex orbits of the group ``gens`` generates, as masks ordered by
+    least vertex: each vertex not yet placed starts an orbit, closed under
+    the generators."""
+    orbits, placed = [], 0
+    for v in range(n):
+        if not placed >> v & 1:
+            orbits.append(orbit_closure(1 << v, gens))
+            placed |= orbits[-1]
+    return orbits
+
+
 class _Symmetry:
     """The symmetry data of one graph object, shared by every oracle call on
     it.
 
-    ``generators`` is ``automorphism_generators(graph)``.  ``orbits`` lists
-    the vertex orbits of Aut(graph) as masks, ordered by least vertex: each
-    vertex not yet placed starts an orbit, closed under the generators, and
-    since they generate Aut(graph) the closure is the vertex's whole orbit.
+    ``generators`` is ``automorphism_generators(graph)``, and ``orbits``
+    the vertex orbits of the group they generate, Aut(graph).
     ``sources(connected)`` is ``_source_representatives`` under the same
-    generators, built the first time each flag is asked for.  The lists are
-    shared by every later call on the graph object, so callers only read
-    them.
+    generators, and ``fixers`` and ``least`` serve the per-map search; each
+    is built the first time it is asked for.  The lists are shared by every
+    later call on the graph object, so callers only read them.
     """
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self.generators = automorphism_generators(g)
-        self.orbits: list[int] = []
-        placed = 0
-        for v in range(g.n):
-            if not placed >> v & 1:
-                self.orbits.append(orbit_closure(1 << v, self.generators))
-                placed |= self.orbits[-1]
+        self.orbits = _orbits(g.n, self.generators)
         self._sources: dict[bool, list[int]] = {}
+        self._least = {0: g.full_mask}
+
+    @cached_property
+    def fixers(self) -> list[int]:
+        """``fixers[w]``: the generators fixing w, as a mask of their indices."""
+        gens, n = self.generators, self.graph.n
+        return [mask_of(i for i, p in enumerate(gens) if p[w] == w) for w in range(n)]
+
+    def least(self, h: int) -> int:
+        """The mask of the vertices least in their orbit under the
+        generators in ``h``, a mask over their indices."""
+        if h not in self._least:
+            gens = [self.generators[i] for i in bits(h)]
+            self._least[h] = sum(o & -o for o in _orbits(self.graph.n, gens))
+        return self._least[h]
 
     def sources(self, connected: bool) -> list[int]:
         if connected not in self._sources:
@@ -331,22 +353,26 @@ def _per_map_search(
     g2: Graph,
     query: ClassQuery,
     sources: list[int],
-    first_images: int,
+    sym2: _Symmetry | None = None,
 ) -> OracleResult:
     """Decide the property by trying every source map on each domain of
     ``sources``, skipping the maps whose future an earlier map already had.
 
     One depth-first search per domain D assigns the vertices of
     ``_variable_order(g1, D)`` in turn, images ascending, so it meets the
-    source maps in the order ``enumerate_morphisms`` streams them.  Only
-    maps sending the first vertex into ``first_images`` are tried.  With
-    one vertex per orbit of Aut(g2) that misses no failing map: for a in
-    Aut(g2), a o phi is a source map on the same domain, and it extends
-    exactly when phi does (a o e extends a o phi, and a^-1 o e' extends
-    phi), so some failing map has its first image on an orbit
-    representative whenever any map fails.  This is post-composition,
-    while the choice of one domain per Aut(g1) orbit is pre-composition;
-    the two commute, so they combine.
+    source maps in the order ``enumerate_morphisms`` streams them.  With
+    ``sym2``, the symmetry data of g2, a state keeps h, the generators that
+    fix every image it assigned, and tries only the images least in their
+    orbit under h.  That misses no failing map.  For a in Aut(g2), a o phi
+    is a source map on the same domain and fails exactly when phi does.  If
+    the first failing map phi in stream order had an image w at depth d not
+    least in its orbit under that state's h, some a in the group h
+    generates would send w lower and fix phi's images before depth d, so
+    a o phi would fail and come earlier.  This holds below any state, so
+    the pruned search below a key finds a failing map whenever one exists,
+    and the least candidate, never pruned, leads to the first map below a
+    doomed state.  The pre-composition picking one domain per Aut(g1) orbit
+    acts on the other side, so the two combine.
 
     A state is keyed by its depth and candidate masks.  Each unassigned
     domain vertex has its source mask: the images adjacent to the images
@@ -404,6 +430,8 @@ def _per_map_search(
             (~adj2[w] if src_iso else full2) & src_w
             | ((~adj2[w] if tgt_iso else full2) & tgt_w) << n2
         )
+    everyone = (1 << len(sym2.generators)) - 1 if sym2 else 0
+    fixers = sym2.fixers if sym2 else [0] * n2
     step: list[list[int] | None] = [None] * n1
     note = f"no total {query.target.value} extension exists"
     checked = 0
@@ -413,10 +441,11 @@ def _per_map_search(
         outside = spread_all if track else spread_all ^ inside
         start = full2 * inside | (full2 << n2) * outside
         seen: set[int] = set()
-        # (key, images of order[:depth], whether every map below fails)
-        stack: list[tuple[int, tuple[int, ...], bool]] = [(start, (), False)]
+        # (key, images of order[:depth], whether every map below fails,
+        # the generators fixing those images)
+        stack = [(start, (), False, everyone)]
         while stack:
-            key, images, doomed = stack.pop()
+            key, images, doomed, h = stack.pop()
             depth = len(images)
             if depth == len(order):
                 phi = dict(zip(order, images))
@@ -427,8 +456,8 @@ def _per_map_search(
                 return OracleResult(False, Witness(domain, phi, None, note), checked)
             v = order[depth]
             cand = key >> at[v] & full2
-            if depth == 0:
-                cand &= first_images
+            if h:
+                cand &= sym2.least(h)
             allowed = key >> at[v] + n2 & full2 if track else full2
             row = step[v]
             if row is None:
@@ -444,7 +473,7 @@ def _per_map_search(
                     if child in seen:
                         continue
                     seen.add(child)
-                children.append((child, images + (w,), dooms))
+                children.append((child, images + (w,), dooms, h & fixers[w]))
             stack.extend(reversed(children))
     return OracleResult(True, None, checked)
 
@@ -579,8 +608,9 @@ def extension_morphic(
     The search is always exhaustive.  Options: ``budget`` caps g1's vertex
     count (default per source kind, ``HOMHOM_BUDGET`` overrides);
     ``orbit_reduction`` checks one source subset per automorphism orbit of
-    g1 and one first image per orbit of Aut(g2), the least vertex of each
-    orbit of ``_vertex_orbits`` (exact, on by default); ``state_limit``
+    g1 and, at every depth, only the images least in their orbit under the
+    generators of Aut(g2) that fix the images assigned so far (exact, on by
+    default; off means no symmetry at all); ``state_limit``
     caps the one-point engine's states; ``force_per_map`` disables the
     one-point engine (for cross-validation in tests).
     """
@@ -612,14 +642,12 @@ def extension_morphic(
         return _one_point_search(g1, g2, state_limit)
     if orbit_reduction:
         # g2 first, so that the slot ends on g1 when they differ
-        first_images = mask_of(
-            (orbit & -orbit).bit_length() - 1 for orbit in _vertex_orbits(g2)
-        )
+        sym2 = _symmetry(g2)
         sources = _symmetry(g1).sources(query.connected_sources)
     else:
-        first_images = g2.full_mask
+        sym2 = None
         sources = _source_representatives(g1, query.connected_sources, ())
-    return _per_map_search(g1, g2, query, sources, first_images)
+    return _per_map_search(g1, g2, query, sources, sym2)
 
 
 def is_class_member(g: Graph, query: ClassQuery, **options) -> OracleResult:

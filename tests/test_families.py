@@ -255,10 +255,12 @@ class TestEnumeration:
         assert by_n == CONNECTED_COUNTS
 
     def test_representatives_are_canonical_and_ordered(self):
-        graphs = list(enumerate_graphs(5, connected_only=False))
-        keys = [(g.n, canonical_form(g)) for g in graphs]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+        # sweep takes this order as it comes, without sorting again
+        for connected in (True, False):
+            graphs = list(enumerate_graphs(7, connected_only=connected))
+            keys = [(g.n, canonical_form(g)) for g in graphs]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(keys)
         for g in graphs:
             assert canonical_form(g) == canonical_form(g)  # stable
         # spot checks: exactly one complete graph per size, one 5-cycle
