@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import sys
 import time
+import warnings
 from typing import Any, Callable, Iterable, Sequence
 
 from .families import (
@@ -553,6 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message: Warning | str, *_: Any) -> None:
+    """Show a library warning as one ``warning: ...`` line on stderr, like
+    the ``error: ...`` lines, instead of Python's source-quoting format."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -561,7 +568,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            code = args.func(args)
     except BrokenPipeError:
         code = 0  # the reader stopped early (``| head``), which is not an error
     except InputError as exc:

@@ -13,7 +13,17 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, canonical_form, from_edges, from_graph6, is_connected
+from .graphs import (
+    Graph,
+    _canonical_labelling,
+    _graph6_from_rows,
+    _refined_colors,
+    from_edges,
+    from_graph6,
+    is_connected,
+    popcount,
+)
+from .morphisms import MorphKind, complete_map
 
 FAMILY_TAGS = (
     "COMPLETE",
@@ -420,11 +430,29 @@ ENUMERATION_HARD_CAP = 8
 def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
     """Stream one representative per isomorphism class, up to ``max_n`` vertices.
 
-    Graphs are grown by vertex augmentation: every class on n vertices arises
-    from some class on n-1 vertices plus one new vertex with some neighbour
-    mask, so extending every representative by every mask and deduplicating by
-    canonical form is exhaustive.  Representatives are canonically labelled;
-    order is (vertex count, canonical graph6 bytes) ascending.
+    Graphs are grown by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  A child C is a parent
+    representative on n-1 vertices plus a new vertex x = n-1 with some
+    neighbour mask.  Let m(C) be the vertex in the last slot of C's
+    canonical labelling; any two optimal labellings differ by an
+    automorphism, so the Aut(C)-orbit of m(C) is an isomorphism invariant.
+    C is kept iff x lies in that orbit.
+    - Every class on n vertices is kept at least once: C - m(C) is
+      isomorphic to some parent P, and that isomorphism extends to one from
+      C onto a child of P that maps m(C) to x, so that child is kept.
+    - Kept children of different parents are not isomorphic: a kept C
+      gives C - x ≅ C - m(C), so isomorphic kept children have isomorphic
+      parents, and the parents are distinct classes.
+    - Isomorphic children of one parent (masks in one Aut(P)-orbit) are
+      merged by the level's set of canonical forms, whose sorted order is
+      the output order.
+    The cheap tests run first.  The last slot holds the top colour of
+    ``_refined_colors``, whose class holds vertices of maximum degree only,
+    so x must have maximum degree and the top colour before C is labelled;
+    only when m(C) != x does an isomorphism search decide the orbit.
+
+    Representatives are canonically labelled; order is (vertex count,
+    canonical graph6 bytes) ascending.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -441,16 +469,22 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
     level = [empty_graph(1)]
     yield level[0]
     for n in range(2, max_n + 1):
+        x = n - 1
         forms = set()
         for g in level:
-            rows = list(g.adj)
-            rows.append(0)
-            for mask in range(1 << (n - 1)):
-                new_rows = [
-                    row | (mask >> v & 1) << (n - 1) for v, row in enumerate(rows[:-1])
-                ]
-                new_rows.append(mask)
-                forms.add(canonical_form(Graph(n, tuple(new_rows))))
+            for mask in range(1 << x):
+                rows = [row | (mask >> v & 1) << x for v, row in enumerate(g.adj)]
+                rows.append(mask)
+                if popcount(mask) < max(map(popcount, rows)):
+                    continue
+                child = Graph(n, tuple(rows))
+                colors = _refined_colors(child)
+                if colors[x] != max(colors):
+                    continue
+                canon, perm = _canonical_labelling(child, colors=colors)
+                m = perm[-1]
+                if m == x or complete_map(child, child, {x: m}, MorphKind.ISO) is not None:
+                    forms.add(_graph6_from_rows(n, canon))
         level = [from_graph6(f.decode("ascii")) for f in sorted(forms)]
         for g in level:
             if not connected_only or is_connected(g):

@@ -430,7 +430,14 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 
 def _refined_colors(g: Graph) -> list[int]:
-    """Iterated neighbourhood-refinement colours (isomorphism-invariant ids)."""
+    """Iterated neighbourhood-refinement colours (isomorphism-invariant ids).
+
+    The first colours are the degrees, and each round numbers the classes
+    by their sorted signatures, which begin with the previous colour.  So a
+    round only splits classes and never reorders them: the top colour class
+    holds vertices of maximum degree only, which ``enumerate_graphs`` relies
+    on to reject a child before labelling it.
+    """
     colors = [popcount(row) for row in g.adj]
     for _ in range(g.n):
         sigs = [
@@ -448,14 +455,23 @@ def _refined_colors(g: Graph) -> list[int]:
 DEFAULT_CANONICAL_BOUND = 10
 
 
-def canonical_rows(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> tuple[int, ...]:
-    """Lexicographically-minimal upper-triangle rows over vertex relabellings.
+def _canonical_labelling(
+    g: Graph,
+    bound: int | None = DEFAULT_CANONICAL_BOUND,
+    colors: list[int] | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lexicographically-minimal upper-triangle rows over vertex relabellings,
+    and the relabelling that first reached them.
 
-    Entry j-1 holds the bits (new i, new j) for i < j, most significant first —
-    the same bit order graph6 uses, so minimising this tuple minimises the
-    graph6 string.  Relabellings are restricted to those listing the refined
-    colour classes in ascending colour order (colour ids are isomorphism-
-    invariant, so the minimum is too).  Branch-and-bound beyond that.
+    Returns ``(rows, perm)``: ``perm[i]`` is the vertex placed in slot i, and
+    entry j-1 of ``rows`` holds the bits (slot i, slot j) for i < j, most
+    significant first — the same bit order graph6 uses, so minimising this
+    tuple minimises the graph6 string.  Relabellings are restricted to those
+    listing the refined colour classes in ascending colour order (colour ids
+    are isomorphism-invariant, so the minimum is too).  Branch-and-bound
+    beyond that.  Two relabellings that reach the minimum differ by an
+    automorphism.  ``colors`` passes in ``_refined_colors(g)`` when the
+    caller has it already.
     """
     if bound is not None and g.n > bound:
         raise ValueError(
@@ -463,9 +479,11 @@ def canonical_rows(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> tup
             "pass a higher bound explicitly if you really want this"
         )
     n = g.n
-    colors = _refined_colors(g)
+    if colors is None:
+        colors = _refined_colors(g)
     slot_color = sorted(colors)
     best: list[int] | None = None
+    best_perm: list[int] = []
     perm: list[int] = []
     rows: list[int] = []
 
@@ -475,10 +493,11 @@ def canonical_rows(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> tup
         return g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
 
     def place(i: int, tight: bool) -> None:
-        nonlocal best
+        nonlocal best, best_perm
         if i == n:
             if best is None or rows < best:
                 best = rows.copy()
+                best_perm = perm.copy()
             return
         options = []
         for v in range(n):
@@ -511,7 +530,12 @@ def canonical_rows(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> tup
 
     place(0, True)
     assert best is not None
-    return tuple(best)
+    return tuple(best), tuple(best_perm)
+
+
+def canonical_rows(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> tuple[int, ...]:
+    """The rows of ``_canonical_labelling``: equal iff the graphs are isomorphic."""
+    return _canonical_labelling(g, bound)[0]
 
 
 def canonical_form(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> bytes:

@@ -17,6 +17,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -504,6 +505,21 @@ class TestGenerateEnumerate:
         code, out, _ = run_cli(capsys, ["enumerate", "--max-n", "3", "--connected"])
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    def test_library_warning_is_one_stderr_line(self, capsys, rebind):
+        # a stand-in that warns as enumerate_graphs(8) does, without its cost
+        _, expected, _ = run_cli(capsys, ["enumerate", "--max-n", "3"])
+        original = cli.enumerate_graphs
+
+        def warning_stand_in(max_n, connected_only=True):
+            warnings.warn("enumerating all graphs on 3 vertices is slow", stacklevel=2)
+            return original(max_n, connected_only)
+
+        rebind(original, warning_stand_in)
+        code, out, err = run_cli(capsys, ["enumerate", "--max-n", "3"])
+        assert code == 0
+        assert out == expected
+        assert err == "warning: enumerating all graphs on 3 vertices is slow\n"
 
     def test_enumerate_is_sorted_and_duplicate_free(self, capsys):
         _, out, _ = run_cli(capsys, ["enumerate", "--max-n", "4"])

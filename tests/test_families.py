@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -30,6 +32,7 @@ from homhom.families import (
 )
 from homhom.graphs import (
     Graph,
+    _canonical_labelling,
     bipartition,
     bits,
     degree,
@@ -37,6 +40,7 @@ from homhom.graphs import (
     connected_components,
     diameter,
     from_edges,
+    from_graph6,
     girth,
     induced_cycle_lengths,
     neighbors,
@@ -44,6 +48,7 @@ from homhom.graphs import (
     is_connected,
     is_isomorphic,
     popcount,
+    to_graph6,
 )
 
 
@@ -235,8 +240,31 @@ class TestDescriptors:
 
 
 # class counts per vertex count (OEIS A000088 / A001349)
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+# SHA-256 of the newline-joined graph6 lines of enumerate_graphs(7, ...), as
+# the "every mask, dedupe" enumerator produced them
+N7_SHA256 = {
+    False: "6207d5ea27b8b308d5638de11e576b426bc64b8c51677584817050c700367e8b",
+    True: "105860e8b0697294fc2bd533032b06cb6507c6ef528c99f8397442503fb5322b",
+}
+
+
+def enumerate_by_dedupe(max_n: int) -> list[Graph]:
+    """Reference enumerator: extend every representative on n-1 vertices by
+    every neighbour mask and keep one graph per canonical form."""
+    level = [empty_graph(1)]
+    out = list(level)
+    for n in range(2, max_n + 1):
+        forms = set()
+        for g in level:
+            for mask in range(1 << (n - 1)):
+                rows = [row | (mask >> v & 1) << (n - 1) for v, row in enumerate(g.adj)]
+                forms.add(canonical_form(Graph(n, (*rows, mask))))
+        level = [from_graph6(f.decode("ascii")) for f in sorted(forms)]
+        out += level
+    return out
 
 
 class TestEnumeration:
@@ -252,7 +280,33 @@ class TestEnumeration:
         for g in enumerate_graphs(7):
             assert is_connected(g)
             by_n[g.n] = by_n.get(g.n, 0) + 1
-        assert by_n == CONNECTED_COUNTS
+        assert by_n == {n: c for n, c in CONNECTED_COUNTS.items() if n <= 7}
+
+    def test_counts_to_eight(self):
+        with pytest.warns(UserWarning):
+            graphs = list(enumerate_graphs(8, connected_only=False))
+        assert Counter(g.n for g in graphs) == ALL_COUNTS
+        assert Counter(g.n for g in graphs if is_connected(g)) == CONNECTED_COUNTS
+
+    def test_matches_dedupe_enumerator_to_six(self):
+        ours = [to_graph6(g) for g in enumerate_graphs(6, connected_only=False)]
+        assert ours == [to_graph6(g) for g in enumerate_by_dedupe(6)]
+
+    @pytest.mark.parametrize("connected", [False, True], ids=["all", "connected"])
+    def test_lists_to_seven_are_pinned(self, connected):
+        lines = [to_graph6(g) for g in enumerate_graphs(7, connected_only=connected)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == N7_SHA256[connected]
+
+    def test_labelling_count_to_seven(self, rebind):
+        # the dedupe enumerator labels all 11 290 children; canonical
+        # augmentation labels only those whose new vertex has the top colour
+        calls = []
+        rebind(
+            _canonical_labelling,
+            lambda *a, **k: calls.append(1) or _canonical_labelling(*a, **k),
+        )
+        list(enumerate_graphs(7, connected_only=False))
+        assert len(calls) == 2365
 
     def test_representatives_are_canonical_and_ordered(self):
         # sweep takes this order as it comes, without sorting again
