@@ -9,7 +9,7 @@ deterministic: vertex iteration is ascending unless stated otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -52,10 +52,14 @@ class Graph:
                 raise ValueError(f"adjacency row of vertex {v} mentions vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"vertex {v} has a self-loop")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency is not symmetric at ({v}, {u})")
+                row ^= low
 
     @property
     def full_mask(self) -> int:
@@ -126,11 +130,16 @@ def common_neighbors(g: Graph, vertex_mask: int) -> int:
 
 
 def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
-    """Induced subgraph on the masked vertices, relabelled 0..k-1 ascending."""
+    """Induced subgraph on the masked vertices, relabelled 0..k-1 ascending.
+
+    The full mask returns ``g`` itself, not a copy: ``Graph`` is frozen.
+    """
     if vertex_mask == 0:
         raise ValueError("induced subgraph on the empty vertex set is not a graph")
     if vertex_mask & ~g.full_mask:
         raise ValueError("vertex mask mentions vertices outside the graph")
+    if vertex_mask == g.full_mask:
+        return g
     old = list(bits(vertex_mask))
     index = {v: i for i, v in enumerate(old)}
     rows = []
@@ -146,14 +155,15 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
 # connectivity and distances
 
 
-def _reach(g: Graph, start_bit: int, within: int) -> int:
-    """Bitmask of vertices reachable from start_bit inside ``within``."""
+def _reach(rows: Sequence[int], start_bit: int, within: int) -> int:
+    """Bitmask of vertices reachable from start_bit inside ``within``, along
+    the adjacency ``rows`` (a graph's ``adj``, or rows derived from it)."""
     reached = start_bit
     frontier = start_bit
     while frontier:
         nxt = 0
         for v in bits(frontier):
-            nxt |= g.adj[v]
+            nxt |= rows[v]
         frontier = nxt & within & ~reached
         reached |= frontier
     return reached
@@ -164,7 +174,7 @@ def connected_within(g: Graph, vertex_mask: int) -> bool:
     if vertex_mask == 0:
         return False
     start = vertex_mask & -vertex_mask
-    return _reach(g, start, vertex_mask) == vertex_mask
+    return _reach(g.adj, start, vertex_mask) == vertex_mask
 
 
 def is_connected(g: Graph) -> bool:
@@ -177,7 +187,7 @@ def connected_components(g: Graph) -> list[int]:
     comps = []
     while remaining:
         start = remaining & -remaining
-        comp = _reach(g, start, remaining)
+        comp = _reach(g.adj, start, remaining)
         comps.append(comp)
         remaining &= ~comp
     return comps
@@ -343,9 +353,13 @@ def edge_complete_union(*graphs: Graph) -> Graph:
     return Graph(total, tuple(rows))
 
 
+def _complement_rows(g: Graph) -> list[int]:
+    full = g.full_mask
+    return [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+
+
 def complement(g: Graph) -> Graph:
-    rows = tuple(g.full_mask & ~row & ~(1 << v) for v, row in enumerate(g.adj))
-    return Graph(g.n, rows)
+    return Graph(g.n, tuple(_complement_rows(g)))
 
 
 # ---------------------------------------------------------------------------

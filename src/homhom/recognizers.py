@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .families import (
     FamilyDescriptor,
@@ -27,10 +27,11 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _complement_rows,
+    _reach,
     bipartition,
     bits,
     common_neighbors,
-    complement,
     connected_components,
     connected_within,
     degree,
@@ -84,6 +85,35 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+def _clique_partition(rows: Sequence[int], within: int) -> list[int] | None:
+    """The clique masks, lowest vertex first, when the adjacency ``rows``
+    restricted to ``within`` form a disjoint union of cliques; else None.
+
+    Take the lowest vertex u not yet covered and its closed neighbourhood C
+    inside ``within``; every member w of C must have that same closed
+    neighbourhood.  Then C is a clique (each w sees all of C) with no edge
+    leaving it (each w sees nothing else), so it is a component.  It misses
+    the cliques already removed, since each of those is closed and does not
+    contain u.  Conversely, in a disjoint union of cliques every closed
+    neighbourhood is the vertex's own clique, so the test never fails on
+    one.  One pass over ``within``, no subgraph built.
+    """
+    cliques: list[int] = []
+    left = within
+    while left:
+        low = left & -left
+        clique = rows[low.bit_length() - 1] & within | low
+        rest = clique
+        while rest:
+            w = rest & -rest
+            if rows[w.bit_length() - 1] & within | w != clique:
+                return None
+            rest ^= w
+        cliques.append(clique)
+        left &= ~clique
+    return cliques
+
+
 def is_kn_treelike(g: Graph) -> int | None:
     """Block size k if ``g`` is a tree of k-cliques glued at cut vertices.
 
@@ -111,19 +141,16 @@ def is_kn_treelike(g: Graph) -> int | None:
         raise ValueError("is_kn_treelike requires a connected graph")
     if g.n == 1:
         return None
-    block: int | None = None
-    for v in range(g.n):
-        nbhd = induced_subgraph(g, neighbors(g, v))
-        for comp in connected_components(nbhd):
-            k = popcount(comp)
-            if induced_subgraph(nbhd, comp).edge_count() != k * (k - 1) // 2:
-                return None
-            if block is None:
-                block = k
-            elif block != k:
-                return None
-    assert block is not None  # connected with n >= 2: every vertex has a neighbour
-    k = block + 1
+    sizes: set[int] = set()
+    for row in g.adj:
+        cliques = _clique_partition(g.adj, row)
+        if cliques is None:
+            return None
+        sizes.update(map(popcount, cliques))
+        if len(sizes) > 1:
+            return None
+    # connected with n >= 2: every vertex has a neighbour, so sizes is nonempty
+    k = sizes.pop() + 1
     return k if 2 * g.edge_count() == k * (g.n - 1) else None
 
 
@@ -650,18 +677,12 @@ def _isomorphic_components(g: Graph) -> Graph | None:
 
 
 def complete_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
-    """Sorted part sizes if ``g`` is complete multipartite (2+ parts), else None."""
-    comp = complement(g)
-    parts = connected_components(comp)
-    if len(parts) < 2:
+    """Sorted part sizes if ``g`` is complete multipartite (2+ parts), else
+    None: the complement must be a disjoint union of 2+ cliques."""
+    parts = _clique_partition(_complement_rows(g), g.full_mask)
+    if parts is None or len(parts) < 2:
         return None
-    sizes = []
-    for part in parts:
-        k = popcount(part)
-        if induced_subgraph(comp, part).edge_count() != k * (k - 1) // 2:
-            return None
-        sizes.append(k)
-    return tuple(sorted(sizes))
+    return tuple(sorted(map(popcount, parts)))
 
 
 def _cii_component_family(c: Graph) -> FamilyDescriptor | None:
@@ -720,12 +741,8 @@ def is_cmi(g: Graph) -> bool:
 
 def is_chi(g: Graph) -> bool:
     """Whether every component of ``g`` is a complete graph of one size."""
-    comps = connected_components(g)
-    sizes = {popcount(m) for m in comps}
-    if len(sizes) != 1:
-        return False
-    k = sizes.pop()
-    return all(induced_subgraph(g, m).edge_count() == k * (k - 1) // 2 for m in comps)
+    cliques = _clique_partition(g.adj, g.full_mask)
+    return cliques is not None and len(set(map(popcount, cliques))) == 1
 
 
 def multiclaw_parameters(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
@@ -734,28 +751,30 @@ def multiclaw_parameters(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
     each group a disjoint union of >= 2 equal cliques of one global size.
 
     Matched through the complement, which must split into isolated vertices
-    (the clique) plus complete-multipartite components with equal part sizes
-    (the groups)."""
-    comp = complement(g)
+    (the clique) plus components (the groups) on each of which ``g`` is a
+    disjoint union of equal cliques, two or more since the component is
+    connected in the complement."""
+    co_rows = _complement_rows(g)
     clique_size = 0
-    blob_size: int | None = None
+    sizes: set[int] = set()
     counts: list[int] = []
-    for part in connected_components(comp):
+    left = g.full_mask
+    while left:
+        part = _reach(co_rows, left & -left, left)
+        left &= ~part
         if popcount(part) == 1:
             clique_size += 1
             continue
-        sub = induced_subgraph(comp, part)
-        sizes = complete_multipartite_parts(sub)
-        if sizes is None or len(set(sizes)) != 1:
+        blobs = _clique_partition(g.adj, part)
+        if blobs is None:
             return None
-        if blob_size is None:
-            blob_size = sizes[0]
-        elif blob_size != sizes[0]:
+        sizes.update(map(popcount, blobs))
+        if len(sizes) > 1:
             return None
-        counts.append(len(sizes))
+        counts.append(len(blobs))
     if not counts:
         return None
-    return clique_size, blob_size or 1, tuple(sorted(counts))
+    return clique_size, sizes.pop(), tuple(sorted(counts))
 
 
 # --------------------------------------------------------------------------

@@ -79,12 +79,18 @@ graph_strategy = st.builds(
 
 
 def test_graph_validation_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.64, got 0"):
         Graph(0, ())
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (0b1,))  # self-loop
+    with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.64, got 65"):
+        Graph(65, (0,) * 65)
+    with pytest.raises(ValueError, match="adjacency row count does not match vertex count"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="adjacency row of vertex 1 mentions vertices >= n"):
+        Graph(2, (0b00, 0b100))
+    with pytest.raises(ValueError, match="vertex 0 has a self-loop"):
+        Graph(1, (0b1,))
+    with pytest.raises(ValueError, match=r"adjacency is not symmetric at \(1, 0\)"):
+        Graph(2, (0b00, 0b01))  # the edge is missing from the lower row only
     with pytest.raises(ValueError):
         from_edges(2, [(0, 2)])
 
@@ -112,6 +118,11 @@ def test_induced_subgraph_of_cycle_is_path():
     assert sub.n == 3 and sub.edges() == [(0, 1), (1, 2)]
     with pytest.raises(ValueError):
         induced_subgraph(cycle(6), 0)
+
+
+def test_induced_subgraph_on_every_vertex_is_the_graph_itself():
+    g = cycle(6)
+    assert induced_subgraph(g, g.full_mask) is g
 
 
 # -- connectivity, distance, diameter ----------------------------------------

@@ -31,6 +31,7 @@ from homhom.graphs import (
     bipartition,
     bits,
     canonical_form,
+    complement,
     connected_components,
     connected_within,
     disjoint_union,
@@ -55,6 +56,7 @@ from homhom.recognizers import (
     ClassReport,
     PcmCertificate,
     Verdict,
+    _clique_partition,
     b1_holds,
     b2_holds,
     b2_star_holds,
@@ -889,3 +891,145 @@ class TestPolynomialRecognizers:
         codes = ("iso-iso", "mono-iso", "homo-iso", "homo-homo")
         assert {c for c in codes if report.verdict(c) is Verdict.YES} == members
         assert {c for c in codes if report.verdict(c) is Verdict.NO} == set(codes) - members
+
+
+# --------------------------------------------------------------------------
+# The clique-partition recognizers against the subgraph-building ones they
+# replaced
+
+
+def kn_treelike_by_subgraphs(g: Graph) -> int | None:
+    """Reference ``is_kn_treelike``: each neighbourhood built as a graph,
+    each of its components checked for a full edge count."""
+    if not is_connected(g):
+        raise ValueError("is_kn_treelike requires a connected graph")
+    if g.n == 1:
+        return None
+    block: int | None = None
+    for v in range(g.n):
+        nbhd = induced_subgraph(g, g.adj[v])
+        for comp in connected_components(nbhd):
+            k = popcount(comp)
+            if induced_subgraph(nbhd, comp).edge_count() != k * (k - 1) // 2:
+                return None
+            if block is None:
+                block = k
+            elif block != k:
+                return None
+    assert block is not None
+    k = block + 1
+    return k if 2 * g.edge_count() == k * (g.n - 1) else None
+
+
+def multipartite_parts_by_subgraphs(g: Graph) -> tuple[int, ...] | None:
+    """Reference ``complete_multipartite_parts``: every component of the
+    complement graph must be a clique."""
+    comp = complement(g)
+    parts = connected_components(comp)
+    if len(parts) < 2:
+        return None
+    sizes = []
+    for part in parts:
+        k = popcount(part)
+        if induced_subgraph(comp, part).edge_count() != k * (k - 1) // 2:
+            return None
+        sizes.append(k)
+    return tuple(sorted(sizes))
+
+
+def chi_by_subgraphs(g: Graph) -> bool:
+    """Reference ``is_chi``: components of one size, each a clique."""
+    comps = connected_components(g)
+    sizes = {popcount(m) for m in comps}
+    if len(sizes) != 1:
+        return False
+    k = sizes.pop()
+    return all(induced_subgraph(g, m).edge_count() == k * (k - 1) // 2 for m in comps)
+
+
+def multiclaw_by_subgraphs(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
+    """Reference ``multiclaw_parameters``: each non-singleton component of
+    the complement graph must be complete multipartite with equal parts."""
+    comp = complement(g)
+    clique_size = 0
+    blob_size: int | None = None
+    counts: list[int] = []
+    for part in connected_components(comp):
+        if popcount(part) == 1:
+            clique_size += 1
+            continue
+        sizes = multipartite_parts_by_subgraphs(induced_subgraph(comp, part))
+        if sizes is None or len(set(sizes)) != 1:
+            return None
+        if blob_size is None:
+            blob_size = sizes[0]
+        elif blob_size != sizes[0]:
+            return None
+        counts.append(len(sizes))
+    if not counts:
+        return None
+    return clique_size, blob_size or 1, tuple(sorted(counts))
+
+
+def assert_recognizers_match_references(g: Graph) -> None:
+    label = to_graph6(g)
+    if is_connected(g):
+        assert is_kn_treelike(g) == kn_treelike_by_subgraphs(g), label
+    assert complete_multipartite_parts(g) == multipartite_parts_by_subgraphs(g), label
+    assert is_chi(g) == chi_by_subgraphs(g), label
+    assert multiclaw_parameters(g) == multiclaw_by_subgraphs(g), label
+
+
+LARGE_FAMILY_GRAPHS = {
+    "complete 64": lambda: complete_graph(64),
+    "rook 8": lambda: rook_graph(8),
+    "regular_multipartite 2 32": lambda: regular_multipartite_graph(2, 32),
+    "regular_multipartite 8 8": lambda: regular_multipartite_graph(8, 8),
+    "bcpm 32": lambda: bcpm_graph(32),
+    "clique_chain 3 31": lambda: clique_chain(3, 31),
+    "multiclaw 2 3 3 3": lambda: multiclaw_graph(2, 3, (3, 3)),
+}
+
+
+class TestCliquePartition:
+    def test_splits_a_union_of_cliques_lowest_vertex_first(self):
+        g = disjoint_union(complete_graph(2), complete_graph(3), complete_graph(1))
+        assert _clique_partition(g.adj, g.full_mask) == [0b11, 0b11100, 0b100000]
+        assert _clique_partition(g.adj, 0b110110) == [0b10, 0b10100, 0b100000]
+
+    def test_rejects_a_path_whatever_its_labels(self):
+        # the lowest vertex's closed neighbourhood is a clique in both
+        # labellings; only a member's own neighbourhood shows the path
+        for g in (path_graph(2), from_edges(3, [(0, 2), (1, 2)])):
+            assert _clique_partition(g.adj, g.full_mask) is None
+
+    def test_recognizers_match_subgraph_references_on_small_graphs(self):
+        graphs = list(enumerate_graphs(7, connected_only=False))
+        assert len(graphs) == 1252
+        for g in graphs:
+            assert_recognizers_match_references(g)
+            assert_recognizers_match_references(complement(g))
+
+    @pytest.mark.parametrize("name", list(LARGE_FAMILY_GRAPHS))
+    def test_recognizers_match_subgraph_references_on_large_families(self, name):
+        assert_recognizers_match_references(LARGE_FAMILY_GRAPHS[name]())
+
+    @pytest.mark.parametrize("name", list(LARGE_FAMILY_GRAPHS)[:6])
+    def test_classify_builds_only_the_component_lists(self, rebind, name):
+        # three induced_subgraph calls on a connected graph: the component
+        # lists of chh_case_and_families, classify_cii and is_cmi
+        calls = {"induced_subgraph": 0, "complement": 0}
+
+        def counting(original):
+            def wrapper(*args):
+                calls[original.__name__] += 1
+                return original(*args)
+
+            return wrapper
+
+        rebind(induced_subgraph, counting(induced_subgraph))
+        rebind(complement, counting(complement))
+        g = LARGE_FAMILY_GRAPHS[name]()
+        assert g.n >= 63 and is_connected(g)
+        classify(g, use_oracle=False)
+        assert calls == {"induced_subgraph": 3, "complement": 0}
