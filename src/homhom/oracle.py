@@ -30,7 +30,8 @@ by a depth-first search keyed by the candidate images left for each
 unassigned vertex: source-kind candidates inside the subset, target-kind
 ones outside it.  Those masks fix every map below a state and whether each
 extends, so a key already seen, which held no failing map, is skipped, and
-a complete map is completed only when its outside masks are new.  The
+a complete map is completed only when its outside masks are new and, for a
+homo target, the extensions already found do not extend it.  The
 search meets maps in stream order, so its witness is the first failing map
 of the stream; see ``_per_map_search``.  Connected homo-homo uses the
 one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
@@ -58,6 +59,7 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    _reach,
     bits,
     connected_components,
     connected_within,
@@ -348,6 +350,60 @@ def _vertex_orbits(g: Graph) -> list[int]:
 # the two decision engines
 
 
+def _rims(g: Graph, domain: int, shifts: list[int], full: int) -> list[tuple[int, int]]:
+    """The rim of each component outside ``domain`` that touches it: the
+    OR of the fields ``full << shifts[x]`` of its vertices x with a
+    neighbour in ``domain``, and the mask of those vertices."""
+    outside, touch, rest = g.full_mask & ~domain, 0, domain
+    while rest:
+        low = rest & -rest
+        touch |= g.adj[low.bit_length() - 1]
+        rest ^= low
+    touch &= outside
+    rims = []
+    while touch:
+        rim = _reach(g.adj, touch & -touch, outside) & touch
+        touch ^= rim
+        fields, rest = 0, rim
+        while rest:
+            low = rest & -rest
+            fields |= full << shifts[low.bit_length() - 1]
+            rest ^= low
+        rims.append((fields, rim))
+    return rims
+
+
+def _recorded(
+    key: int,
+    rims: list[tuple[int, int]],
+    hold: list[list[int]],
+    shifts: list[int],
+    full: int,
+    proved: set[tuple[int, int]],
+) -> bool:
+    """Whether each of ``_rims`` has a recorded extension agreeing with
+    ``key``; see ``_per_map_search``."""
+    for fields, rim in rims:
+        sub = (fields, key & fields)
+        if sub in proved:
+            continue
+        common = -1
+        while rim:
+            low = rim & -rim
+            rim ^= low
+            x = low.bit_length() - 1
+            row, ext, m = hold[x], 0, key >> shifts[x] & full
+            while m:
+                low = m & -m
+                ext |= row[low.bit_length() - 1]
+                m ^= low
+            common &= ext
+            if not common:
+                return False
+        proved.add(sub)
+    return True
+
+
 def _per_map_search(
     g1: Graph,
     g2: Graph,
@@ -394,9 +450,20 @@ def _per_map_search(
     below is returned.  A complete map is handed to ``complete_map`` only
     when its key is new, and ``checked_maps`` counts those completions.
 
-    Skipped states hold no failing map, so the first failing map met is
-    the first in ``enumerate_morphisms`` order, and the witness is the one
-    that enumerating and completing every map would return.
+    With a homo target each extension found is recorded (the good
+    recording of Jegou and Terrioux, Artif. Intell. 2003) in ``hold[x][w]``,
+    a mask of those sending x to w.  No edge joins two components outside
+    D, and the target masks of a component's rim, its vertices next to D,
+    are in the key.  If a recorded e sends each rim vertex into its mask,
+    phi with e on the component keeps every edge; when every component has
+    one (any e if the rim is empty), the glued map is a total homomorphism,
+    so phi is not completed.  The test reads only rims and masks, and
+    records only grow, so a (rim, masks) pair that passed is kept in
+    ``proved``.
+
+    Skipped states and maps hold no failing map, so the first failing map
+    met is the first in ``enumerate_morphisms`` order, and the witness is
+    the one that enumerating and completing every map would return.
 
     A key is one int: the depth in the low ``dbits`` bits, then one
     2 * g2.n-bit field per vertex x of g1, x's source mask in the low half
@@ -435,11 +502,18 @@ def _per_map_search(
     step: list[list[int] | None] = [None] * n1
     note = f"no total {query.target.value} extension exists"
     checked = 0
+    # recorded extensions and passed rims; only homo targets record
+    hold = [] if tgt_iso else [[0] * n2 for _ in range(n1)]
+    high = [] if tgt_iso else [a + n2 for a in at]
+    found = 0
+    proved: set[tuple[int, int]] = set()
+
     for domain in sources:
         order = _variable_order(g1, domain)
         inside = sum(1 << at[x] for x in bits(domain))
         outside = spread_all if track else spread_all ^ inside
         start = full2 * inside | (full2 << n2) * outside
+        rims: list[tuple[int, int]] | None = None
         seen: set[int] = set()
         # (key, images of order[:depth], whether every map below fails,
         # the generators fixing those images)
@@ -448,10 +522,20 @@ def _per_map_search(
             key, images, doomed, h = stack.pop()
             depth = len(images)
             if depth == len(order):
+                if not doomed and found:
+                    if rims is None:
+                        rims = _rims(g1, domain, high, full2)
+                    if _recorded(key, rims, hold, high, full2, proved):
+                        continue
                 phi = dict(zip(order, images))
                 if not doomed:
                     checked += 1
-                    if complete_map(g1, g2, phi, query.target) is not None:
+                    ext = complete_map(g1, g2, phi, query.target)
+                    if ext is not None:
+                        if not tgt_iso:
+                            bit, found = 1 << found, found + 1
+                            for x, w in ext.items():
+                                hold[x][w] |= bit
                         continue
                 return OracleResult(False, Witness(domain, phi, None, note), checked)
             v = order[depth]

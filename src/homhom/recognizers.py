@@ -830,8 +830,11 @@ def recognizer_verdict(g: Graph, code: str) -> bool | None:
     raise ValueError(f"unknown class code {code!r}")
 
 
-def _known_one_sided_note(g: Graph, code: str) -> tuple[str, FamilyDescriptor | None]:
-    """A fact about ``g``'s membership known without search, when one applies."""
+def _known_one_sided_note(
+    g: Graph, code: str, cii: FamilyDescriptor | None
+) -> tuple[str, FamilyDescriptor | None]:
+    """A fact about ``g``'s membership known without search, when one
+    applies; ``cii`` is ``classify_cii(g)``."""
     if code == "iso-homo":
         params = multiclaw_parameters(g)
         if params is not None:
@@ -839,10 +842,10 @@ def _known_one_sided_note(g: Graph, code: str) -> tuple[str, FamilyDescriptor | 
             desc = FamilyDescriptor("MULTICLAW", (clique_size, blob_size, *counts))
             return "generalized multiclaw: known member", desc
     if code == "mono-homo" and is_connected(g):
-        fam = _cii_component_family(g)
-        if fam is not None:
-            if fam.tag in ("PETERSEN", "CLEBSCH") or (fam.tag == "LINE_KSS" and fam.params[0] > 2):
-                return f"{fam}: known non-member", fam
+        # a connected graph is its one component, so ``cii`` is its family
+        if cii is not None:
+            if cii.tag in ("PETERSEN", "CLEBSCH") or (cii.tag == "LINE_KSS" and cii.params[0] > 2):
+                return f"{cii}: known non-member", cii
         parts = complete_multipartite_parts(g)
         if parts is not None and len(parts) >= 3 and parts[-1] >= 2:
             return "complete multipartite with 3+ parts: known non-member", None
@@ -887,7 +890,7 @@ def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
                     Verdict.YES if result.holds else Verdict.NO, "oracle", witness=result.witness
                 )
         if entry is None:
-            note, desc = _known_one_sided_note(g, code)
+            note, desc = _known_one_sided_note(g, code, fam)
             entry = ClassEntry(Verdict.ORACLE_ONLY, "", family=desc, note=note)
         entries[code] = entry
     return ClassReport(MappingProxyType(entries), case, hh_families)

@@ -326,14 +326,55 @@ class TestKeyedPerMapSearch:
 
     def test_population_counter_gate(self):
         # the five per-map classes on all 208 graphs with at most 6
-        # vertices complete 6 695 maps; 7 605 with one first image per
-        # orbit and no pruning below, and 14 427 completing every map
+        # vertices complete 2 814 maps; 6 695 without the recorded
+        # extensions, 7 605 also with one first image per orbit and no
+        # pruning below, and 14 427 completing every map
         total = sum(
             is_class_member(g, query_for_code(code)).checked_maps
             for g in enumerate_graphs(6, connected_only=False)
             for code in CLASS_CODES[:5]
         )
-        assert total <= 7_000
+        assert total <= 3_000
+
+
+class TestRecordedExtensions:
+    # a homo-target map is not completed when every outside component has
+    # a recorded extension agreeing with the map's masks on its rim; such
+    # a map always extends.  TestKeyedPerMapSearch checks verdicts and
+    # witnesses against the reference for every query, homo-homo through
+    # force_per_map, on all graphs with at most 6 vertices and all ordered
+    # pairs with at most 4
+    def test_per_map_homo_homo_counter_gate(self):
+        # the population gate above counts the other homo targets
+        q = query_for_code("homo-homo")
+        total = sum(
+            extension_morphic(g, g, q, force_per_map=True).checked_maps
+            for g in enumerate_graphs(6, connected_only=False)
+        )
+        assert total <= 800  # 760; 3 010 without the recorded extensions
+
+    def test_passed_rims_are_told_apart_by_their_vertices(self):
+        # the failing map leaves an outside vertex with no candidate image,
+        # so its rim's masks equal, as bits, those of a smaller rim that
+        # passed earlier; keyed by masks alone, it was skipped and a later
+        # map on domain 76 became the witness
+        g = from_graph6("F`G}w")
+        q = query_for_code("iso-homo")
+        assert_matches_reference(g, g, q)
+        res = is_class_member(g, q)
+        assert res.witness.domain_mask == 28
+
+    @pytest.mark.parametrize("code", ["iso-homo", "mono-homo", "homo-homo"])
+    def test_component_with_an_empty_rim(self, code):
+        # the domains inside P4 leave K3 with no neighbour in them, so a
+        # recorded extension covers it on every leaf; the first failing map
+        # sends K3's vertex 5 into P4
+        g = disjoint_union(path_graph(4), complete_graph(3))
+        q = query_for_code(code)
+        assert_matches_reference(g, g, q)
+        res = extension_morphic(g, g, q, force_per_map=True)
+        assert not res.holds and res.witness.mapping == {5: 0}
+        assert res.checked_maps <= 5  # 13 without the recorded extensions
 
 
 class TestEngineAgreement:
@@ -519,11 +560,13 @@ class TestEngineAgreement:
     @pytest.mark.parametrize(
         "g, code, limit",
         [
-            (complete_graph(8), "iso-homo", 8),
-            (complete_graph(8), "mono-homo", 8),
-            (rook_graph(4), "iso-homo", 153),
-            (complete_graph(16), "iso-homo", 16),
-            (bcpm_graph(6), "mono-homo", 92),
+            (complete_graph(8), "iso-homo", 1),
+            (complete_graph(8), "mono-homo", 1),
+            (rook_graph(4), "iso-homo", 9),
+            (complete_graph(16), "iso-homo", 1),
+            (bcpm_graph(6), "mono-homo", 20),
+            (clique_chain(2, 12), "iso-homo", 26),
+            (multiclaw_graph(2, 2, (2, 2, 2)), "iso-homo", 645),
         ],
         ids=[
             "K8-iso-homo",
@@ -531,16 +574,20 @@ class TestEngineAgreement:
             "rook4-iso-homo",
             "K16-iso-homo",
             "bcpm6-mono-homo",
+            "clique-chain-2-12-iso-homo",
+            "multiclaw-2-2-2-2-2-iso-homo",
         ],
     )
     def test_per_map_counter_gate(self, g, code, limit, rebind):
         # each depth tries only images least in their orbit under the
-        # generators fixing the images before it, and only maps with new
-        # candidate masks are completed: K_n completes one map per domain
-        # size (K8: 128 and K16: 32 768 with one first image per orbit and
-        # no pruning below), rook(4) 153 (9 977), bcpm(6) mono-homo 92
-        # (4 078); the sources are grown, never filtered out of all 2^n
-        # subsets
+        # generators fixing the images before it, only maps with new
+        # candidate masks are completed, and a map the recorded extensions
+        # already extend is not: K_n completes one map (one per domain size
+        # without the recorded extensions; K8: 128 and K16: 32 768 with one
+        # first image per orbit and no pruning below), rook(4) 9 (153;
+        # 9 977), bcpm(6) mono-homo 20 (92; 4 078), clique_chain(2, 12) 26
+        # (382) and multiclaw 2 2 2 2 2 645 (1 916); the sources are grown,
+        # never filtered out of all 2^n subsets
         def refuse(g, mask):
             raise AssertionError("a source subset was tested for connectedness")
 

@@ -53,6 +53,7 @@ from homhom.oracle import (
 )
 from homhom.recognizers import (
     ChhFamily,
+    ClassEntry,
     ClassReport,
     PcmCertificate,
     Verdict,
@@ -681,6 +682,30 @@ class TestClassifyReport:
         assert "known non-member" in rep.classes["mono-homo"].note
         rep = classify(regular_multipartite_graph(3, 2), use_oracle=False)
         assert "known non-member" in rep.classes["mono-homo"].note
+
+    def test_rook_family_is_matched_once(self, rebind):
+        # the mono-homo note reuses the iso-iso family of a connected
+        # graph instead of matching its component against rook(6) again
+        g = rook_graph(6)
+        calls = []
+
+        def counting(side):
+            calls.append(side)
+            return rook_graph(side)
+
+        rebind(rook_graph, counting)
+        rep = classify(g, use_oracle=False)
+        assert calls == [6]
+        fam = FamilyDescriptor("LINE_KSS", (6,))
+        assert rep.classes["iso-iso"] == ClassEntry(Verdict.YES, "recognizer", family=fam)
+        assert rep.classes["mono-homo"] == ClassEntry(
+            Verdict.ORACLE_ONLY, "", family=fam, note="line_kss(6): known non-member"
+        )
+        assert rep.classes["iso-homo"] == ClassEntry(Verdict.ORACLE_ONLY, "")
+        assert [rep.verdict(code) for code in ("mono-iso", "homo-iso", "homo-homo")] == [
+            Verdict.NO
+        ] * 3
+        assert (rep.hh_case, rep.hh_families) == (None, ())
 
     def test_oracle_filled_entries_carry_valid_witnesses(self):
         rep = classify(regular_multipartite_graph(3, 2))
