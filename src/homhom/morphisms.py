@@ -62,22 +62,22 @@ def check_kind(g1: Graph, g2: Graph, mapping: Mapping[int, int], kind: MorphKind
 
 def _variable_order(g: Graph, domain_mask: int) -> list[int]:
     """Static search order: prefer vertices with many already-ordered
-    neighbours (so constraints bind early), then high degree, then id."""
+    neighbours (so constraints bind early), then high degree, then id.
+
+    ``score[v]`` is (ordered neighbours) * n + (degree in the domain), which
+    orders as the pair since a degree is below n; ``max`` over the rest,
+    ascending, returns the first best, so each step is one linear scan."""
+    n, rest = g.n, list(bits(domain_mask))
+    score = [0] * n
+    for v in rest:
+        score[v] = popcount(g.adj[v] & domain_mask)
     order: list[int] = []
-    placed = 0
-    rest = set(bits(domain_mask))
     while rest:
-        v = min(
-            rest,
-            key=lambda v: (
-                -popcount(g.adj[v] & placed),
-                -popcount(g.adj[v] & domain_mask),
-                v,
-            ),
-        )
+        v = max(rest, key=score.__getitem__)
         order.append(v)
-        placed |= 1 << v
         rest.remove(v)
+        for u in bits(g.adj[v] & domain_mask):
+            score[u] += n
     return order
 
 

@@ -31,7 +31,8 @@ unassigned vertex: source-kind candidates inside the subset, target-kind
 ones outside it.  Those masks fix every map below a state and whether each
 extends, so a key already seen, which held no failing map, is skipped, and
 a complete map is completed only when its outside masks are new and, for a
-homo target, the extensions already found do not extend it.  The
+homo target, the extensions found before, by this query or by another on
+the same graph, do not extend it.  The
 search meets maps in stream order, so its witness is the first failing map
 of the stream; see ``_per_map_search``.  Connected homo-homo uses the
 one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
@@ -51,7 +52,6 @@ only by images from its own cand, so each witness is a real homomorphism.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -277,16 +277,31 @@ def _orbits(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     return orbits
 
 
+class _Record:
+    """Total homomorphisms g1 -> g2 that per-map searches found:
+    ``hold[x][w]`` masks the indices of those sending x to w, ``found``
+    counts them, and ``proved`` keeps the (rim fields, masks) pairs they
+    cover; see ``_per_map_search``."""
+
+    def __init__(self, n1: int, n2: int) -> None:
+        self.hold = [[0] * n2 for _ in range(n1)]
+        self.found = 0
+        self.proved: set[tuple[int, int]] = set()
+
+
 class _Symmetry:
-    """The symmetry data of one graph object, shared by every oracle call on
-    it.
+    """The symmetry data of one graph object, and the per-map search's work
+    on it, shared by every oracle call on it.
 
     ``generators`` is ``automorphism_generators(graph)``, and ``orbits``
     the vertex orbits of the group they generate, Aut(graph).
     ``sources(connected)`` is ``_source_representatives`` under the same
     generators, and ``fixers`` and ``least`` serve the per-map search; each
-    is built the first time it is asked for.  The lists are shared by every
-    later call on the graph object, so callers only read them.
+    is built the first time it is asked for.  The searches from the graph
+    to itself also keep here each domain's ``[order, rims]``, built at
+    first need, and the ``record`` of every homo-target search.  All of it
+    is shared by every later call on the graph object, so callers only read
+    it, except that searches extend the record.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -295,6 +310,11 @@ class _Symmetry:
         self.orbits = _orbits(g.n, self.generators)
         self._sources: dict[bool, list[int]] = {}
         self._least = {0: g.full_mask}
+        self.domains: dict[int, list] = {}
+
+    @cached_property
+    def record(self) -> _Record:
+        return _Record(self.graph.n, self.graph.n)
 
     @cached_property
     def fixers(self) -> list[int]:
@@ -322,7 +342,7 @@ _last_symmetry: _Symmetry | None = None
 
 
 def _symmetry(g: Graph) -> _Symmetry:
-    """The symmetry data of ``g``, kept for the last graph object asked
+    """The ``_Symmetry`` of ``g``, kept for the last graph object asked
     about.
 
     The slot is keyed by identity, not equality, so a new graph object, even
@@ -330,9 +350,10 @@ def _symmetry(g: Graph) -> _Symmetry:
     the slot holds its graph, no later object can take that graph's
     identity.  One slot is enough: a sweep record and a ``classify`` ask
     about one graph object at a time, so its five per-map classes build the
-    generators, orbits and connected sources once, and the one-point engine
-    reads the same orbits.  ``extension_symmetric`` alternates between two
-    graphs, so most of its calls build the data again.
+    generators, orbits, connected sources and each domain's order and rims
+    once, its homo-target classes share one record, and the one-point
+    engine reads the same orbits.  ``extension_symmetric`` alternates
+    between two graphs, so most of its calls build the data again.
     """
     global _last_symmetry
     if _last_symmetry is None or _last_symmetry.graph is not g:
@@ -374,15 +395,11 @@ def _rims(g: Graph, domain: int, shifts: list[int], full: int) -> list[tuple[int
 
 
 def _recorded(
-    key: int,
-    rims: list[tuple[int, int]],
-    hold: list[list[int]],
-    shifts: list[int],
-    full: int,
-    proved: set[tuple[int, int]],
+    key: int, rims: list[tuple[int, int]], rec: _Record, shifts: list[int], full: int
 ) -> bool:
     """Whether each of ``_rims`` has a recorded extension agreeing with
     ``key``; see ``_per_map_search``."""
+    hold, proved = rec.hold, rec.proved
     for fields, rim in rims:
         sub = (fields, key & fields)
         if sub in proved:
@@ -459,7 +476,12 @@ def _per_map_search(
     one (any e if the rim is empty), the glued map is a total homomorphism,
     so phi is not completed.  The test reads only rims and masks, and
     records only grow, so a (rim, masks) pair that passed is kept in
-    ``proved``.
+    ``proved``.  When ``sym2`` is g1's own, the record is the graph's and
+    every homo-target search on it reads and extends it: each entry is an
+    endomorphism whatever query found it, an outside vertex's target mask
+    is the common neighbourhood of its neighbours' images whatever the
+    source kind, and the key layout depends only on g1.n, so a pair proved
+    once stays proved.  The orders and rims depend only on g1 and D.
 
     Skipped states and maps hold no failing map, so the first failing map
     met is the first in ``enumerate_morphisms`` order, and the witness is
@@ -502,18 +524,20 @@ def _per_map_search(
     step: list[list[int] | None] = [None] * n1
     note = f"no total {query.target.value} extension exists"
     checked = 0
-    # recorded extensions and passed rims; only homo targets record
-    hold = [] if tgt_iso else [[0] * n2 for _ in range(n1)]
-    high = [] if tgt_iso else [a + n2 for a in at]
-    found = 0
-    proved: set[tuple[int, int]] = set()
+    shared = sym2 is not None and sym2.graph is g1
+    domains = sym2.domains if shared else {}
+    # only homo targets record
+    rec = sym2.record if shared and not tgt_iso else _Record(n1, n2)
+    high = [a + n2 for a in at]
 
     for domain in sources:
-        order = _variable_order(g1, domain)
+        entry = domains.get(domain)
+        if entry is None:
+            entry = domains[domain] = [_variable_order(g1, domain), None]
+        order = entry[0]
         inside = sum(1 << at[x] for x in bits(domain))
         outside = spread_all if track else spread_all ^ inside
         start = full2 * inside | (full2 << n2) * outside
-        rims: list[tuple[int, int]] | None = None
         seen: set[int] = set()
         # (key, images of order[:depth], whether every map below fails,
         # the generators fixing those images)
@@ -522,10 +546,10 @@ def _per_map_search(
             key, images, doomed, h = stack.pop()
             depth = len(images)
             if depth == len(order):
-                if not doomed and found:
-                    if rims is None:
-                        rims = _rims(g1, domain, high, full2)
-                    if _recorded(key, rims, hold, high, full2, proved):
+                if not doomed and rec.found:
+                    if entry[1] is None:
+                        entry[1] = _rims(g1, domain, high, full2)
+                    if _recorded(key, entry[1], rec, high, full2):
                         continue
                 phi = dict(zip(order, images))
                 if not doomed:
@@ -533,9 +557,9 @@ def _per_map_search(
                     ext = complete_map(g1, g2, phi, query.target)
                     if ext is not None:
                         if not tgt_iso:
-                            bit, found = 1 << found, found + 1
+                            bit, rec.found = 1 << rec.found, rec.found + 1
                             for x, w in ext.items():
-                                hold[x][w] |= bit
+                                rec.hold[x][w] |= bit
                         continue
                 return OracleResult(False, Witness(domain, phi, None, note), checked)
             v = order[depth]
@@ -762,19 +786,6 @@ def extension_symmetric(
         )
         return OracleResult(False, wit, fwd.checked_maps + bwd.checked_maps)
     return OracleResult(True, None, fwd.checked_maps + bwd.checked_maps)
-
-
-def member_via_components(g: Graph, query: ClassQuery, **options) -> bool:
-    """Equivalent componentwise criterion: every component has the property
-    and every pair of components has it symmetrically."""
-    comps = [induced_subgraph(g, m) for m in connected_components(g)]
-    for c in comps:
-        if not is_class_member(c, query, **options).holds:
-            return False
-    for a, b in itertools.combinations(comps, 2):
-        if not extension_symmetric(a, b, query, **options).holds:
-            return False
-    return True
 
 
 def validate_witness(g1: Graph, g2: Graph, query: ClassQuery, wit: Witness) -> bool:

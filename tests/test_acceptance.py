@@ -45,7 +45,6 @@ from homhom.oracle import (
     CLASS_CODES,
     extension_symmetric,
     is_class_member,
-    member_via_components,
     query_for_code,
     validate_witness,
 )
@@ -58,6 +57,7 @@ from homhom.recognizers import (
     recognizer_verdict,
     validate_pcm_certificate,
 )
+from test_oracle import member_via_components
 
 STRUCTURAL_CODES = ("iso-iso", "mono-iso", "homo-iso", "homo-homo")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import networkx as nx
 import pytest
@@ -15,6 +16,7 @@ from homhom.families import (
     clique_chain,
     complete_graph,
     cycle_graph,
+    enumerate_graphs,
     path_graph,
     petersen_graph,
     rook_graph,
@@ -22,6 +24,7 @@ from homhom.families import (
 )
 from homhom.graphs import (
     Graph,
+    bits,
     disjoint_union,
     from_edges,
     is_isomorphic,
@@ -30,6 +33,7 @@ from homhom.graphs import (
 )
 from homhom.morphisms import (
     MorphKind,
+    _variable_order,
     automorphism_generators,
     automorphisms,
     check_kind,
@@ -63,8 +67,6 @@ def group_order_from_generators(n: int, gens) -> int:
 
 
 def random_graph(n: int, seed: int) -> Graph:
-    import random
-
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
@@ -75,6 +77,50 @@ def random_graph(n: int, seed: int) -> Graph:
 graph_strategy = st.builds(
     random_graph, n=st.integers(1, 6), seed=st.integers(0, 10**6)
 )
+
+
+def reference_variable_order(g: Graph, domain_mask: int) -> list[int]:
+    """The variable order by definition: each step takes the least of the
+    rest under (most ordered neighbours, highest degree in the domain,
+    least id)."""
+    order: list[int] = []
+    placed = 0
+    rest = set(bits(domain_mask))
+    while rest:
+        v = min(
+            rest,
+            key=lambda v: (
+                -popcount(g.adj[v] & placed),
+                -popcount(g.adj[v] & domain_mask),
+                v,
+            ),
+        )
+        order.append(v)
+        placed |= 1 << v
+        rest.remove(v)
+    return order
+
+
+class TestVariableOrder:
+    def test_matches_reference_on_every_domain_of_small_graphs(self):
+        graphs = list(enumerate_graphs(7, connected_only=False))
+        assert len(graphs) == 1252
+        for g in graphs:
+            for domain in range(1, 1 << g.n):
+                want = reference_variable_order(g, domain)
+                assert _variable_order(g, domain) == want, (g, domain)
+
+    @pytest.mark.parametrize(
+        "g",
+        [rook_graph(4), petersen_graph(), clique_chain(2, 12)],
+        ids=["rook4", "petersen", "clique-chain-2-12"],
+    )
+    def test_matches_reference_on_random_domains(self, g):
+        rng = random.Random(2026)
+        for _ in range(3_000):
+            domain = rng.getrandbits(g.n) or 1
+            want = reference_variable_order(g, domain)
+            assert _variable_order(g, domain) == want, (g, domain)
 
 
 class TestCheckKind:

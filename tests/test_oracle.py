@@ -27,15 +27,18 @@ from homhom.families import (
 from homhom.graphs import (
     Graph,
     bits,
+    connected_components,
     connected_within,
     disjoint_union,
     from_edges,
     from_graph6,
+    induced_subgraph,
     mask_of,
     to_graph6,
 )
 from homhom.morphisms import (
     MorphKind,
+    _variable_order,
     automorphism_generators,
     automorphisms,
     complete_map,
@@ -48,7 +51,6 @@ from homhom.oracle import (
     extension_morphic,
     extension_symmetric,
     is_class_member,
-    member_via_components,
     query_for_code,
     validate_witness,
 )
@@ -80,6 +82,19 @@ def relabelled(g: Graph, seed: int) -> Graph:
 
 def star_graph(n: int, centre: int) -> Graph:
     return from_edges(n, [(centre, v) for v in range(n) if v != centre])
+
+
+def member_via_components(g: Graph, query: ClassQuery, **options) -> bool:
+    """Equivalent componentwise criterion: every component has the property
+    and every pair of components has it symmetrically."""
+    comps = [induced_subgraph(g, m) for m in connected_components(g)]
+    for c in comps:
+        if not is_class_member(c, query, **options).holds:
+            return False
+    for a, b in itertools.combinations(comps, 2):
+        if not extension_symmetric(a, b, query, **options).holds:
+            return False
+    return True
 
 
 class TestQueryCodes:
@@ -325,16 +340,17 @@ class TestKeyedPerMapSearch:
                         assert list(a.mapping.items()) == list(b.mapping.items())
 
     def test_population_counter_gate(self):
-        # the five per-map classes on all 208 graphs with at most 6
-        # vertices complete 2 814 maps; 6 695 without the recorded
-        # extensions, 7 605 also with one first image per orbit and no
-        # pruning below, and 14 427 completing every map
+        # the five per-map classes, asked in turn of each of the 208 graphs
+        # with at most 6 vertices, complete 2 229 maps; 2 814 with a record
+        # per call, 6 695 without the recorded extensions, 7 605 also with
+        # one first image per orbit and no pruning below, and 14 427
+        # completing every map
         total = sum(
             is_class_member(g, query_for_code(code)).checked_maps
             for g in enumerate_graphs(6, connected_only=False)
             for code in CLASS_CODES[:5]
         )
-        assert total <= 3_000
+        assert total <= 2_229
 
 
 class TestRecordedExtensions:
@@ -375,6 +391,59 @@ class TestRecordedExtensions:
         res = extension_morphic(g, g, q, force_per_map=True)
         assert not res.holds and res.witness.mapping == {5: 0}
         assert res.checked_maps <= 5  # 13 without the recorded extensions
+
+    def test_answers_do_not_depend_on_earlier_queries(self):
+        # a graph object keeps each domain's order and rims and one record
+        # for its homo targets, shared by every query on it; every answer,
+        # asked forward and then in reverse on one object, must be the one
+        # a fresh object gives
+        queries = [
+            query_for_code(code, connected)
+            for connected in (True, False)
+            for code in CLASS_CODES
+        ]
+        graphs = list(enumerate_graphs(6, connected_only=False)) + [
+            rook_graph(3),
+            petersen_graph(),
+            bcpm_graph(5),
+            clique_chain(3, 4),
+            multiclaw_graph(2, 1, (3, 3)),
+        ]
+
+        def answer(g: Graph, q: ClassQuery) -> tuple:
+            res = is_class_member(g, q, force_per_map=True)
+            w = res.witness
+            return res.holds, w and (w.domain_mask, list(w.mapping.items()))
+
+        for g in graphs:
+            fresh = {q: answer(Graph(g.n, g.adj), q) for q in queries}
+            for q in queries + queries[::-1]:
+                assert answer(g, q) == fresh[q], (g, q)
+
+    def test_mono_homo_after_iso_homo_counter_gate(self):
+        # iso-homo's extensions already extend every mono-homo map on the
+        # same object, which completes 26 maps on a fresh one
+        g = clique_chain(2, 12)
+        assert is_class_member(g, query_for_code("iso-homo")).holds
+        res = is_class_member(g, query_for_code("mono-homo"))
+        assert res.holds and res.checked_maps == 0
+
+    @pytest.mark.parametrize(
+        "g", [rook_graph(4), clique_chain(2, 12)], ids=["rook4", "clique-chain-2-12"]
+    )
+    def test_classify_sets_up_each_domain_once(self, g, rebind):
+        # iso-homo and mono-homo share each domain's order and rims
+        orders, rims = [], []
+        build_rims = oracle._rims
+        rebind(
+            _variable_order, lambda h, d: orders.append(d) or _variable_order(h, d)
+        )
+        rebind(build_rims, lambda h, d, *a: rims.append(d) or build_rims(h, d, *a))
+        report = classify(g)
+        for code in ("iso-homo", "mono-homo"):
+            assert report.classes[code].source == "oracle"
+        assert rims and len(set(rims)) == len(rims)
+        assert len(set(orders)) == len(orders)
 
 
 class TestEngineAgreement:
