@@ -19,7 +19,7 @@ import os
 import sys
 import time
 import warnings
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .families import (
     ENUMERATION_HARD_CAP,
@@ -312,15 +312,16 @@ def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> dict[str, Any]:
     return sweep_record(g6, codes, force)
 
 
-def sorted_graphs(args: argparse.Namespace) -> list[Graph]:
+def sorted_graphs(args: argparse.Namespace) -> Iterator[Graph]:
     """Every graph on 1..--max-n vertices (connected ones with --connected),
     one per isomorphism class, ordered by vertex count then canonical form,
-    as ``enumerate_graphs`` yields them."""
+    streamed as ``enumerate_graphs`` yields them.  --max-n is checked at
+    the call, before any graph is made."""
     if not 1 <= args.max_n <= ENUMERATION_HARD_CAP:
         raise InputError(
             f"--max-n must be in 1..{ENUMERATION_HARD_CAP}, got {args.max_n}"
         )
-    return list(enumerate_graphs(args.max_n, connected_only=args.connected))
+    return enumerate_graphs(args.max_n, connected_only=args.connected)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -331,8 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"supported budget ({ENUMERATION_SOFT_CAP}); pass --force to try anyway"
         )
     started = time.perf_counter_ns()
-    graphs = sorted_graphs(args)
-    position = {to_graph6(g): i for i, g in enumerate(graphs)}
+    position = {to_graph6(g): i for i, g in enumerate(sorted_graphs(args))}
     done: set[str] = set()
     if args.resume and args.out and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

@@ -23,7 +23,12 @@ from .graphs import (
     is_connected,
     popcount,
 )
-from .morphisms import MorphKind, complete_map
+from .morphisms import (
+    MorphKind,
+    _source_representatives,
+    automorphism_generators,
+    complete_map,
+)
 
 FAMILY_TAGS = (
     "COMPLETE",
@@ -423,8 +428,8 @@ def make(desc: FamilyDescriptor) -> Graph:
 # exhaustive enumeration of small graphs
 
 
-ENUMERATION_SOFT_CAP = 7
-ENUMERATION_HARD_CAP = 8
+ENUMERATION_SOFT_CAP = 8
+ENUMERATION_HARD_CAP = 9
 
 
 def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]:
@@ -443,9 +448,19 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
     - Kept children of different parents are not isomorphic: a kept C
       gives C - x ≅ C - m(C), so isomorphic kept children have isomorphic
       parents, and the parents are distinct classes.
-    - Isomorphic children of one parent (masks in one Aut(P)-orbit) are
-      merged by the level's set of canonical forms, whose sorted order is
-      the output order.
+    - A parent P is extended by the empty mask and one mask per orbit of
+      Aut(P) on vertex subsets (``_source_representatives`` under
+      ``automorphism_generators(P)``), or by every mask when P has no
+      generators.  This keeps the same set of forms: an automorphism s of
+      P, extended by x -> x, is an isomorphism from the child with mask M
+      onto the child with mask s(M) that fixes x, so both have one
+      canonical form and one keep verdict.
+    - Kept children of one parent from masks in different orbits are not
+      isomorphic: an isomorphism between kept children can be chosen to
+      fix x, and then it restricts to an automorphism of P carrying one
+      mask to the other.  So the level's set of canonical forms, sorted
+      for output, holds the same forms as with every mask, and the same
+      graphs come out in the same order.
     The cheap tests run first.  The last slot holds the top colour of
     ``_refined_colors``, whose class holds vertices of maximum degree only,
     so x must have maximum degree and the top colour before C is labelled;
@@ -472,7 +487,9 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
         x = n - 1
         forms = set()
         for g in level:
-            for mask in range(1 << x):
+            gens = automorphism_generators(g)
+            masks = [0, *_source_representatives(g, False, gens)] if gens else range(1 << x)
+            for mask in masks:
                 rows = [row | (mask >> v & 1) << x for v, row in enumerate(g.adj)]
                 rows.append(mask)
                 if popcount(mask) < max(map(popcount, rows)):

@@ -55,7 +55,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -69,6 +69,7 @@ from .graphs import (
 )
 from .morphisms import (
     MorphKind,
+    _source_representatives,
     _variable_order,
     automorphism_generators,
     check_kind,
@@ -174,91 +175,6 @@ def _resolve_budget(explicit: int | None, kind: MorphKind) -> int:
         return explicit
     env = env_budget()
     return DEFAULT_SOURCE_BUDGETS[kind] if env is None else env
-
-
-# ---------------------------------------------------------------------------
-# source enumeration
-
-
-def _source_representatives(
-    g: Graph, connected: bool, gens: tuple[tuple[int, ...], ...]
-) -> list[int]:
-    """The source subsets of ``g``, one per orbit of the group ``gens``
-    generates, each orbit represented by its lexicographically first
-    member: smallest first, then ascending as ``tuple(bits(mask))``.
-
-    Sound for extension checking: relabelling a failing source map by an
-    automorphism yields a failing source map on the orbit-mate.  With no
-    generators every orbit is one subset, so this is every source subset.
-
-    The subsets are grown one size at a time and never filtered out of all
-    2^n.  Size 1 is the singletons.  The candidates of size k+1 are R | {v}
-    for each representative R of size k and each v outside R, adjacent to R
-    when sources must be connected.  Each candidate not yet seen has its
-    orbit closed under the generators, and the orbit's first member is kept.
-    Every orbit of size k+1 is reached: a connected set S of size k+1 has a
-    vertex whose removal leaves a connected set T (a leaf of a spanning
-    tree), and if a sends T to its representative R, then a(S) = R | {a(v)}
-    is a candidate in S's orbit.  Without connectedness any vertex of S will
-    do.  So each size lists the same subsets as filtering every subset and
-    keeping the first of each orbit in ``tuple(bits)`` order.
-    """
-    if g.n <= 16:
-        # permutation applied to a vertex mask, via lookup tables on its
-        # low 8 bits and on the rest, each sized to the bits the graph has
-        def table(p: tuple[int, ...], offset: int, size: int) -> list[int]:
-            t = [0] * size
-            for b in range(1, size):
-                low = b & -b
-                t[b] = t[b ^ low] | 1 << p[offset + low.bit_length() - 1]
-            return t
-
-        low_size, high_size = 1 << min(g.n, 8), 1 << max(g.n - 8, 0)
-        tables = [(table(p, 0, low_size), table(p, 8, high_size)) for p in gens]
-
-        def images(q: int) -> Iterable[int]:
-            for t0, t1 in tables:
-                yield t0[q & 255] | t1[q >> 8]
-
-    else:  # general fallback, reached only with a budget above 16
-
-        def images(q: int) -> Iterable[int]:
-            for p in gens:
-                yield mask_of(p[v] for v in bits(q))
-
-    def growth(r: int) -> int:
-        if not connected:
-            return g.full_mask & ~r
-        reach = 0
-        for v in bits(r):
-            reach |= g.adj[v]
-        return reach & ~r
-
-    out: list[int] = []
-    candidates: Iterable[int] = [1 << v for v in range(g.n)]
-    for size in range(1, g.n + 1):
-        seen: set[int] = set()
-        reps: list[int] = []
-        for m in candidates:
-            if m in seen:
-                continue
-            seen.add(m)
-            first = m
-            frontier = [m]
-            while frontier:
-                q = frontier.pop()
-                for im in images(q):
-                    if im not in seen:
-                        seen.add(im)
-                        frontier.append(im)
-                        low = (im ^ first) & -(im ^ first)
-                        if im & low:  # im has the least element they differ on
-                            first = im
-            reps.append(first)
-        reps.sort(key=lambda m: tuple(bits(m)))
-        out.extend(reps)
-        candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -338,11 +338,11 @@ class TestSweep:
         assert out_file.read_text() == "keep\n"
 
     def test_max_n_above_budget_needs_force(self, capsys):
-        code, _, err = run_cli(capsys, ["sweep", "--max-n", "8"])
+        code, _, err = run_cli(capsys, ["sweep", "--max-n", "9"])
         assert code == 3
         assert err == (
-            "error: sweeping all graphs on up to 8 vertices is outside the "
-            "supported budget (7); pass --force to try anyway\n"
+            "error: sweeping all graphs on up to 9 vertices is outside the "
+            "supported budget (8); pass --force to try anyway\n"
         )
 
 
@@ -521,6 +521,25 @@ class TestGenerateEnumerate:
         assert out == expected
         assert err == "warning: enumerating all graphs on 3 vertices is slow\n"
 
+    def test_enumerate_streams(self, capsys, rebind):
+        # the first line is out before the enumerator is asked for a second
+        # graph, let alone finishes
+        original = cli.enumerate_graphs
+        written = []
+
+        def watched(max_n, connected_only=True):
+            for g in original(max_n, connected_only):
+                yield g
+                written.append(capsys.readouterr().out)
+
+        rebind(original, watched)
+        code, out, _ = run_cli(capsys, ["enumerate", "--max-n", "4"])
+        assert code == 0
+        assert written[0] == "@\n"
+        assert "".join(written) + out == "\n".join(
+            to_graph6(g) for g in original(4, False)
+        ) + "\n"
+
     def test_enumerate_is_sorted_and_duplicate_free(self, capsys):
         _, out, _ = run_cli(capsys, ["enumerate", "--max-n", "4"])
         lines = out.splitlines()
@@ -629,8 +648,8 @@ class TestErrorContract:
             (["sweep", "--max-n", "3"], {"HOMHOM_BUDGET": "2.5"}),
             (["sweep", "--max-n", "0"], {}),
             (["enumerate", "--max-n", "0"], {}),
-            (["enumerate", "--max-n", "9"], {}),
-            (["sweep", "--max-n", "9", "--force"], {}),
+            (["enumerate", "--max-n", "10"], {}),
+            (["sweep", "--max-n", "10", "--force"], {}),
             (["sweep", "--max-n", "2", "--resume", "--out", "truncated.jsonl"], {}),
             (["sweep", "--max-n", "2", "--out", "missing/records.jsonl"], {}),
         ],
@@ -640,8 +659,8 @@ class TestErrorContract:
             "sweep-budget",
             "sweep-n0",
             "enumerate-n0",
-            "enumerate-n9",
-            "sweep-n9-force",
+            "enumerate-n10",
+            "sweep-n10-force",
             "resume-truncated",
             "out-missing-directory",
         ],

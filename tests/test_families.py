@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import warnings
 from collections import Counter
 
 import pytest
@@ -282,11 +283,21 @@ class TestEnumeration:
             by_n[g.n] = by_n.get(g.n, 0) + 1
         assert by_n == {n: c for n, c in CONNECTED_COUNTS.items() if n <= 7}
 
-    def test_counts_to_eight(self):
-        with pytest.warns(UserWarning):
+    def test_counts_to_eight(self, rebind):
+        # 8 is the intended ceiling, so no warning; one canonical labelling
+        # per class above one vertex, and 27 for children that are not kept
+        # (22 264 with every neighbour mask)
+        calls = []
+        rebind(
+            _canonical_labelling,
+            lambda *a, **k: calls.append(1) or _canonical_labelling(*a, **k),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             graphs = list(enumerate_graphs(8, connected_only=False))
         assert Counter(g.n for g in graphs) == ALL_COUNTS
         assert Counter(g.n for g in graphs if is_connected(g)) == CONNECTED_COUNTS
+        assert len(calls) == 13624
 
     def test_matches_dedupe_enumerator_to_six(self):
         ours = [to_graph6(g) for g in enumerate_graphs(6, connected_only=False)]
@@ -299,14 +310,16 @@ class TestEnumeration:
 
     def test_labelling_count_to_seven(self, rebind):
         # the dedupe enumerator labels all 11 290 children; canonical
-        # augmentation labels only those whose new vertex has the top colour
+        # augmentation labels only those whose new vertex has the top colour,
+        # from one neighbour mask per orbit of the parent's automorphisms
+        # (2 365 with every mask)
         calls = []
         rebind(
             _canonical_labelling,
             lambda *a, **k: calls.append(1) or _canonical_labelling(*a, **k),
         )
         list(enumerate_graphs(7, connected_only=False))
-        assert len(calls) == 2365
+        assert len(calls) == 1253
 
     def test_representatives_are_canonical_and_ordered(self):
         # sweep takes this order as it comes, without sorting again
@@ -343,7 +356,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_graphs(0))
         with pytest.raises(ValueError):
-            list(enumerate_graphs(9))
-        with pytest.warns(UserWarning):
-            it = enumerate_graphs(8)
-            next(it)
+            list(enumerate_graphs(10))
+
+    def test_warns_above_eight(self):
+        # the warning comes before the first graph, so nothing on 9 vertices
+        # is built
+        with pytest.warns(UserWarning, match="on 9 vertices is slow"):
+            first = next(enumerate_graphs(9))
+        assert first.n == 1

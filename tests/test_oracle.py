@@ -38,6 +38,7 @@ from homhom.graphs import (
 )
 from homhom.morphisms import (
     MorphKind,
+    _source_representatives,
     _variable_order,
     automorphism_generators,
     automorphisms,
@@ -176,7 +177,7 @@ def brute_force_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
 
 def grown_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
     gens = automorphism_generators(g) if reduce else ()
-    return oracle._source_representatives(g, connected, gens)
+    return _source_representatives(g, connected, gens)
 
 
 class TestSourceRepresentatives:
@@ -223,7 +224,7 @@ def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, d
     representative of g2, completed one by one in stream order."""
     gens = automorphism_generators(g1)
     reps = mask_of((o & -o).bit_length() - 1 for o in oracle._vertex_orbits(g2))
-    for domain in oracle._source_representatives(g1, q.connected_sources, gens):
+    for domain in _source_representatives(g1, q.connected_sources, gens):
         for phi in enumerate_morphisms(g1, g2, q.source, domain):
             if reps >> phi[next(iter(phi))] & 1:
                 if complete_map(g1, g2, phi, q.target) is None:
@@ -326,7 +327,7 @@ class TestKeyedPerMapSearch:
         for g1, g2 in pairs:
             gens, sym2 = automorphism_generators(g1), oracle._symmetry(g2)
             for connected in (True, False):
-                domains = oracle._source_representatives(g1, connected, gens)
+                domains = _source_representatives(g1, connected, gens)
                 for code in CLASS_CODES[:5]:
                     if g1 is rook4 and connected and code.startswith("iso"):
                         continue
@@ -568,7 +569,7 @@ class TestEngineAgreement:
             automorphism_generators,
             lambda g: calls.append(g) or automorphism_generators(g),
         )
-        grow = oracle._source_representatives
+        grow = _source_representatives
         rebind(grow, lambda *args: source_calls.append(args) or grow(*args))
         g = cycle_graph(6)
         for code in CLASS_CODES[:5]:  # the per-map classes
@@ -588,7 +589,7 @@ class TestEngineAgreement:
         # all five per-map classes use connected sources, so one list serves
         # a whole sweep record, and both oracle classes of a classify
         source_calls = []
-        grow = oracle._source_representatives
+        grow = _source_representatives
         rebind(grow, lambda *args: source_calls.append(args) or grow(*args))
         for g in enumerate_graphs(6, connected_only=False):
             before = len(source_calls)
