@@ -488,7 +488,11 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
         forms = set()
         for g in level:
             gens = automorphism_generators(g)
-            masks = [0, *_source_representatives(g, False, gens)] if gens else range(1 << x)
+            if gens:
+                levels = _source_representatives(g, False, gens)
+                masks = [0, *itertools.chain.from_iterable(levels)]
+            else:
+                masks = range(1 << x)
             for mask in masks:
                 rows = [row | (mask >> v & 1) << x for v, row in enumerate(g.adj)]
                 rows.append(mask)

@@ -311,10 +311,13 @@ def orbit_closure(mask: int, gens: Sequence[tuple[int, ...]]) -> int:
 
 def _source_representatives(
     g: Graph, connected: bool, gens: tuple[tuple[int, ...], ...]
-) -> list[int]:
+) -> Iterator[list[int]]:
     """The source subsets of ``g``, one per orbit of the group ``gens``
     generates, each orbit represented by its lexicographically first
-    member: smallest first, then ascending as ``tuple(bits(mask))``.
+    member, yielded one size at a time, smallest first, each size's list
+    ascending as ``tuple(bits(mask))``; the stream ends at the first size
+    with no subset.  Each size is built only when it is asked for, so a
+    search that stops early builds none of the larger ones.
 
     Sound for extension checking: relabelling a failing source map by an
     automorphism yields a failing source map on the orbit-mate.  With no
@@ -365,9 +368,8 @@ def _source_representatives(
             reach |= g.adj[v]
         return reach & ~r
 
-    out: list[int] = []
     candidates: Iterable[int] = [1 << v for v in range(g.n)]
-    for size in range(1, g.n + 1):
+    for _ in range(g.n):
         seen: set[int] = set()
         reps: list[int] = []
         for m in candidates:
@@ -386,10 +388,11 @@ def _source_representatives(
                         if im & low:  # im has the least element they differ on
                             first = im
             reps.append(first)
+        if not reps:
+            return
         reps.sort(key=lambda m: tuple(bits(m)))
-        out.extend(reps)
+        yield reps
         candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,11 @@ only by images from its own cand, so each witness is a real homomorphism.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -211,20 +212,20 @@ class _Symmetry:
 
     ``generators`` is ``automorphism_generators(graph)``, and ``orbits``
     the vertex orbits of the group they generate, Aut(graph).
-    ``sources(connected)`` is ``_source_representatives`` under the same
-    generators, and ``fixers`` and ``least`` serve the per-map search; each
-    is built the first time it is asked for.  The searches from the graph
-    to itself also keep here each domain's ``[order, rims]``, built at
-    first need, and the ``record`` of every homo-target search.  All of it
-    is shared by every later call on the graph object, so callers only read
-    it, except that searches extend the record.
+    ``sources(connected)`` streams ``_source_representatives`` under the
+    same generators, and ``fixers`` and ``least`` serve the per-map search;
+    each is built the first time it is asked for.  The searches from the
+    graph to itself also keep here each domain's ``[order, rims]``, built
+    at first need, and the ``record`` of every homo-target search.  All of
+    it is shared by every later call on the graph object, so callers only
+    read it, except that searches extend the record and the source lists.
     """
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self.generators = automorphism_generators(g)
         self.orbits = _orbits(g.n, self.generators)
-        self._sources: dict[bool, list[int]] = {}
+        self._sources: dict[bool, tuple[list[int], Iterator[list[int]]]] = {}
         self._least = {0: g.full_mask}
         self.domains: dict[int, list] = {}
 
@@ -246,12 +247,27 @@ class _Symmetry:
             self._least[h] = sum(o & -o for o in _orbits(self.graph.n, gens))
         return self._least[h]
 
-    def sources(self, connected: bool) -> list[int]:
+    def sources(self, connected: bool) -> Iterator[int]:
+        """The source representatives in ``_source_representatives`` order.
+
+        They are kept in one list per ``connected`` for the graph object,
+        which grows by a whole size only when a reader passes its end, so a
+        search that stops early builds no larger size, and each size is
+        built once however many searches read it."""
         if connected not in self._sources:
-            self._sources[connected] = _source_representatives(
+            self._sources[connected] = [], _source_representatives(
                 self.graph, connected, self.generators
             )
-        return self._sources[connected]
+        built, levels = self._sources[connected]
+        i = 0
+        while True:
+            if i == len(built):
+                level = next(levels, None)
+                if level is None:
+                    return
+                built.extend(level)
+            yield built[i]
+            i += 1
 
 
 _last_symmetry: _Symmetry | None = None
@@ -341,7 +357,7 @@ def _per_map_search(
     g1: Graph,
     g2: Graph,
     query: ClassQuery,
-    sources: list[int],
+    sources: Iterable[int],
     sym2: _Symmetry | None = None,
 ) -> OracleResult:
     """Decide the property by trying every source map on each domain of
@@ -670,7 +686,8 @@ def extension_morphic(
         sources = _symmetry(g1).sources(query.connected_sources)
     else:
         sym2 = None
-        sources = _source_representatives(g1, query.connected_sources, ())
+        levels = _source_representatives(g1, query.connected_sources, ())
+        sources = itertools.chain.from_iterable(levels)
     return _per_map_search(g1, g2, query, sources, sym2)
 
 

@@ -793,7 +793,7 @@ class ClassEntry:
     """Verdict for one extension class, with its provenance and evidence."""
 
     verdict: Verdict
-    source: str = ""  # "recognizer", "oracle", or "" when undecided
+    source: str = ""  # "recognizer", "oracle", "implied", or "" when undecided
     family: FamilyDescriptor | ChhFamily | None = None
     witness: Witness | None = None
     note: str = ""
@@ -852,13 +852,44 @@ def _known_one_sided_note(
     return "", None
 
 
+# the classes whose members the definitions put in iso-homo or mono-homo
+_IMPLIED_BY = {
+    "iso-homo": ("iso-iso", "homo-homo"),
+    "mono-homo": ("mono-iso", "homo-homo"),
+}
+
+
+def _implied_entry(
+    g: Graph, code: str, entries: Mapping[str, ClassEntry], cii: FamilyDescriptor | None
+) -> ClassEntry | None:
+    """The entry of iso-homo or mono-homo that the entries decided before it
+    force, or None; ``cii`` is ``classify_cii(g)``.
+
+    An automorphism is an endomorphism, and an induced embedding is a
+    monomorphism, which is a homomorphism.  So a member of iso-iso or
+    homo-homo is one of iso-homo, a member of mono-iso or homo-homo is one
+    of mono-homo, and an iso-homo witness, an induced embedding with no
+    extension, is a mono-homo witness.  The note names the class the
+    verdict follows from, and the family is the one-sided note's."""
+    premise = next((c for c in _IMPLIED_BY[code] if entries[c].verdict is Verdict.YES), None)
+    verdict, witness = Verdict.YES, None
+    if premise is None:
+        if code != "mono-homo" or entries["iso-homo"].verdict is not Verdict.NO:
+            return None
+        premise, verdict, witness = "iso-homo", Verdict.NO, entries["iso-homo"].witness
+    _, family = _known_one_sided_note(g, code, cii)
+    return ClassEntry(verdict, "implied", family, witness, f"implied by {premise}")
+
+
 def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
     """Full per-class report for ``g``.
 
     The four structurally characterised classes are decided by the
-    recognizers.  The two endomorphism-target classes without a structural
-    description are decided by the search oracle when the graph fits the
-    budget, and otherwise left open with any known one-sided fact noted.
+    recognizers.  Each of the two endomorphism-target classes without a
+    structural description is implied where the verdicts before it force
+    it (``_implied_entry``), else decided by the search oracle when the
+    graph fits the budget, and otherwise left open with any known one-sided
+    fact noted.  ``sweep`` still runs the oracle on every class.
     """
     entries: dict[str, ClassEntry] = {}
     fam = classify_cii(g)
@@ -879,8 +910,8 @@ def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
         note=f"components match case ({case})" if case is not None else "",
     )
     for code in ("iso-homo", "mono-homo"):
-        entry: ClassEntry | None = None
-        if use_oracle:
+        entry = _implied_entry(g, code, entries, fam)
+        if entry is None and use_oracle:
             try:
                 result = is_class_member(g, query_for_code(code))
             except BudgetExceededError:

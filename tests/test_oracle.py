@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from homhom.graphs import (
     from_graph6,
     induced_subgraph,
     mask_of,
+    popcount,
     to_graph6,
 )
 from homhom.morphisms import (
@@ -176,8 +178,32 @@ def brute_force_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
 
 
 def grown_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
+    """The streamed sizes, flattened; each is one non-empty size, larger
+    than the one before."""
     gens = automorphism_generators(g) if reduce else ()
-    return _source_representatives(g, connected, gens)
+    levels = list(_source_representatives(g, connected, gens))
+    sizes = [{popcount(m) for m in level} for level in levels]
+    assert all(len(s) == 1 for s in sizes)
+    assert [s.pop() for s in sizes] == sorted({popcount(m) for m in sum(levels, [])})
+    return list(itertools.chain.from_iterable(levels))
+
+
+def level_recorder(built: list) -> Callable:
+    """A stand-in for ``_source_representatives`` that appends (graph,
+    connected, size) to ``built`` for each size it yields."""
+    grow = _source_representatives
+
+    def recording(g: Graph, connected: bool, gens: tuple) -> Iterator[list[int]]:
+        for level in grow(g, connected, gens):
+            built.append((g, connected, popcount(level[0])))
+            yield level
+
+    return recording
+
+
+def built_once(built: list) -> bool:
+    keys = [(id(g), connected, size) for g, connected, size in built]
+    return len(set(keys)) == len(keys)
 
 
 class TestSourceRepresentatives:
@@ -224,7 +250,9 @@ def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, d
     representative of g2, completed one by one in stream order."""
     gens = automorphism_generators(g1)
     reps = mask_of((o & -o).bit_length() - 1 for o in oracle._vertex_orbits(g2))
-    for domain in _source_representatives(g1, q.connected_sources, gens):
+    for domain in itertools.chain.from_iterable(
+        _source_representatives(g1, q.connected_sources, gens)
+    ):
         for phi in enumerate_morphisms(g1, g2, q.source, domain):
             if reps >> phi[next(iter(phi))] & 1:
                 if complete_map(g1, g2, phi, q.target) is None:
@@ -239,6 +267,34 @@ def assert_matches_reference(g1: Graph, g2: Graph, q: ClassQuery) -> None:
     if not holds:
         assert res.witness.domain_mask == domain, (g1, g2, q)
         assert list(res.witness.mapping.items()) == list(phi.items()), (g1, g2, q)
+
+
+class TestLazySources:
+    @pytest.mark.parametrize(
+        "g", [rook_graph(3), petersen_graph(), cycle_graph(8)], ids=["rook3", "petersen", "cycle8"]
+    )
+    def test_consumers_share_one_list_in_eager_order(self, g, rebind):
+        # the first reader stops after a few sources, the second reads past
+        # it to the end, and the first then resumes: both see the eager
+        # list, and each size is built once
+        eager = grown_sources(g, True, True)
+        built = []
+        rebind(_source_representatives, level_recorder(built))
+        sym = oracle._Symmetry(Graph(g.n, g.adj))
+        first = sym.sources(True)
+        head = list(itertools.islice(first, 3))
+        assert head == eager[:3] and len(built) < len({popcount(m) for m in eager})
+        assert list(sym.sources(True)) == eager
+        assert head + list(first) == eager
+        assert list(sym.sources(True)) == eager
+        assert built_once(built) and len(built) == len({popcount(m) for m in eager})
+
+    def test_search_stopping_early_builds_no_larger_size(self, rebind):
+        # path 9's iso-iso fails on a single vertex: only size 1 is built
+        built = []
+        rebind(_source_representatives, level_recorder(built))
+        res = is_class_member(path_graph(9), query_for_code("iso-iso"))
+        assert not res.holds and [size for _, _, size in built] == [1]
 
 
 class TestKeyedPerMapSearch:
@@ -325,9 +381,9 @@ class TestKeyedPerMapSearch:
         pairs = [(g, g) for g in small + named]
         pairs += [(g1, g2) for g1 in sources for g2 in targets]
         for g1, g2 in pairs:
-            gens, sym2 = automorphism_generators(g1), oracle._symmetry(g2)
+            sym2 = oracle._symmetry(g2)
             for connected in (True, False):
-                domains = _source_representatives(g1, connected, gens)
+                domains = grown_sources(g1, connected, True)
                 for code in CLASS_CODES[:5]:
                     if g1 is rook4 and connected and code.startswith("iso"):
                         continue
@@ -429,11 +485,10 @@ class TestRecordedExtensions:
         res = is_class_member(g, query_for_code("mono-homo"))
         assert res.holds and res.checked_maps == 0
 
-    @pytest.mark.parametrize(
-        "g", [rook_graph(4), clique_chain(2, 12)], ids=["rook4", "clique-chain-2-12"]
-    )
-    def test_classify_sets_up_each_domain_once(self, g, rebind):
-        # iso-homo and mono-homo share each domain's order and rims
+    def test_classify_sets_up_each_domain_once(self, rebind):
+        # iso-homo and mono-homo share each domain's order and rims; no
+        # implication decides either class here, so both are searched
+        g = multiclaw_graph(2, 1, (3, 3))
         orders, rims = [], []
         build_rims = oracle._rims
         rebind(
@@ -562,19 +617,20 @@ class TestEngineAgreement:
         assert str(info.value) == message
 
     def test_generators_computed_once_per_graph_object(self, rebind):
-        # the generators, vertex orbits and source lists of a graph object
-        # are built once, whatever classes are asked about it
-        calls, source_calls = [], []
+        # the generators and vertex orbits of a graph object are built once,
+        # and each size of its source list at most once, whatever classes
+        # are asked about it
+        calls, built = [], []
         rebind(
             automorphism_generators,
             lambda g: calls.append(g) or automorphism_generators(g),
         )
-        grow = _source_representatives
-        rebind(grow, lambda *args: source_calls.append(args) or grow(*args))
+        rebind(_source_representatives, level_recorder(built))
         g = cycle_graph(6)
         for code in CLASS_CODES[:5]:  # the per-map classes
             is_class_member(g, query_for_code(code))
-        assert calls == [g] and len(source_calls) == 1
+        assert calls == [g] and built and built_once(built)
+        assert {(h, connected) for h, connected, _ in built} == {(g, True)}
         # the one-point engine reads its start orbits off the same generators
         completions = []
         rebind(
@@ -582,22 +638,24 @@ class TestEngineAgreement:
         )
         assert is_class_member(g, query_for_code("homo-homo")).holds
         assert calls == [g] and completions == []
+        before = len(built)
         is_class_member(cycle_graph(6), query_for_code("iso-iso"))
-        assert len(calls) == 2 and len(source_calls) == 2
+        assert len(calls) == 2 and len(built) > before and built_once(built)
 
     def test_sources_grown_once_per_record_and_classify(self, rebind):
         # all five per-map classes use connected sources, so one list serves
-        # a whole sweep record, and both oracle classes of a classify
-        source_calls = []
-        grow = _source_representatives
-        rebind(grow, lambda *args: source_calls.append(args) or grow(*args))
+        # a whole sweep record, and both oracle classes of a classify: each
+        # size of it is built at most once per graph object
+        built = []
+        rebind(_source_representatives, level_recorder(built))
         for g in enumerate_graphs(6, connected_only=False):
-            before = len(source_calls)
+            before = len(built)
             sweep_record(to_graph6(g), CLASS_CODES, False)
-            assert len(source_calls) == before + 1, g
-        source_calls.clear()
-        report = classify(complete_graph(8))
-        assert len(source_calls) == 1
+            assert len(built) > before and built_once(built), g
+            assert all(connected for _, connected, _ in built[before:]), g
+        built.clear()
+        report = classify(multiclaw_graph(2, 1, (3, 3)))
+        assert built and built_once(built)
         for code in ("iso-homo", "mono-homo"):
             assert report.classes[code].source == "oracle"
 

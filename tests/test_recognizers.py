@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homhom.cli import build_family
 from homhom.families import (
     FamilyDescriptor,
     bcpm_graph,
@@ -45,6 +46,7 @@ from homhom.graphs import (
     popcount,
     to_graph6,
 )
+from homhom.morphisms import _source_representatives
 from homhom.oracle import (
     extension_symmetric,
     is_class_member,
@@ -58,6 +60,7 @@ from homhom.recognizers import (
     PcmCertificate,
     Verdict,
     _clique_partition,
+    _known_one_sided_note,
     b1_holds,
     b2_holds,
     b2_star_holds,
@@ -675,7 +678,8 @@ class TestClassifyReport:
         rep = classify(clebsch_graph(), use_oracle=False)
         assert rep.verdict("mono-homo") is Verdict.ORACLE_ONLY
         assert "known non-member" in rep.classes["mono-homo"].note
-        rep = classify(K23, use_oracle=False)
+        # neither iso-iso nor homo-homo, so no implication decides iso-homo
+        rep = classify(multiclaw_graph(2, 1, (3, 3)), use_oracle=False)
         assert rep.verdict("iso-homo") is Verdict.ORACLE_ONLY
         assert "known member" in rep.classes["iso-homo"].note
         rep = classify(rook_graph(3), use_oracle=False)
@@ -701,7 +705,9 @@ class TestClassifyReport:
         assert rep.classes["mono-homo"] == ClassEntry(
             Verdict.ORACLE_ONLY, "", family=fam, note="line_kss(6): known non-member"
         )
-        assert rep.classes["iso-homo"] == ClassEntry(Verdict.ORACLE_ONLY, "")
+        assert rep.classes["iso-homo"] == ClassEntry(
+            Verdict.YES, "implied", note="implied by iso-iso"
+        )
         assert [rep.verdict(code) for code in ("mono-iso", "homo-iso", "homo-homo")] == [
             Verdict.NO
         ] * 3
@@ -743,6 +749,103 @@ class TestClassifyReport:
         }
         with pytest.raises(Exception):
             rep.classes["iso-iso"] = None  # type: ignore[index]
+
+
+# the 27 inputs of the benchmark's classify-named workload
+CLASSIFY_NAMED = (
+    "petersen;bcpm 5;complete 8;regular_multipartite 2 4;regular_multipartite 3 3;"
+    "rook 3;clique_chain 3 4;biclique_chain 2 3 2;pcm_example 4;two_squares;cycle 8;"
+    "path 9;rook 4;bcpm 4;regular_multipartite 4 2;clique_chain 2 8;clique_chain 2 12;"
+    "multiclaw 2 1 3 3;cycle 9;cycle 10;cycle 11;cycle 12;cycle 14;path 8;path 10;"
+    "path 11;path 12"
+).split(";")
+
+
+class TestImpliedEntries:
+    def test_implied_entries_match_the_oracle(self, rebind):
+        # every implied verdict is the oracle's, every implied "no" carries
+        # a valid mono-homo witness, and classify asks the oracle about
+        # exactly the classes it does not imply
+        graphs = list(enumerate_graphs(6, connected_only=False))
+        assert len(graphs) == 208
+        graphs += [build_family(name.split()) for name in CLASSIFY_NAMED]
+        asked: list[str] = []
+        member = is_class_member
+        rebind(member, lambda g, q, **kw: asked.append(q.code) or member(g, q, **kw))
+        implied = {Verdict.YES: 0, Verdict.NO: 0}
+        for g in graphs:
+            asked.clear()
+            rep = classify(g)
+            searched = [c for c in ("iso-homo", "mono-homo") if rep.classes[c].source == "oracle"]
+            assert asked == searched, g
+            for code in ("iso-homo", "mono-homo"):
+                entry = rep.classes[code]
+                if entry.source != "implied":
+                    continue
+                implied[entry.verdict] += 1
+                q = query_for_code(code)
+                assert member(g, q).holds is (entry.verdict is Verdict.YES), (g, code)
+                if entry.verdict is Verdict.NO:
+                    assert code == "mono-homo" and entry.note == "implied by iso-homo"
+                    assert entry.witness == rep.classes["iso-homo"].witness
+                    assert validate_witness(g, g, q, entry.witness), g
+        assert implied == {Verdict.YES: 142, Verdict.NO: 150}
+
+    def test_complete_graph_asks_the_oracle_nothing(self, rebind):
+        asked = []
+        member = is_class_member
+        rebind(member, lambda g, q, **kw: asked.append(q) or member(g, q, **kw))
+        rep = classify(complete_graph(8))
+        assert asked == []
+        assert [rep.classes[c].note for c in ("iso-homo", "mono-homo")] == [
+            "implied by iso-iso",
+            "implied by mono-iso",
+        ]
+
+    def test_rook4_builds_few_sources(self, rebind):
+        # iso-homo is implied by iso-iso; the mono-homo search stops at a
+        # witness on a small domain, so the larger source sizes of rook(4)'s
+        # 153 connected representatives are never built
+        built = []
+        grow = _source_representatives
+
+        def counting(g, connected, gens):
+            for level in grow(g, connected, gens):
+                built.extend(level)
+                yield level
+
+        rebind(grow, counting)
+        rep = classify(rook_graph(4))
+        assert rep.classes["iso-homo"].source == "implied"
+        assert rep.classes["mono-homo"].source == "oracle"
+        assert rep.verdict("mono-homo") is Verdict.NO
+        assert 0 < len(built) <= 8
+
+    def test_implied_entry_keeps_the_one_sided_family(self):
+        rep = classify(K23)
+        entry = rep.classes["iso-homo"]
+        assert (entry.verdict, entry.source) == (Verdict.YES, "implied")
+        assert entry.note == "implied by homo-homo"
+        assert entry.family == FamilyDescriptor("MULTICLAW", (0, 1, 2, 3))
+
+
+class TestKnownOneSidedNotes:
+    def test_notes_agree_with_the_oracle_to_seven_vertices(self):
+        # every generalized multiclaw is an iso-homo member, and every
+        # complete multipartite graph with 3 or more parts, one of size 2 or
+        # more, is not a mono-homo member
+        claims = {"known member": 0, "known non-member": 0}
+        for g in enumerate_graphs(7, connected_only=False):
+            cii = classify_cii(g)
+            for code in ("iso-homo", "mono-homo"):
+                note, _ = _known_one_sided_note(g, code, cii)
+                if not note:
+                    continue
+                claim = note.rsplit(": ", 1)[1]
+                holds = is_class_member(g, query_for_code(code)).holds
+                assert holds is (claim == "known member"), (g, code, note)
+                claims[claim] += 1
+        assert claims == {"known member": 45, "known non-member": 20}
 
 
 class TestFamilyDescriptorsFromRecognizers:
