@@ -8,8 +8,6 @@ definition-level search oracle and structure-matching recognizers — and
 cross-verifies them exhaustively on small graphs.
 """
 
-from __future__ import annotations
-
 from .families import (
     FAMILY_TAGS,
     FamilyDescriptor,
@@ -103,88 +101,3 @@ from .recognizers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FAMILY_TAGS",
-    "FamilyDescriptor",
-    "TreeOfCliques",
-    "bcpm_graph",
-    "biclique_chain",
-    "clebsch_graph",
-    "clique_chain",
-    "complete_graph",
-    "cycle_graph",
-    "empty_graph",
-    "enumerate_graphs",
-    "make",
-    "make_treelike",
-    "multiclaw_graph",
-    "path_graph",
-    "pcm_example_graph",
-    "petersen_graph",
-    "regular_multipartite_graph",
-    "rook_graph",
-    "two_squares_graph",
-    "Graph",
-    "canonical_form",
-    "canonical_graph",
-    "complement",
-    "connected_components",
-    "disjoint_union",
-    "edge_complete_union",
-    "from_edge_list_text",
-    "from_edges",
-    "from_graph6",
-    "induced_subgraph",
-    "is_connected",
-    "is_isomorphic",
-    "to_edge_list_text",
-    "to_graph6",
-    "MorphKind",
-    "automorphisms",
-    "core_mask",
-    "core_of",
-    "enumerate_morphisms",
-    "extend_to_automorphism",
-    "extend_to_endomorphism",
-    "has_homomorphism",
-    "hom_equivalent",
-    "BUDGET_ENV_VAR",
-    "CLASS_CODES",
-    "BudgetExceededError",
-    "ClassQuery",
-    "OracleResult",
-    "Witness",
-    "extension_morphic",
-    "extension_symmetric",
-    "is_class_member",
-    "query_for_code",
-    "validate_witness",
-    "CHH_CASES",
-    "CHH_FAMILY_KINDS",
-    "ChhFamily",
-    "ClassEntry",
-    "ClassReport",
-    "PcmCertificate",
-    "Verdict",
-    "b1_holds",
-    "b2_holds",
-    "b2_star_holds",
-    "chh_connected_families",
-    "chh_symmetric",
-    "classify",
-    "classify_cii",
-    "complete_multipartite_parts",
-    "embeds_pcm",
-    "is_bcpm",
-    "is_chh",
-    "is_chh_connected",
-    "is_chi",
-    "is_cmi",
-    "is_kn_treelike",
-    "multiclaw_parameters",
-    "pcm_extract",
-    "recognizer_verdict",
-    "validate_pcm_certificate",
-    "__version__",
-]

@@ -19,27 +19,14 @@ import os
 import sys
 import time
 import warnings
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .families import (
     ENUMERATION_HARD_CAP,
     ENUMERATION_SOFT_CAP,
+    FAMILIES,
     FamilyDescriptor,
-    bcpm_graph,
-    biclique_chain,
-    clebsch_graph,
-    clique_chain,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
     enumerate_graphs,
-    multiclaw_graph,
-    path_graph,
-    pcm_example_graph,
-    petersen_graph,
-    regular_multipartite_graph,
-    rook_graph,
-    two_squares_graph,
 )
 from .graphs import (
     Graph,
@@ -69,35 +56,13 @@ from .recognizers import (
     recognizer_verdict,
 )
 
-# Short aliases accepted anywhere a class list is read: the first letter pair
-# names the source-morphism kind, the second the target kind.
+# Short aliases accepted anywhere a class list is read: ``c-`` and the first
+# letter of each half, the source-morphism kind then the target kind.
 CLASS_ALIASES = {
-    "c-ii": "iso-iso",
-    "c-mi": "mono-iso",
-    "c-hi": "homo-iso",
-    "c-ih": "iso-homo",
-    "c-mh": "mono-homo",
-    "c-hh": "homo-homo",
+    "c-" + "".join(half[0] for half in code.split("-")): code for code in CLASS_CODES
 }
 
 DEFAULT_CORE_BUDGET = 12
-
-FAMILY_BUILDERS: dict[str, tuple[Callable[..., Graph], int, int | None]] = {
-    "complete": (complete_graph, 1, 1),
-    "empty": (empty_graph, 1, 1),
-    "cycle": (cycle_graph, 1, 1),
-    "path": (path_graph, 1, 1),
-    "regular_multipartite": (regular_multipartite_graph, 2, 2),
-    "rook": (rook_graph, 1, 1),
-    "bcpm": (bcpm_graph, 1, 1),
-    "petersen": (petersen_graph, 0, 0),
-    "clebsch": (clebsch_graph, 0, 0),
-    "two_squares": (two_squares_graph, 0, 0),
-    "pcm_example": (pcm_example_graph, 1, 1),
-    "multiclaw": (lambda c, b, *counts: multiclaw_graph(c, b, counts), 3, None),
-    "clique_chain": (clique_chain, 2, 2),
-    "biclique_chain": (biclique_chain, 3, 3),
-}
 
 
 class InputError(ValueError):
@@ -112,19 +77,20 @@ def build_family(tokens: Sequence[str]) -> Graph:
     if not tokens:
         raise InputError("--family needs a family name")
     name = tokens[0].lower()
-    if name not in FAMILY_BUILDERS:
-        known = ", ".join(sorted(FAMILY_BUILDERS))
+    family = FAMILIES.get(name)
+    if family is None:
+        known = ", ".join(sorted(FAMILIES))
         raise InputError(f"unknown family {name!r} (known: {known})")
-    func, lo, hi = FAMILY_BUILDERS[name]
     try:
         params = [int(t) for t in tokens[1:]]
     except ValueError as exc:
         raise InputError(f"family parameters must be integers: {exc}") from exc
-    if len(params) < lo or (hi is not None and len(params) > hi):
-        span = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
-        raise InputError(f"family {name!r} takes {span} parameters, got {len(params)}")
     try:
-        return func(*params)
+        family.check_param_count(len(params), f"family {name!r}")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    try:
+        return family.build(*params)
     except ValueError as exc:
         raise InputError(f"cannot build family {name!r}: {exc}") from exc
 
@@ -326,13 +292,16 @@ def sorted_graphs(args: argparse.Namespace) -> Iterator[Graph]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     codes = parse_classes(args.classes, CLASS_CODES)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    started = time.perf_counter_ns()
+    graphs = sorted_graphs(args)  # an --max-n out of range exits 2 here
     if args.max_n > ENUMERATION_SOFT_CAP and not args.force:
         raise BudgetExceededError(
             f"sweeping all graphs on up to {args.max_n} vertices is outside the "
             f"supported budget ({ENUMERATION_SOFT_CAP}); pass --force to try anyway"
         )
-    started = time.perf_counter_ns()
-    position = {to_graph6(g): i for i, g in enumerate(sorted_graphs(args))}
+    position = {to_graph6(g): i for i, g in enumerate(graphs)}
     done: set[str] = set()
     if args.resume and args.out and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

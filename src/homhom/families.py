@@ -1,9 +1,11 @@
 """Generators for the named graph families and small-graph enumeration.
 
 Every generator documents its vertex layout, since witnesses and tests refer
-to concrete vertex ids.  ``enumerate_graphs`` streams one representative per
-isomorphism class in a fixed order (vertex count ascending, then canonical
-graph6 bytes ascending).
+to concrete vertex ids.  ``FAMILIES`` is the one table of the named families:
+the CLI's ``--family`` names, the recognizers' descriptor tags, the builders
+and their parameter counts are all read from it.  ``enumerate_graphs``
+streams one representative per isomorphism class in a fixed order (vertex
+count ascending, then canonical graph6 bytes ascending).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import (
     Graph,
@@ -29,63 +31,6 @@ from .morphisms import (
     automorphism_generators,
     complete_map,
 )
-
-FAMILY_TAGS = (
-    "COMPLETE",
-    "REGULAR_MULTIPARTITE",
-    "CYCLE",
-    "PATH",
-    "LINE_KSS",
-    "BCPM",
-    "PETERSEN",
-    "CLEBSCH",
-    "TWO_SQUARES",
-    "KN_TREELIKE",
-    "KMN_TREELIKE",
-    "PCM_EXAMPLE",
-    "MULTICLAW",
-)
-
-_PARAM_COUNTS = {
-    "COMPLETE": (1, 1),
-    "REGULAR_MULTIPARTITE": (2, 2),
-    "CYCLE": (1, 1),
-    "PATH": (1, 1),
-    "LINE_KSS": (1, 1),
-    "BCPM": (1, 1),
-    "PETERSEN": (0, 0),
-    "CLEBSCH": (0, 0),
-    "TWO_SQUARES": (0, 0),
-    "KN_TREELIKE": (2, 2),
-    "KMN_TREELIKE": (3, 3),
-    "PCM_EXAMPLE": (1, 1),
-    "MULTICLAW": (3, None),
-}
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """A named family member: tag plus integer parameters."""
-
-    tag: str
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.tag not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}")
-        lo, hi = _PARAM_COUNTS[self.tag]
-        if len(self.params) < lo or (hi is not None and len(self.params) > hi):
-            raise ValueError(
-                f"{self.tag} takes {lo}{'' if hi == lo else f'..{hi or chr(0x221e)}'} "
-                f"parameters, got {len(self.params)}"
-            )
-
-    def __str__(self) -> str:
-        if not self.params:
-            return self.tag.lower()
-        inner = ",".join(map(str, self.params))
-        return f"{self.tag.lower()}({inner})"
-
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
@@ -389,39 +334,80 @@ def biclique_chain(side_a: int, side_b: int, count: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# descriptor dispatch
+# the family table
+
+
+class Family(NamedTuple):
+    """One named family: its ``--family`` name, the descriptor tag the
+    recognizers report (None for a family they never report), its builder
+    over flat integer parameters, and how many parameters it takes
+    (``max_params`` None: no upper limit)."""
+
+    name: str
+    tag: str | None
+    build: Callable[..., Graph]
+    min_params: int
+    max_params: int | None
+
+    def check_param_count(self, count: int, who: str) -> None:
+        """Raise ValueError, naming ``who``, unless ``count`` parameters fit."""
+        lo, hi = self.min_params, self.max_params
+        if count < lo or (hi is not None and count > hi):
+            span = str(lo) if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
+            raise ValueError(f"{who} takes {span} parameters, got {count}")
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("complete", "COMPLETE", complete_graph, 1, 1),
+        Family("empty", None, empty_graph, 1, 1),
+        Family("cycle", "CYCLE", cycle_graph, 1, 1),
+        Family("path", "PATH", path_graph, 1, 1),
+        Family("regular_multipartite", "REGULAR_MULTIPARTITE", regular_multipartite_graph, 2, 2),
+        Family("rook", "LINE_KSS", rook_graph, 1, 1),
+        Family("bcpm", "BCPM", bcpm_graph, 1, 1),
+        Family("petersen", "PETERSEN", petersen_graph, 0, 0),
+        Family("clebsch", "CLEBSCH", clebsch_graph, 0, 0),
+        Family("two_squares", "TWO_SQUARES", two_squares_graph, 0, 0),
+        Family("pcm_example", "PCM_EXAMPLE", pcm_example_graph, 1, 1),
+        Family(
+            "multiclaw",
+            "MULTICLAW",
+            lambda clique, blob, *counts: multiclaw_graph(clique, blob, counts),
+            3,
+            None,
+        ),
+        Family("clique_chain", "KN_TREELIKE", clique_chain, 2, 2),
+        Family("biclique_chain", "KMN_TREELIKE", biclique_chain, 3, 3),
+    )
+}
+_BY_TAG = {f.tag: f for f in FAMILIES.values() if f.tag is not None}
+FAMILY_TAGS = tuple(_BY_TAG)
+
+
+@dataclass(frozen=True)
+class FamilyDescriptor:
+    """A named family member: tag plus integer parameters."""
+
+    tag: str
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.tag not in _BY_TAG:
+            raise ValueError(f"unknown family tag {self.tag!r}")
+        _BY_TAG[self.tag].check_param_count(len(self.params), self.tag)
+
+    def __str__(self) -> str:
+        if not self.params:
+            return self.tag.lower()
+        inner = ",".join(map(str, self.params))
+        return f"{self.tag.lower()}({inner})"
 
 
 def make(desc: FamilyDescriptor) -> Graph:
     """Build the graph a descriptor names; raises ValueError on bad params."""
-    tag, p = desc.tag, desc.params
-    if tag == "COMPLETE":
-        return complete_graph(*p)
-    if tag == "REGULAR_MULTIPARTITE":
-        return regular_multipartite_graph(*p)
-    if tag == "CYCLE":
-        return cycle_graph(*p)
-    if tag == "PATH":
-        return path_graph(*p)
-    if tag == "LINE_KSS":
-        return rook_graph(*p)
-    if tag == "BCPM":
-        return bcpm_graph(*p)
-    if tag == "PETERSEN":
-        return petersen_graph()
-    if tag == "CLEBSCH":
-        return clebsch_graph()
-    if tag == "TWO_SQUARES":
-        return two_squares_graph()
-    if tag == "KN_TREELIKE":
-        return clique_chain(*p)
-    if tag == "KMN_TREELIKE":
-        return biclique_chain(*p)
-    if tag == "PCM_EXAMPLE":
-        return pcm_example_graph(*p)
-    if tag == "MULTICLAW":
-        return multiclaw_graph(p[0], p[1], tuple(p[2:]))
-    raise AssertionError(f"unhandled tag {tag}")  # pragma: no cover
+    return _BY_TAG[desc.tag].build(*desc.params)
 
 
 # ---------------------------------------------------------------------------

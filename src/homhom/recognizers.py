@@ -50,35 +50,6 @@ from .oracle import (
     query_for_code,
 )
 
-__all__ = [
-    "CHH_FAMILY_KINDS",
-    "ChhFamily",
-    "ClassEntry",
-    "ClassReport",
-    "PcmCertificate",
-    "Verdict",
-    "b1_holds",
-    "b2_holds",
-    "b2_star_holds",
-    "chh_case_and_families",
-    "chh_connected_families",
-    "chh_symmetric",
-    "classify",
-    "classify_cii",
-    "complete_multipartite_parts",
-    "embeds_pcm",
-    "is_bcpm",
-    "is_chh",
-    "is_chh_connected",
-    "is_chi",
-    "is_cmi",
-    "is_kn_treelike",
-    "multiclaw_parameters",
-    "pcm_extract",
-    "recognizer_verdict",
-    "validate_pcm_certificate",
-]
-
 
 # --------------------------------------------------------------------------
 # Structural predicates

@@ -24,7 +24,14 @@ import pytest
 
 from homhom import cli, recognizers
 from homhom.cli import build_family, main, parse_classes
-from homhom.families import bcpm_graph, clique_chain, cycle_graph, path_graph
+from homhom.families import (
+    FAMILIES,
+    bcpm_graph,
+    clique_chain,
+    cycle_graph,
+    enumerate_graphs,
+    path_graph,
+)
 from homhom.graphs import Graph, from_graph6, is_isomorphic, to_graph6
 from homhom.oracle import CLASS_CODES
 
@@ -90,8 +97,12 @@ class TestClassParsing:
         assert parse_classes(None, CLASS_CODES) == list(CLASS_CODES)
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown class"):
+        with pytest.raises(ValueError) as info:
             parse_classes("c-xx", CLASS_CODES)
+        assert str(info.value) == (
+            "unknown class 'c-xx' (known: iso-iso, mono-iso, homo-iso, iso-homo, "
+            "mono-homo, homo-homo, c-hh, c-hi, c-ih, c-ii, c-mh, c-mi)"
+        )
 
 
 class TestFamilyBuilding:
@@ -114,6 +125,62 @@ class TestFamilyBuilding:
     def test_non_integer_parameter_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             build_family(["cycle", "six"])
+
+    def test_missing_name_rejected(self):
+        with pytest.raises(ValueError, match="^--family needs a family name$"):
+            build_family([])
+
+    @pytest.mark.parametrize(
+        "tokens, line",
+        [
+            (
+                ["moebius", "5"],
+                "unknown family 'moebius' (known: bcpm, biclique_chain, clebsch, "
+                "clique_chain, complete, cycle, empty, multiclaw, path, pcm_example, "
+                "petersen, regular_multipartite, rook, two_squares)",
+            ),
+            (["cycle"], "family 'cycle' takes 1 parameters, got 0"),
+            (["petersen", "3"], "family 'petersen' takes 0 parameters, got 1"),
+            (
+                ["biclique_chain", "1", "2", "3", "4"],
+                "family 'biclique_chain' takes 3 parameters, got 4",
+            ),
+            (["multiclaw", "1", "2"], "family 'multiclaw' takes 3+ parameters, got 2"),
+            (
+                ["CYCLE", "six"],
+                "family parameters must be integers: invalid literal for int() "
+                "with base 10: 'six'",
+            ),
+            (["cycle", "2"], "cannot build family 'cycle': cycle needs n >= 3"),
+            (["empty", "0"], "cannot build family 'empty': empty graph needs n >= 1"),
+            (
+                ["multiclaw", "1", "2", "1"],
+                "cannot build family 'multiclaw': multiclaw needs clique_size >= 0, "
+                "blob_size >= 1 and every blob count >= 2",
+            ),
+        ],
+        ids=[
+            "unknown",
+            "too-few",
+            "too-many",
+            "too-many-3",
+            "multiclaw-3-plus",
+            "non-integer",
+            "builder-cycle",
+            "builder-empty",
+            "builder-multiclaw",
+        ],
+    )
+    def test_error_line(self, capsys, tokens, line):
+        code, out, err = run_cli(capsys, ["generate", "--family", *tokens])
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_readme_names_every_family(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        start = readme.index("Named families (`--family NAME PARAMS...`):")
+        paragraph = readme[start : readme.index("\n\n", start)]
+        names = {item.split()[0] for item in re.findall(r"`([^`]+)`", paragraph)[1:]}
+        assert names == set(FAMILIES)
 
 
 class TestClassify:
@@ -650,6 +717,7 @@ class TestErrorContract:
             (["enumerate", "--max-n", "0"], {}),
             (["enumerate", "--max-n", "10"], {}),
             (["sweep", "--max-n", "10", "--force"], {}),
+            (["sweep", "--max-n", "10"], {}),
             (["sweep", "--max-n", "2", "--resume", "--out", "truncated.jsonl"], {}),
             (["sweep", "--max-n", "2", "--out", "missing/records.jsonl"], {}),
         ],
@@ -661,6 +729,7 @@ class TestErrorContract:
             "enumerate-n0",
             "enumerate-n10",
             "sweep-n10-force",
+            "sweep-n10",
             "resume-truncated",
             "out-missing-directory",
         ],
@@ -674,6 +743,29 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert proc.stdout == ""
+
+    def test_sweep_past_the_soft_cap_needs_force(self, tmp_path):
+        proc = run_module(["sweep", "--max-n", "9"], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: sweeping all graphs on up to 9 vertices is outside the "
+            "supported budget (8); pass --force to try anyway\n"
+        )
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--jobs", "0"], ["--jobs", "-1"], ["--max-n", "10"]],
+        ids=["jobs-0", "jobs-negative", "n10"],
+    )
+    def test_sweep_input_errors_enumerate_nothing(self, capsys, rebind, args):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("enumerated before the input was checked")
+
+        rebind(enumerate_graphs, refuse)
+        code, out, err = run_cli(capsys, ["sweep", *args])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --"), err
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(

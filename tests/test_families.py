@@ -228,13 +228,13 @@ class TestDescriptors:
             assert make(desc) == expected
 
     def test_descriptor_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown family tag 'NO_SUCH_FAMILY'$"):
             FamilyDescriptor("NO_SUCH_FAMILY", ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^CYCLE takes 1 parameters, got 2$"):
             FamilyDescriptor("CYCLE", (3, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^PETERSEN takes 0 parameters, got 1$"):
             FamilyDescriptor("PETERSEN", (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^MULTICLAW takes 3\+ parameters, got 2$"):
             FamilyDescriptor("MULTICLAW", (1, 2))
         assert str(FamilyDescriptor("BCPM", (4,))) == "bcpm(4)"
         assert str(FamilyDescriptor("MULTICLAW", (1, 2, 2, 3))) == "multiclaw(1,2,2,3)"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from homhom.families import (
     cycle_graph,
     empty_graph,
     enumerate_graphs,
+    make,
     multiclaw_graph,
     path_graph,
     pcm_example_graph,
@@ -42,6 +44,7 @@ from homhom.graphs import (
     induced_cycle_lengths,
     induced_subgraph,
     is_connected,
+    is_isomorphic,
     max_degree,
     popcount,
     to_graph6,
@@ -759,6 +762,31 @@ CLASSIFY_NAMED = (
     "multiclaw 2 1 3 3;cycle 9;cycle 10;cycle 11;cycle 12;cycle 14;path 8;path 10;"
     "path 11;path 12"
 ).split(";")
+
+
+class TestDescriptorRoundTrip:
+    def test_cii_descriptor_builds_each_component(self):
+        # the family table's builder for the tag classify_cii reports makes
+        # the graph the descriptor names: every component, up to isomorphism
+        graphs = list(enumerate_graphs(6, connected_only=False))
+        graphs += [build_family(name.split()) for name in CLASSIFY_NAMED]
+        tags = Counter()
+        for g in graphs:
+            desc = classify_cii(g)
+            if desc is None:
+                continue
+            tags[desc.tag] += 1
+            built = make(desc)
+            for comp in connected_components(g):
+                assert is_isomorphic(built, induced_subgraph(g, comp)), (g, desc)
+        assert tags == {
+            "COMPLETE": 15,
+            "CYCLE": 8,
+            "REGULAR_MULTIPARTITE": 6,
+            "BCPM": 2,
+            "LINE_KSS": 2,
+            "PETERSEN": 1,
+        }
 
 
 class TestImpliedEntries:
