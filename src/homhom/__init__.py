@@ -33,7 +33,6 @@ from .families import (
 from .graphs import (
     Graph,
     canonical_form,
-    canonical_graph,
     complement,
     connected_components,
     disjoint_union,
@@ -49,14 +48,10 @@ from .graphs import (
 )
 from .morphisms import (
     MorphKind,
-    automorphisms,
     core_mask,
     core_of,
     enumerate_morphisms,
-    extend_to_automorphism,
-    extend_to_endomorphism,
     has_homomorphism,
-    hom_equivalent,
 )
 from .oracle import (
     BUDGET_ENV_VAR,

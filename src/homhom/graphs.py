@@ -283,8 +283,8 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def induced_cycle_lengths(g: Graph, max_len: int | None = None) -> frozenset[int]:
-    """Set of lengths of induced (chordless) cycles, up to ``max_len``.
+def induced_cycle_lengths(g: Graph) -> frozenset[int]:
+    """Set of lengths of induced (chordless) cycles.
 
     DFS over chordless paths: a path is grown only by vertices adjacent to its
     endpoint and to no interior vertex; a vertex adjacent to the path's start
@@ -293,7 +293,7 @@ def induced_cycle_lengths(g: Graph, max_len: int | None = None) -> frozenset[int
     continuations.  Exponential in the worst case, which is fine at the sizes
     this package works with.
     """
-    limit = g.n if max_len is None else min(max_len, g.n)
+    n = g.n
     lengths: set[int] = set()
     seen_states: set[tuple[int, int]] = set()
 
@@ -305,11 +305,10 @@ def induced_cycle_lengths(g: Graph, max_len: int | None = None) -> frozenset[int
             if g.adj[w] & interior:
                 continue  # chord to the path interior
             if g.adj[w] >> start & 1:
-                size = popcount(path_mask) + 1
-                if 3 <= size <= limit:
-                    lengths.add(size)
+                # the path has at least two vertices, so the cycle has three
+                lengths.add(popcount(path_mask) + 1)
                 continue  # extending past w would leave a chord to start
-            if popcount(path_mask) + 1 < limit:
+            if popcount(path_mask) + 1 < n:
                 state = (path_mask | 1 << w, w)
                 if state not in seen_states:
                     seen_states.add(state)
@@ -466,13 +465,8 @@ def _refined_colors(g: Graph) -> list[int]:
     return colors
 
 
-DEFAULT_CANONICAL_BOUND = 10
-
-
 def _canonical_labelling(
-    g: Graph,
-    bound: int | None = DEFAULT_CANONICAL_BOUND,
-    colors: list[int] | None = None,
+    g: Graph, colors: list[int] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lexicographically-minimal upper-triangle rows over vertex relabellings,
     and the relabelling that first reached them.
@@ -487,11 +481,6 @@ def _canonical_labelling(
     automorphism.  ``colors`` passes in ``_refined_colors(g)`` when the
     caller has it already.
     """
-    if bound is not None and g.n > bound:
-        raise ValueError(
-            f"canonical form requested for n={g.n} above bound {bound}; "
-            "pass a higher bound explicitly if you really want this"
-        )
     n = g.n
     if colors is None:
         colors = _refined_colors(g)
@@ -547,19 +536,9 @@ def _canonical_labelling(
     return tuple(best), tuple(best_perm)
 
 
-def canonical_rows(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> tuple[int, ...]:
-    """The rows of ``_canonical_labelling``: equal iff the graphs are isomorphic."""
-    return _canonical_labelling(g, bound)[0]
-
-
-def canonical_form(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical graph6 byte string: equal iff the graphs are isomorphic."""
-    return _graph6_from_rows(g.n, canonical_rows(g, bound))
-
-
-def canonical_graph(g: Graph, bound: int | None = DEFAULT_CANONICAL_BOUND) -> Graph:
-    """The canonically-relabelled copy of g (parse of its canonical form)."""
-    return from_graph6(canonical_form(g, bound).decode("ascii"))
+    return _graph6_from_rows(g.n, _canonical_labelling(g)[0])
 
 
 # ---------------------------------------------------------------------------

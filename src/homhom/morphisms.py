@@ -137,10 +137,6 @@ def _extend_morphism(
         del assign[v]
 
 
-def count_morphisms(g1: Graph, g2: Graph, kind: MorphKind, domain_mask: int | None = None) -> int:
-    return sum(1 for _ in enumerate_morphisms(g1, g2, kind, domain_mask))
-
-
 # ---------------------------------------------------------------------------
 # completing partial maps to total morphisms
 
@@ -229,32 +225,12 @@ def _complete(
     return False
 
 
-def extend_to_endomorphism(
-    g: Graph, partial: Mapping[int, int], allowed_mask: int | None = None
-) -> dict[int, int] | None:
-    return complete_map(g, g, partial, MorphKind.HOMO, allowed_mask)
-
-
-def extend_to_automorphism(g: Graph, partial: Mapping[int, int]) -> dict[int, int] | None:
-    return complete_map(g, g, partial, MorphKind.ISO)
-
-
 def has_homomorphism(g1: Graph, g2: Graph) -> bool:
     return complete_map(g1, g2, {}, MorphKind.HOMO) is not None
 
 
-def hom_equivalent(g1: Graph, g2: Graph) -> bool:
-    """Do homomorphisms exist both ways?"""
-    return has_homomorphism(g1, g2) and has_homomorphism(g2, g1)
-
-
 # ---------------------------------------------------------------------------
 # automorphism groups
-
-
-def automorphisms(g: Graph) -> list[dict[int, int]]:
-    """All automorphisms, in the deterministic enumeration order."""
-    return list(enumerate_morphisms(g, g, MorphKind.ISO))
 
 
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -52,9 +52,8 @@ only by images from its own cand, so each witness is a real homomorphism.
 
 from __future__ import annotations
 
-import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -151,7 +150,8 @@ DEFAULT_SOURCE_BUDGETS = {
     MorphKind.MONO: 16,
     MorphKind.HOMO: 10,
 }
-DEFAULT_STATE_LIMIT = 2_000_000
+# the most (D, cand) states the one-point engine keeps before it gives up
+STATE_LIMIT = 2_000_000
 
 BUDGET_ENV_VAR = "HOMHOM_BUDGET"
 
@@ -291,12 +291,6 @@ def _symmetry(g: Graph) -> _Symmetry:
     if _last_symmetry is None or _last_symmetry.graph is not g:
         _last_symmetry = _Symmetry(g)
     return _last_symmetry
-
-
-def _vertex_orbits(g: Graph) -> list[int]:
-    """The vertex orbits of Aut(g) as masks, ordered by least vertex; see
-    ``_Symmetry``.  Callers only read the list."""
-    return _symmetry(g).orbits
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +512,7 @@ def _per_map_search(
     return OracleResult(True, None, checked)
 
 
-def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
+def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     """Decide the connected homo-homo property by one-point extensions.
 
     A state is a connected domain D of g1 with a homomorphism phi: D -> g2,
@@ -564,11 +558,14 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
     The stack holds (key, phi) pairs, phi packed with phi(v) + 1 in a
     ``width``-bit field per vertex.
 
+    More than ``STATE_LIMIT`` states raise ``BudgetExceededError``.
+
     Assumes the caller verified each component of g1 admits a homomorphism
     into g2 (within one graph that is the identity).
     """
-    orbits1 = _vertex_orbits(g1)
-    orbits2 = orbits1 if g2 is g1 else _vertex_orbits(g2)
+    limit = STATE_LIMIT
+    orbits1 = _symmetry(g1).orbits
+    orbits2 = orbits1 if g2 is g1 else _symmetry(g2).orbits
     reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in orbits2]
     n1, n2, full2, adj2 = g1.n, g2.n, g2.full_mask, g2.adj
     shifts = [n1 + v * n2 for v in range(n1)]
@@ -614,10 +611,10 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
                 for w in bits(cand):
                     nxt = kept | key & adj2[w] * sp | bit
                     if nxt not in seen:
-                        if len(seen) >= state_limit:
+                        if len(seen) >= limit:
                             largest = max(popcount(k & g1.full_mask) for k in seen)
                             raise BudgetExceededError(
-                                f"more than {state_limit} partial-map states "
+                                f"more than {limit} partial-map states "
                                 f"(popped {checked}, seeding phase {phase} of "
                                 f"{len(orbits1)}, largest domain {largest} of "
                                 f"{n1} vertices)"
@@ -628,31 +625,29 @@ def _one_point_search(g1: Graph, g2: Graph, state_limit: int) -> OracleResult:
     return OracleResult(True, None, checked)
 
 
+def _per_map(g1: Graph, g2: Graph, query: ClassQuery) -> OracleResult:
+    """``_per_map_search`` on one source subset per automorphism orbit of
+    g1, pruned by the stabilisers in Aut(g2)."""
+    # g2 first, so that the slot ends on g1 when they differ
+    sym2 = _symmetry(g2)
+    sources = _symmetry(g1).sources(query.connected_sources)
+    return _per_map_search(g1, g2, query, sources, sym2)
+
+
 # ---------------------------------------------------------------------------
 # public API
 
 
 def extension_morphic(
-    g1: Graph,
-    g2: Graph,
-    query: ClassQuery,
-    *,
-    budget: int | None = None,
-    orbit_reduction: bool = True,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-    force_per_map: bool = False,
+    g1: Graph, g2: Graph, query: ClassQuery, *, budget: int | None = None
 ) -> OracleResult:
     """Does every source map out of g1 into g2 extend to a total morphism
     g1 -> g2 of the target kind?
 
-    The search is always exhaustive.  Options: ``budget`` caps g1's vertex
-    count (default per source kind, ``HOMHOM_BUDGET`` overrides);
-    ``orbit_reduction`` checks one source subset per automorphism orbit of
-    g1 and, at every depth, only the images least in their orbit under the
-    generators of Aut(g2) that fix the images assigned so far (exact, on by
-    default; off means no symmetry at all); ``state_limit``
-    caps the one-point engine's states; ``force_per_map`` disables the
-    one-point engine (for cross-validation in tests).
+    The search is always exhaustive.  ``budget`` caps g1's vertex count
+    (default per source kind, ``HOMHOM_BUDGET`` overrides).  Connected
+    homo-homo is decided by the one-point engine, every other query by the
+    per-map engine.
     """
     budget_n = _resolve_budget(budget, query.source)
     if g1.n > budget_n:
@@ -660,13 +655,11 @@ def extension_morphic(
             f"{g1.n} vertices exceeds the {query.source.value}-source "
             f"budget of {budget_n} (set {BUDGET_ENV_VAR} or pass budget=...)"
         )
-    fast = (
+    if (
         query.source is MorphKind.HOMO
         and query.target is MorphKind.HOMO
         and query.connected_sources
-        and not force_per_map
-    )
-    if fast:
+    ):
         if g1 is not g2:
             for comp in connected_components(g1):
                 if not has_homomorphism(induced_subgraph(g1, comp), g2):
@@ -679,46 +672,29 @@ def extension_morphic(
                         "into the target graph",
                     )
                     return OracleResult(False, wit, 0)
-        return _one_point_search(g1, g2, state_limit)
-    if orbit_reduction:
-        # g2 first, so that the slot ends on g1 when they differ
-        sym2 = _symmetry(g2)
-        sources = _symmetry(g1).sources(query.connected_sources)
-    else:
-        sym2 = None
-        levels = _source_representatives(g1, query.connected_sources, ())
-        sources = itertools.chain.from_iterable(levels)
-    return _per_map_search(g1, g2, query, sources, sym2)
+        return _one_point_search(g1, g2)
+    return _per_map(g1, g2, query)
 
 
-def is_class_member(g: Graph, query: ClassQuery, **options) -> OracleResult:
+def is_class_member(
+    g: Graph, query: ClassQuery, *, budget: int | None = None
+) -> OracleResult:
     """Decide the extension property for one graph (maps g -> g)."""
-    return extension_morphic(g, g, query, **options)
+    return extension_morphic(g, g, query, budget=budget)
 
 
 def extension_symmetric(
-    g1: Graph, g2: Graph, query: ClassQuery, **options
+    g1: Graph, g2: Graph, query: ClassQuery, *, budget: int | None = None
 ) -> OracleResult:
     """Both directions of ``extension_morphic``; witness notes the direction."""
-    fwd = extension_morphic(g1, g2, query, **options)
-    if not fwd.holds:
-        wit = Witness(
-            fwd.witness.domain_mask,
-            fwd.witness.mapping,
-            fwd.witness.stuck_vertex,
-            f"forward direction: {fwd.witness.note}",
-        )
-        return OracleResult(False, wit, fwd.checked_maps)
-    bwd = extension_morphic(g2, g1, query, **options)
-    if not bwd.holds:
-        wit = Witness(
-            bwd.witness.domain_mask,
-            bwd.witness.mapping,
-            bwd.witness.stuck_vertex,
-            f"backward direction: {bwd.witness.note}",
-        )
-        return OracleResult(False, wit, fwd.checked_maps + bwd.checked_maps)
-    return OracleResult(True, None, fwd.checked_maps + bwd.checked_maps)
+    checked = 0
+    for direction, a, b in (("forward", g1, g2), ("backward", g2, g1)):
+        res = extension_morphic(a, b, query, budget=budget)
+        checked += res.checked_maps
+        if not res.holds:
+            wit = replace(res.witness, note=f"{direction} direction: {res.witness.note}")
+            return OracleResult(False, wit, checked)
+    return OracleResult(True, None, checked)
 
 
 def validate_witness(g1: Graph, g2: Graph, query: ClassQuery, wit: Witness) -> bool:

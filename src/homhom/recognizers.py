@@ -852,7 +852,7 @@ def _implied_entry(
     return ClassEntry(verdict, "implied", family, witness, f"implied by {premise}")
 
 
-def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
+def classify(g: Graph) -> ClassReport:
     """Full per-class report for ``g``.
 
     The four structurally characterised classes are decided by the
@@ -860,7 +860,8 @@ def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
     structural description is implied where the verdicts before it force
     it (``_implied_entry``), else decided by the search oracle when the
     graph fits the budget, and otherwise left open with any known one-sided
-    fact noted.  ``sweep`` still runs the oracle on every class.
+    fact noted, so ``HOMHOM_BUDGET=0`` gives a recognizer-only report.
+    ``sweep`` still runs the oracle on every class.
     """
     entries: dict[str, ClassEntry] = {}
     fam = classify_cii(g)
@@ -882,7 +883,7 @@ def classify(g: Graph, *, use_oracle: bool = True) -> ClassReport:
     )
     for code in ("iso-homo", "mono-homo"):
         entry = _implied_entry(g, code, entries, fam)
-        if entry is None and use_oracle:
+        if entry is None:
             try:
                 result = is_class_member(g, query_for_code(code))
             except BudgetExceededError:

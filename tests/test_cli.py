@@ -529,6 +529,19 @@ class TestCore:
         assert doc["coreGraph6"] == doc["graph6"]
         assert all(int(k) == v for k, v in doc["retraction"].items())
 
+    @pytest.mark.parametrize(
+        "family, n", [("cycle", 11), ("complete", 11), ("complete", 12)]
+    )
+    def test_cores_above_ten_vertices(self, capsys, monkeypatch, family, n):
+        # graphs that are their own cores, within the 12-vertex budget
+        monkeypatch.delenv("HOMHOM_BUDGET", raising=False)
+        code, out, _ = run_cli(capsys, ["core", "--family", family, str(n)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["coreN"] == n
+        assert doc["coreGraph6"] == doc["graph6"]
+        self.check_retraction(build_family([family, str(n)]), doc)
+
     def test_large_graph_needs_force(self, capsys, monkeypatch):
         monkeypatch.delenv("HOMHOM_BUDGET", raising=False)
         code, _, err = run_cli(capsys, ["core", "--family", "bcpm", "7"])

@@ -14,7 +14,6 @@ from homhom.graphs import (
     bipartition,
     bits,
     canonical_form,
-    canonical_graph,
     common_neighbors,
     complement,
     connected_components,
@@ -191,7 +190,6 @@ def test_induced_cycle_lengths():
     # complete bipartite K_{2,3}: every induced cycle is a square
     k23 = from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)])
     assert induced_cycle_lengths(k23) == frozenset({4})
-    assert induced_cycle_lengths(cycle(7), max_len=6) == frozenset()
 
 
 @given(graph_strategy)
@@ -278,7 +276,7 @@ def test_canonical_form_invariant_under_relabelling(g, seed):
 @given(graph_strategy)
 @settings(max_examples=100, deadline=None)
 def test_canonical_graph_is_isomorphic_to_input(g):
-    assert is_isomorphic(canonical_graph(g), g)
+    assert is_isomorphic(from_graph6(canonical_form(g).decode()), g)
 
 
 def test_canonical_form_separates_non_isomorphic_6_vertex_graphs():
@@ -296,10 +294,14 @@ def test_canonical_form_separates_non_isomorphic_6_vertex_graphs():
     assert len(forms) == 112
 
 
-def test_canonical_form_bound_is_enforced():
-    with pytest.raises(ValueError):
-        canonical_form(complete(11))
-    assert canonical_form(complete(11), bound=None)  # explicit opt-out works
+@pytest.mark.parametrize("g", [complete(11), cycle(12)], ids=["K11", "C12"])
+def test_canonical_form_above_ten_vertices(g):
+    # the sizes ``core`` reaches under its 12-vertex budget
+    perm = [(5 * v + 3) % g.n for v in range(g.n)]
+    h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    form = canonical_form(g)
+    assert canonical_form(h) == form
+    assert is_isomorphic(from_graph6(form.decode()), g)
 
 
 # -- graph6 -----------------------------------------------------------------------

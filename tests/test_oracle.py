@@ -43,7 +43,6 @@ from homhom.morphisms import (
     _source_representatives,
     _variable_order,
     automorphism_generators,
-    automorphisms,
     complete_map,
     enumerate_morphisms,
 )
@@ -62,9 +61,9 @@ from homhom.recognizers import classify
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
 
-def memberships(g: Graph, **opts) -> dict[str, bool]:
+def memberships(g: Graph) -> dict[str, bool]:
     return {
-        code: is_class_member(g, query_for_code(code), **opts).holds
+        code: is_class_member(g, query_for_code(code)).holds
         for code in CLASS_CODES
     }
 
@@ -87,15 +86,15 @@ def star_graph(n: int, centre: int) -> Graph:
     return from_edges(n, [(centre, v) for v in range(n) if v != centre])
 
 
-def member_via_components(g: Graph, query: ClassQuery, **options) -> bool:
+def member_via_components(g: Graph, query: ClassQuery) -> bool:
     """Equivalent componentwise criterion: every component has the property
     and every pair of components has it symmetrically."""
     comps = [induced_subgraph(g, m) for m in connected_components(g)]
     for c in comps:
-        if not is_class_member(c, query, **options).holds:
+        if not is_class_member(c, query).holds:
             return False
     for a, b in itertools.combinations(comps, 2):
-        if not extension_symmetric(a, b, query, **options).holds:
+        if not extension_symmetric(a, b, query).holds:
             return False
     return True
 
@@ -167,7 +166,7 @@ def brute_force_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
     ]
     if not reduce:
         return masks
-    auts = automorphisms(g)
+    auts = list(enumerate_morphisms(g, g, ISO))
     seen: set[int] = set()
     reps = []
     for m in masks:
@@ -249,7 +248,7 @@ def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, d
     representative domain whose first vertex lands on an orbit
     representative of g2, completed one by one in stream order."""
     gens = automorphism_generators(g1)
-    reps = mask_of((o & -o).bit_length() - 1 for o in oracle._vertex_orbits(g2))
+    reps = mask_of((o & -o).bit_length() - 1 for o in oracle._symmetry(g2).orbits)
     for domain in itertools.chain.from_iterable(
         _source_representatives(g1, q.connected_sources, gens)
     ):
@@ -261,12 +260,18 @@ def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, d
 
 
 def assert_matches_reference(g1: Graph, g2: Graph, q: ClassQuery) -> None:
-    res = extension_morphic(g1, g2, q, force_per_map=True)
+    res = oracle._per_map(g1, g2, q)
     holds, domain, phi = reference_per_map(g1, g2, q)
     assert res.holds == holds, (g1, g2, q)
     if not holds:
         assert res.witness.domain_mask == domain, (g1, g2, q)
         assert list(res.witness.mapping.items()) == list(phi.items()), (g1, g2, q)
+
+
+def unreduced(g1: Graph, g2: Graph, q: ClassQuery) -> oracle.OracleResult:
+    """The per-map search on every source subset, with no symmetry."""
+    levels = _source_representatives(g1, q.connected_sources, ())
+    return oracle._per_map_search(g1, g2, q, itertools.chain.from_iterable(levels), None)
 
 
 class TestLazySources:
@@ -415,13 +420,13 @@ class TestRecordedExtensions:
     # a recorded extension agreeing with the map's masks on its rim; such
     # a map always extends.  TestKeyedPerMapSearch checks verdicts and
     # witnesses against the reference for every query, homo-homo through
-    # force_per_map, on all graphs with at most 6 vertices and all ordered
+    # the per-map engine, on all graphs with at most 6 vertices and all ordered
     # pairs with at most 4
     def test_per_map_homo_homo_counter_gate(self):
         # the population gate above counts the other homo targets
         q = query_for_code("homo-homo")
         total = sum(
-            extension_morphic(g, g, q, force_per_map=True).checked_maps
+            oracle._per_map(g, g, q).checked_maps
             for g in enumerate_graphs(6, connected_only=False)
         )
         assert total <= 800  # 760; 3 010 without the recorded extensions
@@ -445,7 +450,7 @@ class TestRecordedExtensions:
         g = disjoint_union(path_graph(4), complete_graph(3))
         q = query_for_code(code)
         assert_matches_reference(g, g, q)
-        res = extension_morphic(g, g, q, force_per_map=True)
+        res = oracle._per_map(g, g, q)
         assert not res.holds and res.witness.mapping == {5: 0}
         assert res.checked_maps <= 5  # 13 without the recorded extensions
 
@@ -468,7 +473,7 @@ class TestRecordedExtensions:
         ]
 
         def answer(g: Graph, q: ClassQuery) -> tuple:
-            res = is_class_member(g, q, force_per_map=True)
+            res = oracle._per_map(g, g, q)
             w = res.witness
             return res.holds, w and (w.domain_mask, list(w.mapping.items()))
 
@@ -507,7 +512,7 @@ class TestEngineAgreement:
         q = query_for_code("homo-homo")
         for g in enumerate_graphs(5, connected_only=False):
             fast = is_class_member(g, q)
-            slow = is_class_member(g, q, force_per_map=True)
+            slow = oracle._per_map(g, g, q)
             assert fast.holds == slow.holds, g
 
     def test_one_point_matches_per_map_on_all_small_pairs(self):
@@ -527,21 +532,21 @@ class TestEngineAgreement:
         ]
         for g1, g2 in pairs:
             fast = extension_morphic(g1, g2, q)
-            slow = extension_morphic(g1, g2, q, force_per_map=True)
+            slow = oracle._per_map(g1, g2, q)
             assert fast.holds == slow.holds, (g1, g2)
             if not fast.holds:
                 assert validate_witness(g1, g2, q, fast.witness), (g1, g2)
 
     def test_vertex_orbits_match_the_automorphism_group(self):
         for g in enumerate_graphs(6, connected_only=False):
-            auts = automorphisms(g)
+            auts = list(enumerate_morphisms(g, g, ISO))
             want = sorted(
                 {mask_of(a[v] for a in auts) for v in range(g.n)},
                 key=lambda m: m & -m,
             )
-            assert oracle._vertex_orbits(g) == want, g
+            assert oracle._symmetry(g).orbits == want, g
 
-    def test_k8_counter_gate_never_enumerates_the_group(self, rebind):
+    def test_k8_counter_gate_never_enumerates_the_group(self, rebind, monkeypatch):
         # the start orbits come from the generators: at most n(n-1)/2 = 28
         # completions on a fresh K8, and no morphism is enumerated
         def refuse(*args, **kwargs):
@@ -552,18 +557,18 @@ class TestEngineAgreement:
         rebind(
             complete_map, lambda *args: completions.append(args) or complete_map(*args)
         )
-        res = is_class_member(
-            complete_graph(8), query_for_code("homo-homo"), state_limit=5_000
-        )
+        monkeypatch.setattr(oracle, "STATE_LIMIT", 5_000)
+        res = is_class_member(complete_graph(8), query_for_code("homo-homo"))
         assert res.holds and res.checked_maps <= 5_000  # 3 432 (D, cand) keys
         assert len(completions) <= 8 * 7 // 2
 
     @pytest.mark.parametrize("centre", [0, 7])
-    def test_star_decided_whatever_its_labels(self, centre):
+    def test_star_decided_whatever_its_labels(self, centre, monkeypatch):
         # K_{1,7}: keyed by phi, centre 0 took over 2 M states and centre 7
         # took 262 k; keyed by (D, cand) they take 257 and 131
         g = star_graph(8, centre)
-        res = is_class_member(g, query_for_code("homo-homo"), state_limit=1_000)
+        monkeypatch.setattr(oracle, "STATE_LIMIT", 1_000)
+        res = is_class_member(g, query_for_code("homo-homo"))
         assert res.holds and res.checked_maps <= 1_000
 
     def test_connected_population_counter_gate(self):
@@ -611,9 +616,10 @@ class TestEngineAgreement:
         ],
         ids=["centre-0", "centre-7"],
     )
-    def test_state_budget_error_says_how_far_it_got(self, g, message):
+    def test_state_budget_error_says_how_far_it_got(self, g, message, monkeypatch):
+        monkeypatch.setattr(oracle, "STATE_LIMIT", 5)
         with pytest.raises(BudgetExceededError) as info:
-            is_class_member(g, query_for_code("homo-homo"), state_limit=5)
+            is_class_member(g, query_for_code("homo-homo"))
         assert str(info.value) == message
 
     def test_generators_computed_once_per_graph_object(self, rebind):
@@ -663,23 +669,20 @@ class TestEngineAgreement:
         for g in enumerate_graphs(5):
             for code in CLASS_CODES:
                 q = query_for_code(code)
-                a = is_class_member(g, q, orbit_reduction=True, force_per_map=True)
-                b = is_class_member(g, q, orbit_reduction=False, force_per_map=True)
-                assert a.holds == b.holds, (g, code)
+                assert oracle._per_map(g, g, q).holds == unreduced(g, g, q).holds, (g, code)
 
     def test_orbit_reduction_is_exact_between_graphs(self):
         # targets are separate objects, so g2 is never g1 and the target's
-        # orbits come from _vertex_orbits; 324 ordered pairs, five classes
+        # orbits come from its own symmetry data; 324 ordered pairs, five
+        # classes
         sources = list(enumerate_graphs(4, connected_only=False))
         targets = list(enumerate_graphs(4, connected_only=False))
         for code in CLASS_CODES[:5]:
             q = query_for_code(code)
             for g1 in sources:
                 for g2 in targets:
-                    on = extension_morphic(g1, g2, q, force_per_map=True)
-                    off = extension_morphic(
-                        g1, g2, q, force_per_map=True, orbit_reduction=False
-                    )
+                    on = oracle._per_map(g1, g2, q)
+                    off = unreduced(g1, g2, q)
                     assert on.holds == off.holds, (code, g1, g2)
                     for res in (on, off):
                         if not res.holds:
@@ -762,7 +765,7 @@ class TestBetweenGraphs:
         g1, g2 = from_graph6(g1), from_graph6(g2)
         res = extension_morphic(g1, g2, q)
         assert not res.holds
-        assert not extension_morphic(g1, g2, q, force_per_map=True).holds
+        assert not oracle._per_map(g1, g2, q).holds
         assert validate_witness(g1, g2, q, res.witness)
 
     def test_unmappable_component(self):
@@ -805,12 +808,8 @@ class TestBudgetsAndSampling:
         # tables; C17 completes 17 maps with orbit reduction and 8 671
         # without (32 with one first image per orbit and no pruning below,
         # 33 and 8 993 when every map was completed)
-        res = is_class_member(
-            cycle_graph(17),
-            query_for_code("iso-iso"),
-            budget=17,
-            orbit_reduction=reduce,
-        )
+        g, q = cycle_graph(17), query_for_code("iso-iso")
+        res = is_class_member(g, q, budget=17) if reduce else unreduced(g, g, q)
         assert res.holds
         assert res.checked_maps == (17 if reduce else 8_671)
 

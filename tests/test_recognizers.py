@@ -92,6 +92,13 @@ K23 = from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
 STAR5 = from_edges(6, [(0, i) for i in range(1, 6)])
 
 
+@pytest.fixture
+def recognizers_only(monkeypatch):
+    """``classify`` reports from the recognizers alone: a budget of no
+    vertices refuses every oracle search before it starts."""
+    monkeypatch.setenv("HOMHOM_BUDGET", "0")
+
+
 def mask(vertices) -> int:
     m = 0
     for v in vertices:
@@ -648,8 +655,8 @@ class TestStructuralLaws:
 
 
 class TestClassifyReport:
-    def test_petersen_report(self):
-        rep = classify(petersen_graph(), use_oracle=False)
+    def test_petersen_report(self, recognizers_only):
+        rep = classify(petersen_graph())
         assert rep.verdict("iso-iso") is Verdict.YES
         assert rep.verdict("mono-iso") is Verdict.NO
         assert rep.verdict("homo-iso") is Verdict.NO
@@ -658,39 +665,39 @@ class TestClassifyReport:
         assert "known non-member" in rep.classes["mono-homo"].note
         assert str(rep.classes["iso-iso"].family) == "petersen"
 
-    def test_six_cycle_report(self):
-        rep = classify(cycle_graph(6), use_oracle=False)
+    def test_six_cycle_report(self, recognizers_only):
+        rep = classify(cycle_graph(6))
         assert rep.verdict("iso-iso") is Verdict.YES
         assert rep.verdict("mono-iso") is Verdict.YES
         assert rep.verdict("homo-iso") is Verdict.NO
         assert rep.verdict("homo-homo") is Verdict.YES
         assert "case (e)" in rep.classes["homo-homo"].note
 
-    def test_report_carries_the_homo_homo_result(self):
-        rep = classify(STAR5, use_oracle=False)
+    def test_report_carries_the_homo_homo_result(self, recognizers_only):
+        rep = classify(STAR5)
         assert rep.hh_case == "c"
         assert rep.hh_families == chh_connected_families(STAR5)
         assert rep.classes["homo-homo"].family == rep.hh_families[0]
         two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
-        rep = classify(two_triangles, use_oracle=False)
+        rep = classify(two_triangles)
         assert (rep.hh_case, rep.hh_families) == ("b", ())
-        rep = classify(petersen_graph(), use_oracle=False)
+        rep = classify(petersen_graph())
         assert (rep.hh_case, rep.hh_families) == (None, ())
 
-    def test_known_one_sided_notes(self):
-        rep = classify(clebsch_graph(), use_oracle=False)
+    def test_known_one_sided_notes(self, recognizers_only):
+        rep = classify(clebsch_graph())
         assert rep.verdict("mono-homo") is Verdict.ORACLE_ONLY
         assert "known non-member" in rep.classes["mono-homo"].note
         # neither iso-iso nor homo-homo, so no implication decides iso-homo
-        rep = classify(multiclaw_graph(2, 1, (3, 3)), use_oracle=False)
+        rep = classify(multiclaw_graph(2, 1, (3, 3)))
         assert rep.verdict("iso-homo") is Verdict.ORACLE_ONLY
         assert "known member" in rep.classes["iso-homo"].note
-        rep = classify(rook_graph(3), use_oracle=False)
+        rep = classify(rook_graph(3))
         assert "known non-member" in rep.classes["mono-homo"].note
-        rep = classify(regular_multipartite_graph(3, 2), use_oracle=False)
+        rep = classify(regular_multipartite_graph(3, 2))
         assert "known non-member" in rep.classes["mono-homo"].note
 
-    def test_rook_family_is_matched_once(self, rebind):
+    def test_rook_family_is_matched_once(self, rebind, recognizers_only):
         # the mono-homo note reuses the iso-iso family of a connected
         # graph instead of matching its component against rook(6) again
         g = rook_graph(6)
@@ -701,7 +708,7 @@ class TestClassifyReport:
             return rook_graph(side)
 
         rebind(rook_graph, counting)
-        rep = classify(g, use_oracle=False)
+        rep = classify(g)
         assert calls == [6]
         fam = FamilyDescriptor("LINE_KSS", (6,))
         assert rep.classes["iso-iso"] == ClassEntry(Verdict.YES, "recognizer", family=fam)
@@ -739,8 +746,8 @@ class TestClassifyReport:
         )
         assert values == ("yes", "yes", "no", "yes", "yes", "no")
 
-    def test_report_is_frozen_and_complete(self):
-        rep = classify(complete_graph(2), use_oracle=False)
+    def test_report_is_frozen_and_complete(self, recognizers_only):
+        rep = classify(complete_graph(2))
         assert isinstance(rep, ClassReport)
         assert set(rep.classes) == {
             "iso-iso",
@@ -882,8 +889,8 @@ class TestFamilyDescriptorsFromRecognizers:
         assert isinstance(fam, FamilyDescriptor)
         assert fam.tag == "BCPM" and fam.params == (4,)
 
-    def test_multiclaw_descriptor_in_report(self):
-        rep = classify(K23, use_oracle=False)
+    def test_multiclaw_descriptor_in_report(self, recognizers_only):
+        rep = classify(K23)
         fam = rep.classes["iso-homo"].family
         assert isinstance(fam, FamilyDescriptor)
         assert fam.tag == "MULTICLAW"
@@ -1036,14 +1043,16 @@ class TestPolynomialRecognizers:
         ],
         ids=["rook7", "rook8", "Q6", "bcpm32", "K32,32", "bcpm6+K8,8"],
     )
-    def test_large_graphs_decided_without_cycle_enumeration(self, rebind, build, members):
+    def test_large_graphs_decided_without_cycle_enumeration(
+        self, rebind, build, members, recognizers_only
+    ):
         # the families fix these verdicts; the cycle-based recognizers took
         # 149 s on rook(7) and did not finish Q6 within 100 s
         def refuse(*args, **kwargs):
             raise AssertionError("induced_cycle_lengths was called")
 
         rebind(induced_cycle_lengths, refuse)
-        report = classify(build(), use_oracle=False)
+        report = classify(build())
         codes = ("iso-iso", "mono-iso", "homo-iso", "homo-homo")
         assert {c for c in codes if report.verdict(c) is Verdict.YES} == members
         assert {c for c in codes if report.verdict(c) is Verdict.NO} == set(codes) - members
@@ -1171,7 +1180,7 @@ class TestCliquePartition:
         assert_recognizers_match_references(LARGE_FAMILY_GRAPHS[name]())
 
     @pytest.mark.parametrize("name", list(LARGE_FAMILY_GRAPHS)[:6])
-    def test_classify_builds_only_the_component_lists(self, rebind, name):
+    def test_classify_builds_only_the_component_lists(self, rebind, name, recognizers_only):
         # three induced_subgraph calls on a connected graph: the component
         # lists of chh_case_and_families, classify_cii and is_cmi
         calls = {"induced_subgraph": 0, "complement": 0}
@@ -1187,5 +1196,5 @@ class TestCliquePartition:
         rebind(complement, counting(complement))
         g = LARGE_FAMILY_GRAPHS[name]()
         assert g.n >= 63 and is_connected(g)
-        classify(g, use_oracle=False)
+        classify(g)
         assert calls == {"induced_subgraph": 3, "complement": 0}
