@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -294,6 +293,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     codes = parse_classes(args.classes, CLASS_CODES)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.resume and not args.out:
+        raise InputError("--resume needs --out")
     started = time.perf_counter_ns()
     graphs = sorted_graphs(args)  # an --max-n out of range exits 2 here
     if args.max_n > ENUMERATION_SOFT_CAP and not args.force:
@@ -303,7 +304,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     position = {to_graph6(g): i for i, g in enumerate(graphs)}
     done: set[str] = set()
-    if args.resume and args.out and os.path.exists(args.out):
+    if args.resume and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -331,6 +332,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise InputError(f"cannot write {args.out!r}: {exc}") from None
     with sink as fh:
         if args.jobs > 1:
+            import multiprocessing  # only a pool needs it; it slows start-up
+
             with multiprocessing.Pool(args.jobs) as pool:
                 records = list(pool.imap(_sweep_worker, payloads, chunksize=8))
         else:

@@ -46,8 +46,10 @@ one state per pair (D, cand), where D is the domain and cand(v), for v
 outside D, is the set of images still adjacent to every image of v's
 neighbours in D.  The stuck test and every growth step read only that
 pair, so two maps with the same pair have the same future and one of them
-is explored.  The map kept for a pair is the first that reached it, grown
-only by images from its own cand, so each witness is a real homomorphism.
+is explored.  Each state reads only the cand of the vertices next to D, and
+a growth step narrows them through a table with one row per vertex of g1.
+The map kept for a pair is the first that reached it, grown only by images
+from its own cand, so each witness is a real homomorphism.
 """
 
 from __future__ import annotations
@@ -550,13 +552,17 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
 
     A key is one int: D in the low n1 bits, then one g2.n-bit field per
     vertex of g1 holding cand, with the fields of D cleared.  Mapping v to w
-    is ``key & (keep[v] | adj2[w] * spread[v]) | 1 << v``: ``spread[v]`` has
-    the lowest bit of each neighbour's field, so the product puts N(w) into
-    every neighbour's field, and ``keep[v]`` keeps D and the fields of the
-    other vertices whole.  A field equals all of g2 exactly when its vertex
-    has no neighbour in D, since a row of g2 never contains its own vertex.
-    The stack holds (key, phi) pairs, phi packed with phi(v) + 1 in a
-    ``width``-bit field per vertex.
+    is ``key & step[v][w] | 1 << v``.  ``step[v][w]`` holds N(w) in every
+    neighbour's field, the product of N(w) with the lowest bits of those
+    fields, zeros in v's own field and ones everywhere else, so D and the
+    other fields stay whole.  A row of ``step`` is built the first time its
+    vertex is assigned.  A field differs from all of g2 exactly when its
+    vertex is next to D, since a row of g2 never contains its own vertex.
+    So each stack entry carries the frontier N(D) \\ D as a vertex mask,
+    grown by ``(front | N(v)) & ~(D | 1 << v)``, and a state reads only the
+    fields of its frontier, in ascending order.  The stack holds (key,
+    front, phi) triples, phi packed with phi(v) + 1 in a ``width``-bit field
+    per vertex.
 
     More than ``STATE_LIMIT`` states raise ``BudgetExceededError``.
 
@@ -567,13 +573,17 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     orbits1 = _symmetry(g1).orbits
     orbits2 = orbits1 if g2 is g1 else _symmetry(g2).orbits
     reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in orbits2]
-    n1, n2, full2, adj2 = g1.n, g2.n, g2.full_mask, g2.adj
+    n1, n2, full2, adj1, adj2 = g1.n, g2.n, g2.full_mask, g1.adj, g2.adj
     shifts = [n1 + v * n2 for v in range(n1)]
     everything = (1 << n1 + n1 * n2) - 1
-    spread = [sum(1 << shifts[x] for x in bits(row)) for row in g1.adj]
-    keep = [
-        everything & ~(full2 * (spread[v] | 1 << shifts[v])) for v in range(n1)
-    ]
+    step: list[list[int] | None] = [None] * n1
+
+    def row_of(v: int) -> list[int]:
+        spread = sum(1 << shifts[x] for x in bits(adj1[v]))
+        keep = everything & ~(full2 * (spread | 1 << shifts[v]))
+        step[v] = [keep | adj2[w] * spread for w in range(n2)]
+        return step[v]
+
     width = n2.bit_length()
     field = (1 << width) - 1
     start = everything & ~g1.full_mask  # D empty, every cand all of g2
@@ -582,19 +592,22 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     allowed = g1.full_mask
     for phase, orbit in enumerate(orbits1, 1):
         r = (orbit & -orbit).bit_length() - 1
-        stack: list[tuple[int, int]] = []
+        row = step[r] or row_of(r)
+        stack: list[tuple[int, int, int]] = []
         for w in reps2:
-            key = start & (keep[r] | adj2[w] * spread[r]) | 1 << r
+            key = start & row[w] | 1 << r
             if key not in seen:
                 seen.add(key)
-                stack.append((key, (w + 1) << r * width))
+                stack.append((key, adj1[r], (w + 1) << r * width))
         while stack:
-            key, phi = stack.pop()
+            key, front, phi = stack.pop()
             checked += 1
-            for v, shift in enumerate(shifts):
-                cand = key >> shift & full2
-                if cand == full2 or key >> v & 1:
-                    continue
+            rest = front
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                cand = key >> shifts[v] & full2
                 if not cand:
                     domain = key & g1.full_mask
                     wit = Witness(
@@ -605,11 +618,16 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                         "mapped neighbours",
                     )
                     return OracleResult(False, wit, checked)
-                if not allowed >> v & 1:
+                if not allowed & bit:
                     continue
-                kept, sp, bit = key & keep[v], spread[v], 1 << v
-                for w in bits(cand):
-                    nxt = kept | key & adj2[w] * sp | bit
+                row = step[v] or row_of(v)
+                grown = (front | adj1[v]) & ~(key | bit)
+                at = v * width
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    w = low.bit_length() - 1
+                    nxt = key & row[w] | bit
                     if nxt not in seen:
                         if len(seen) >= limit:
                             largest = max(popcount(k & g1.full_mask) for k in seen)
@@ -620,7 +638,7 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                                 f"{n1} vertices)"
                             )
                         seen.add(nxt)
-                        stack.append((nxt, phi | (w + 1) << v * width))
+                        stack.append((nxt, grown, phi | (w + 1) << at))
         allowed &= ~orbit
     return OracleResult(True, None, checked)
 

@@ -704,6 +704,23 @@ class TestConsoleScript:
         assert bad.returncode == 2
         assert bad.stderr.startswith("error: unknown family")
 
+    def test_import_leaves_multiprocessing_unloaded(self, tmp_path):
+        """Only ``sweep --jobs N`` with N > 1 needs a pool, so importing the
+        CLI does not pay for ``multiprocessing``."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, homhom.cli; print('multiprocessing' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=tmp_path,
+            env=checkout_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     @pytest.mark.skipif(
         shutil.which("homhom") is None, reason="homhom console script not installed"
     )
@@ -768,8 +785,8 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "args",
-        [["--jobs", "0"], ["--jobs", "-1"], ["--max-n", "10"]],
-        ids=["jobs-0", "jobs-negative", "n10"],
+        [["--jobs", "0"], ["--jobs", "-1"], ["--max-n", "10"], ["--resume"]],
+        ids=["jobs-0", "jobs-negative", "n10", "resume-without-out"],
     )
     def test_sweep_input_errors_enumerate_nothing(self, capsys, rebind, args):
         def refuse(*_args, **_kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from typing import Callable, Iterator
@@ -59,6 +60,9 @@ from homhom.oracle import (
 from homhom.recognizers import classify
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
+
+# see TestEngineAgreement.test_one_point_results_are_pinned
+ONE_POINT_SHA256 = "f6f95ed7d3a9cb80b5f5ac392922fd9096a08a4fb5d13c1dfb62164b5c53b5dd"
 
 
 def memberships(g: Graph) -> dict[str, bool]:
@@ -579,7 +583,35 @@ class TestEngineAgreement:
             is_class_member(g, q).checked_maps
             for g in enumerate_graphs(7, connected_only=True)
         )
-        assert total <= 45_000
+        assert total == 40_631
+
+    def test_one_point_results_are_pinned(self):
+        # SHA-256 of one line per decision, (graph6 of g1 [and g2], holds,
+        # checked_maps, witness domain, mapping and stuck vertex), for every
+        # connected graph on at most 7 vertices and every ordered pair of
+        # graphs on at most 4; pins the states popped and each witness, not
+        # only the verdicts
+        def line(names, res):
+            w = res.witness
+            wit = "-" if w is None else (
+                f"{w.domain_mask} {sorted(w.mapping.items())} {w.stuck_vertex}"
+            )
+            return f"{' '.join(names)} {res.holds} {res.checked_maps} {wit}"
+
+        q = query_for_code("homo-homo")
+        lines = [
+            line([to_graph6(g)], is_class_member(g, q))
+            for g in enumerate_graphs(7, connected_only=True)
+        ]
+        small = list(enumerate_graphs(4, connected_only=False))
+        lines += [
+            line([to_graph6(a), to_graph6(b)], extension_morphic(a, b, q))
+            for a in small
+            for b in small
+        ]
+        assert len(lines) == 996 + 18 * 18
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ONE_POINT_SHA256
 
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
