@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import warnings
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .families import (
     ENUMERATION_HARD_CAP,
@@ -440,8 +440,6 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if not args.family:
-        raise InputError("generate needs --family NAME [PARAMS...]")
     for tokens in args.family:
         print(to_graph6(build_family(tokens)))
     return 0
@@ -457,72 +455,70 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # argument plumbing
 
 
-def add_graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g6", action="append", metavar="STRING", help="graph6 input (repeatable)")
-    p.add_argument(
-        "--edges",
-        action="append",
-        metavar="FILE",
-        help="edge-list file, '-' for stdin (header 'n m', then 'u v' lines)",
-    )
-    p.add_argument(
-        "--family",
-        action="append",
-        nargs="+",
-        metavar="NAME",
-        help="named family with integer parameters, e.g. --family bcpm 4",
-    )
+# Each command's help line and flags in help order, as (flag, ``add_argument``
+# keywords) pairs.  ``main`` runs ``cmd_<name>``.
+FAMILY_KEYWORDS = {"action": "append", "nargs": "+", "metavar": "NAME"}
+GRAPH_FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("--g6", {"action": "append", "metavar": "STRING", "help": "graph6 input (repeatable)"}),
+    ("--edges", {"action": "append", "metavar": "FILE",
+                 "help": "edge-list file, '-' for stdin (header 'n m', then 'u v' lines)"}),
+    ("--family", {**FAMILY_KEYWORDS,
+                  "help": "named family with integer parameters, e.g. --family bcpm 4"}),
+)
+CLASSES_FLAG = ("--classes", {"help": "comma-separated class list (default: all six)"})
+MAX_N_FLAG = ("--max-n", {"type": int, "default": 6, "help": "largest vertex count (default 6)"})
+CONNECTED_FLAG = ("--connected", {"action": "store_true", "help": "connected graphs only"})
+
+COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict[str, Any]], ...]]] = {
+    "classify": ("six-class report for one graph", (*GRAPH_FLAGS, CLASSES_FLAG)),
+    "sweep": ("classify every small graph, recognizers vs oracle", (
+        MAX_N_FLAG,
+        CLASSES_FLAG,
+        CONNECTED_FLAG,
+        ("--jobs", {"type": int, "default": 1, "help": "worker processes (default 1)"}),
+        ("--out", {"metavar": "FILE", "help": "write JSON-lines records here"}),
+        ("--resume", {"action": "store_true", "help": "skip graphs already in --out"}),
+        ("--force", {"action": "store_true", "help": "record null instead of aborting on budget"}),
+    )),
+    "symmetric": ("two-sided extension verdict for a pair", (
+        *GRAPH_FLAGS,
+        ("--classes", {"help": "single class (default homo-homo)"}),
+    )),
+    "core": ("smallest retract with a witnessing retraction", (
+        *GRAPH_FLAGS,
+        ("--force", {"action": "store_true", "help": "ignore the core-search budget"}),
+    )),
+    "generate": ("print a named family member as graph6", (
+        ("--family", {**FAMILY_KEYWORDS, "required": True,
+                      "help": "family name and integer parameters (repeatable)"}),
+    )),
+    "enumerate": ("all graphs up to --max-n, one graph6 per line", (MAX_N_FLAG, CONNECTED_FLAG)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the sub-parser of the command that
+    ``argv`` names first, else all of them, for help and for the errors that
+    list the commands."""
     parser = argparse.ArgumentParser(
         prog="homhom",
         description="Decide membership of finite graphs in the six "
         "connected-source extension-homogeneity classes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="six-class report for one graph")
-    add_graph_flags(p)
-    p.add_argument("--classes", help="comma-separated class list (default: all six)")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sweep", help="classify every small graph, recognizers vs oracle")
-    p.add_argument("--max-n", type=int, default=6, help="largest vertex count (default 6)")
-    p.add_argument("--classes", help="comma-separated class list (default: all six)")
-    p.add_argument("--connected", action="store_true", help="connected graphs only")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument("--out", metavar="FILE", help="write JSON-lines records here")
-    p.add_argument("--resume", action="store_true", help="skip graphs already in --out")
-    p.add_argument("--force", action="store_true", help="record null instead of aborting on budget")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("symmetric", help="two-sided extension verdict for a pair")
-    add_graph_flags(p)
-    p.add_argument("--classes", help="single class (default homo-homo)")
-    p.set_defaults(func=cmd_symmetric)
-
-    p = sub.add_parser("core", help="smallest retract with a witnessing retraction")
-    add_graph_flags(p)
-    p.add_argument("--force", action="store_true", help="ignore the core-search budget")
-    p.set_defaults(func=cmd_core)
-
-    p = sub.add_parser("generate", help="print a named family member as graph6")
-    p.add_argument(
-        "--family",
-        action="append",
-        nargs="+",
-        metavar="NAME",
-        required=True,
-        help="family name and integer parameters (repeatable)",
-    )
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("enumerate", help="all graphs up to --max-n, one graph6 per line")
-    p.add_argument("--max-n", type=int, default=6, help="largest vertex count (default 6)")
-    p.add_argument("--connected", action="store_true", help="connected graphs only")
-    p.set_defaults(func=cmd_enumerate)
-
+    names: Iterable[str] = COMMANDS
+    if argv and argv[0] in COMMANDS:
+        names = argv[:1]
+        # keeps every command in the usage line of an "unrecognized
+        # arguments" error; unset otherwise, so as not to rename "argument
+        # command" in the errors about the command itself
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in names:
+        help_text, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=globals()[f"cmd_{name}"])  # looked up here, so it can be patched
     return parser
 
 
@@ -533,7 +529,8 @@ def _print_warning(message: Warning | str, *_: Any) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser_for(argv).parse_args(argv)
     try:
         env_budget()  # a malformed HOMHOM_BUDGET is refused before any work
     except ValueError as exc:

@@ -546,36 +546,27 @@ def canonical_form(g: Graph) -> bytes:
 # 6-bit characters)
 
 
-def _graph6_from_rows(n: int, rows: tuple[int, ...]) -> bytes:
-    """graph6 bytes from upper-triangle rows (row j-1 = bits (i, j), i < j)."""
-    bits_out: list[int] = []
-    for j in range(1, n):
-        row = rows[j - 1]
-        for k in range(j - 1, -1, -1):
-            bits_out.append(row >> k & 1)
-    while len(bits_out) % 6:
-        bits_out.append(0)
+def _graph6_from_rows(n: int, rows: Iterable[int]) -> bytes:
+    """graph6 bytes from upper-triangle rows: row j-1 (j = 1..n-1) holds the
+    j bits (i, j), i < j, with i = 0 the most significant."""
+    stream = 0
+    for j, row in enumerate(rows, 1):
+        stream = stream << j | row
+    length = n * (n - 1) // 2
+    pad = -length % 6  # the last 6-bit character is padded with zeros
+    stream <<= pad
     if n <= 62:
-        chars = [chr(n + 63)]
+        head = bytes([n + 63])
     else:
-        chars = ["~"] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    for i in range(0, len(bits_out), 6):
-        group = 0
-        for b in bits_out[i : i + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return "".join(chars).encode("ascii")
+        head = bytes([126] + [(n >> shift & 63) + 63 for shift in (12, 6, 0)])
+    return head + bytes((stream >> shift & 63) + 63 for shift in range(length + pad - 6, -1, -6))
 
 
 def to_graph6(g: Graph) -> str:
     """Standard graph6 encoding of g with its current labelling."""
-    rows = []
-    for j in range(1, g.n):
-        row = 0
-        for i in range(j):
-            row = row << 1 | (g.adj[i] >> j & 1)
-        rows.append(row)
-    return _graph6_from_rows(g.n, tuple(rows)).decode("ascii")
+    # column j is the low j bits of adj[j], reversed so that i = 0 comes first
+    columns = (int(format(g.adj[j] & (1 << j) - 1, f"0{j}b")[::-1], 2) for j in range(1, g.n))
+    return _graph6_from_rows(g.n, columns).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

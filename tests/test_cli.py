@@ -10,6 +10,7 @@ codes.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -626,6 +627,137 @@ class TestGenerateEnumerate:
         assert len(set(lines)) == len(lines)
         ns = [from_graph6(line).n for line in lines]
         assert ns == sorted(ns)
+
+
+# The help and error text as argparse prints it on Python 3.11 at 80 columns,
+# the same whichever sub-parsers ``main`` builds.
+USAGE = "usage: homhom [-h] {classify,sweep,symmetric,core,generate,enumerate} ...\n"
+TOP_HELP = USAGE + """
+Decide membership of finite graphs in the six connected-source extension-
+homogeneity classes.
+
+positional arguments:
+  {classify,sweep,symmetric,core,generate,enumerate}
+    classify            six-class report for one graph
+    sweep               classify every small graph, recognizers vs oracle
+    symmetric           two-sided extension verdict for a pair
+    core                smallest retract with a witnessing retraction
+    generate            print a named family member as graph6
+    enumerate           all graphs up to --max-n, one graph6 per line
+
+options:
+  -h, --help            show this help message and exit
+"""
+CLASSIFY_HELP = """usage: homhom classify [-h] [--g6 STRING] [--edges FILE]
+                       [--family NAME [NAME ...]] [--classes CLASSES]
+
+options:
+  -h, --help            show this help message and exit
+  --g6 STRING           graph6 input (repeatable)
+  --edges FILE          edge-list file, '-' for stdin (header 'n m', then 'u
+                        v' lines)
+  --family NAME [NAME ...]
+                        named family with integer parameters, e.g. --family
+                        bcpm 4
+  --classes CLASSES     comma-separated class list (default: all six)
+"""
+SWEEP_USAGE = """usage: homhom sweep [-h] [--max-n MAX_N] [--classes CLASSES] [--connected]
+                    [--jobs JOBS] [--out FILE] [--resume] [--force]
+"""
+SWEEP_HELP = SWEEP_USAGE + """
+options:
+  -h, --help         show this help message and exit
+  --max-n MAX_N      largest vertex count (default 6)
+  --classes CLASSES  comma-separated class list (default: all six)
+  --connected        connected graphs only
+  --jobs JOBS        worker processes (default 1)
+  --out FILE         write JSON-lines records here
+  --resume           skip graphs already in --out
+  --force            record null instead of aborting on budget
+"""
+
+
+def invalid_choice(name: str) -> str:
+    return USAGE + (
+        f"homhom: error: argument command: invalid choice: {name!r} (choose from "
+        "'classify', 'sweep', 'symmetric', 'core', 'generate', 'enumerate')\n"
+    )
+
+
+def unrecognized(text: str) -> str:
+    return USAGE + f"homhom: error: unrecognized arguments: {text}\n"
+
+
+def exit_code(argv) -> int:
+    """``main(argv)``'s result, or the status argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+HELP_CASES = [
+    ([], 2, "", USAGE + "homhom: error: the following arguments are required: command\n"),
+    (["--help"], 0, TOP_HELP, ""),
+    (["-h", "classify"], 0, TOP_HELP, ""),
+    (["classify", "--help"], 0, CLASSIFY_HELP, ""),
+    (["sweep", "-h"], 0, SWEEP_HELP, ""),
+    (["bogus"], 2, "", invalid_choice("bogus")),
+    (["clas"], 2, "", invalid_choice("clas")),
+    (["classify", "--bogus"], 2, "", unrecognized("--bogus")),
+    (["classify", "--g6", "A_", "--bogus"], 2, "", unrecognized("--bogus")),
+    (["enumerate", "--max-n", "2", "extra"], 2, "", unrecognized("extra")),
+    (
+        ["sweep", "--max-n", "x"],
+        2,
+        "",
+        SWEEP_USAGE + "homhom sweep: error: argument --max-n: invalid int value: 'x'\n",
+    ),
+    (
+        ["generate"],
+        2,
+        "",
+        "usage: homhom generate [-h] --family NAME [NAME ...]\n"
+        "homhom generate: error: the following arguments are required: --family\n",
+    ),
+    (["--", "classify", "--g6", "A_"], 2, "", invalid_choice("--")),
+]
+
+
+class TestHelpText:
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="argparse words its help and errors differently on other Python versions",
+    )
+    @pytest.mark.parametrize(
+        "argv, code, out, err", HELP_CASES, ids=[" ".join(case[0]) or "none" for case in HELP_CASES]
+    )
+    def test_text_is_pinned(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert exit_code(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_one_sub_parser_per_command(self, capsys, monkeypatch):
+        # a command builds only its own sub-parser: the top-level parser and
+        # one more; help builds all six, listed in the table's order
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert exit_code(["classify", "--g6", "A_"]) == 0
+        assert len(built) == 2
+        capsys.readouterr()
+        built.clear()
+        assert exit_code(["--help"]) == 0
+        assert len(built) == 7
+        help_lines = capsys.readouterr().out.splitlines()
+        listed = [line.split()[0] for line in help_lines if line.startswith("    ")]
+        assert listed == list(cli.COMMANDS)
+        assert sorted(listed) == ["classify", "core", "enumerate", "generate", "sweep", "symmetric"]
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -308,8 +308,11 @@ def test_canonical_form_above_ten_vertices(g):
 
 
 def test_graph6_known_encodings():
-    # nx is the reference implementation for the format
-    for g in [complete(5), cycle(6), path(3), random_graph(9, 7)]:
+    # nx is the reference implementation for the format; its atlas holds
+    # every graph on at most 6 vertices, 208 of them
+    atlas = [from_edges(len(a), a.edges()) for a in nx.graph_atlas_g() if 1 <= len(a) <= 6]
+    assert len(atlas) == 208
+    for g in [complete(5), cycle(6), path(3), random_graph(9, 7), *atlas]:
         assert to_graph6(g) == nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
 
 
