@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     Graph,
@@ -200,10 +200,13 @@ def _complete(
         k = c.bit_count()
         if k < fewest:
             v, fewest = u, k
-    row = g1.adj[v]
-    for w in bits(cand[v]):
+    row, rest = g1.adj[v], cand[v]
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
         adj_w = g2.adj[w]
-        non_adj_w = ~adj_w & ~(1 << w)
+        non_adj_w = ~(adj_w | low)
         narrowed: dict[int, int] = {}
         dead = False
         for u, c in cand.items():
@@ -285,6 +288,62 @@ def orbit_closure(mask: int, gens: Sequence[tuple[int, ...]]) -> int:
     return mask
 
 
+def _vertex_orbits(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
+    """The vertex orbits of the group ``gens`` generates, as masks ordered by
+    least vertex: each vertex not yet placed starts an orbit, closed under
+    the generators."""
+    orbits, placed = [], 0
+    for v in range(n):
+        if not placed >> v & 1:
+            orbits.append(orbit_closure(1 << v, gens))
+            placed |= orbits[-1]
+    return orbits
+
+
+def _permutation_table(p: tuple[int, ...], offset: int, size: int) -> list[int]:
+    """``t[b]`` is the image under ``p`` of the vertex mask ``b << offset``,
+    for every ``b`` below ``size``."""
+    t = [0] * size
+    for b in range(1, size):
+        low = b & -b
+        t[b] = t[b ^ low] | 1 << p[offset + low.bit_length() - 1]
+    return t
+
+
+def _mask_images(n: int, gens: Sequence[tuple[int, ...]]) -> Callable[[int], Iterable[int]]:
+    """A function streaming the image of a vertex mask under each of
+    ``gens``, through ``_permutation_table`` lookups on 8-bit chunks of the
+    mask, each table sized to the bits the graph has there.  Up to 16
+    vertices there are two chunks, looked up without a loop."""
+    if n <= 16:
+        low_size, high_size = 1 << min(n, 8), 1 << max(n - 8, 0)
+        pairs = [
+            (_permutation_table(p, 0, low_size), _permutation_table(p, 8, high_size))
+            for p in gens
+        ]
+
+        def images(q: int) -> Iterable[int]:
+            for t0, t1 in pairs:
+                yield t0[q & 255] | t1[q >> 8]
+
+        return images
+
+    offsets = range(0, n, 8)
+    tables = [
+        [_permutation_table(p, c, 1 << min(8, n - c)) for c in offsets] for p in gens
+    ]
+
+    def chunked(q: int) -> Iterable[int]:
+        chunks = [q >> c & 255 for c in offsets]
+        for row in tables:
+            im = 0
+            for t, b in zip(row, chunks):
+                im |= t[b]
+            yield im
+
+    return chunked
+
+
 def _source_representatives(
     g: Graph, connected: bool, gens: tuple[tuple[int, ...], ...]
 ) -> Iterator[list[int]]:
@@ -302,10 +361,13 @@ def _source_representatives(
     mask per orbit of a parent's automorphism group.
 
     The subsets are grown one size at a time and never filtered out of all
-    2^n.  Size 1 is the singletons.  The candidates of size k+1 are R | {v}
-    for each representative R of size k and each v outside R, adjacent to R
-    when sources must be connected.  Each candidate not yet seen has its
-    orbit closed under the generators, and the orbit's first member is kept.
+    2^n.  Size 1 is the least vertex of each vertex orbit, read off
+    ``_vertex_orbits``.  The permutation tables of ``_mask_images`` are
+    built when size 2 is asked for, so a search that stops at a single
+    vertex builds none.  The candidates of size k+1 are R | {v} for each
+    representative R of size k and each v outside R, adjacent to R when
+    sources must be connected.  Each candidate not yet seen has its orbit
+    closed under the generators, and the orbit's first member is kept.
     Every orbit of size k+1 is reached: a connected set S of size k+1 has a
     vertex whose removal leaves a connected set T (a leaf of a spanning
     tree), and if a sends T to its representative R, then a(S) = R | {a(v)}
@@ -313,28 +375,11 @@ def _source_representatives(
     do.  So each size lists the same subsets as filtering every subset and
     keeping the first of each orbit in ``tuple(bits)`` order.
     """
-    if g.n <= 16:
-        # permutation applied to a vertex mask, via lookup tables on its
-        # low 8 bits and on the rest, each sized to the bits the graph has
-        def table(p: tuple[int, ...], offset: int, size: int) -> list[int]:
-            t = [0] * size
-            for b in range(1, size):
-                low = b & -b
-                t[b] = t[b ^ low] | 1 << p[offset + low.bit_length() - 1]
-            return t
-
-        low_size, high_size = 1 << min(g.n, 8), 1 << max(g.n - 8, 0)
-        tables = [(table(p, 0, low_size), table(p, 8, high_size)) for p in gens]
-
-        def images(q: int) -> Iterable[int]:
-            for t0, t1 in tables:
-                yield t0[q & 255] | t1[q >> 8]
-
-    else:  # general fallback, reached only with a budget above 16
-
-        def images(q: int) -> Iterable[int]:
-            for p in gens:
-                yield mask_of(p[v] for v in bits(q))
+    reps = [o & -o for o in _vertex_orbits(g.n, gens)]
+    if not reps:
+        return
+    yield reps
+    images = _mask_images(g.n, gens)
 
     def growth(r: int) -> int:
         if not connected:
@@ -344,10 +389,10 @@ def _source_representatives(
             reach |= g.adj[v]
         return reach & ~r
 
-    candidates: Iterable[int] = [1 << v for v in range(g.n)]
-    for _ in range(g.n):
+    for _ in range(1, g.n):
+        candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
         seen: set[int] = set()
-        reps: list[int] = []
+        reps = []
         for m in candidates:
             if m in seen:
                 continue
@@ -368,7 +413,6 @@ def _source_representatives(
             return
         reps.sort(key=lambda m: tuple(bits(m)))
         yield reps
-        candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,11 @@ by a depth-first search keyed by the candidate images left for each
 unassigned vertex: source-kind candidates inside the subset, target-kind
 ones outside it.  Those masks fix every map below a state and whether each
 extends, so a key already seen, which held no failing map, is skipped, and
-a complete map is completed only when its outside masks are new and, for a
-homo target, the extensions found before, by this query or by another on
-the same graph, do not extend it.  The
-search meets maps in stream order, so its witness is the first failing map
-of the stream; see ``_per_map_search``.  Connected homo-homo uses the
+a complete map is completed, from its outside masks as candidates, only
+when those masks are new and, for a homo target, the extensions found
+before, by this query or by another on the same graph, do not extend it.
+The search meets maps in stream order, so its witness is the first failing
+map of the stream; see ``_per_map_search``.  Connected homo-homo uses the
 one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
 exactly when no homomorphism from a connected induced subgraph gets stuck,
 that is, has an adjacent vertex with no feasible image.  Stuckness is
@@ -57,7 +57,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .graphs import (
     Graph,
@@ -71,13 +71,14 @@ from .graphs import (
 )
 from .morphisms import (
     MorphKind,
+    _complete,
     _source_representatives,
     _variable_order,
+    _vertex_orbits,
     automorphism_generators,
     check_kind,
     complete_map,
     has_homomorphism,
-    orbit_closure,
 )
 
 
@@ -184,18 +185,6 @@ def _resolve_budget(explicit: int | None, kind: MorphKind) -> int:
 # the symmetry data of the last graph asked about
 
 
-def _orbits(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
-    """The vertex orbits of the group ``gens`` generates, as masks ordered by
-    least vertex: each vertex not yet placed starts an orbit, closed under
-    the generators."""
-    orbits, placed = [], 0
-    for v in range(n):
-        if not placed >> v & 1:
-            orbits.append(orbit_closure(1 << v, gens))
-            placed |= orbits[-1]
-    return orbits
-
-
 class _Record:
     """Total homomorphisms g1 -> g2 that per-map searches found:
     ``hold[x][w]`` masks the indices of those sending x to w, ``found``
@@ -208,6 +197,23 @@ class _Record:
         self.proved: set[tuple[int, int]] = set()
 
 
+_Layout = tuple[list[int], list[int], int, list[int], list[int]]
+
+
+def _key_layout(g1: Graph, n2: int) -> _Layout:
+    """The key layout of ``_per_map_search`` from g1 into a graph on ``n2``
+    vertices: ``at[x]`` and ``high[x]``, where vertex x's source and
+    target masks start, ``spread_all``, with bit ``at[x]`` set for every x,
+    and for each vertex v, ``near_spread[v]`` and ``far_spread[v]``, those
+    bits of v's neighbours and of the vertices neither v nor next to it."""
+    dbits = g1.n.bit_length()
+    at = [dbits + x * 2 * n2 for x in range(g1.n)]
+    spread_all = sum(1 << a for a in at)
+    near_spread = [sum(1 << at[x] for x in bits(row)) for row in g1.adj]
+    far_spread = [spread_all ^ near ^ 1 << a for near, a in zip(near_spread, at)]
+    return at, [a + n2 for a in at], spread_all, near_spread, far_spread
+
+
 class _Symmetry:
     """The symmetry data of one graph object, and the per-map search's work
     on it, shared by every oracle call on it.
@@ -215,18 +221,20 @@ class _Symmetry:
     ``generators`` is ``automorphism_generators(graph)``, and ``orbits``
     the vertex orbits of the group they generate, Aut(graph).
     ``sources(connected)`` streams ``_source_representatives`` under the
-    same generators, and ``fixers`` and ``least`` serve the per-map search;
-    each is built the first time it is asked for.  The searches from the
-    graph to itself also keep here each domain's ``[order, rims]``, built
-    at first need, and the ``record`` of every homo-target search.  All of
-    it is shared by every later call on the graph object, so callers only
-    read it, except that searches extend the record and the source lists.
+    same generators, and ``fixers``, ``least`` and the key ``layout``
+    serve the per-map search; each is built the first time it is asked
+    for.  The searches from the graph to itself also keep here each
+    domain's ``[order, rims]``, built at first need, and the ``record`` of
+    every homo-target search.
+    All of it is shared by every later call on the graph object, so
+    callers only read it, except that searches extend the record and the
+    source lists.
     """
 
     def __init__(self, g: Graph) -> None:
         self.graph = g
         self.generators = automorphism_generators(g)
-        self.orbits = _orbits(g.n, self.generators)
+        self.orbits = _vertex_orbits(g.n, self.generators)
         self._sources: dict[bool, tuple[list[int], Iterator[list[int]]]] = {}
         self._least = {0: g.full_mask}
         self.domains: dict[int, list] = {}
@@ -234,6 +242,10 @@ class _Symmetry:
     @cached_property
     def record(self) -> _Record:
         return _Record(self.graph.n, self.graph.n)
+
+    @cached_property
+    def layout(self) -> _Layout:
+        return _key_layout(self.graph, self.graph.n)
 
     @cached_property
     def fixers(self) -> list[int]:
@@ -246,7 +258,7 @@ class _Symmetry:
         generators in ``h``, a mask over their indices."""
         if h not in self._least:
             gens = [self.generators[i] for i in bits(h)]
-            self._least[h] = sum(o & -o for o in _orbits(self.graph.n, gens))
+            self._least[h] = sum(o & -o for o in _vertex_orbits(self.graph.n, gens))
         return self._least[h]
 
     def sources(self, connected: bool) -> Iterator[int]:
@@ -392,8 +404,17 @@ def _per_map_search(
     explored to the end with no failing map, else the search would have
     stopped, so skipping is exact.  A choice outside a domain vertex's
     target mask makes every map below it fail, and the first source map
-    below is returned.  A complete map is handed to ``complete_map`` only
-    when its key is new, and ``checked_maps`` counts those completions.
+    below is returned.
+
+    A complete map is completed only when its key is new, and
+    ``checked_maps`` counts those completions.  Its outside target masks
+    are exactly the candidates ``complete_map`` would build for it, and
+    the map is a target-kind morphism on its domain (every source kind
+    keeps edges, and each image of an iso target lay in its target mask),
+    so ``complete_map``'s check cannot fail.  So ``_complete`` starts from
+    those masks, keyed in ascending vertex order, which keeps its
+    tie-break, and ``complete_map``'s size rule is kept: an iso target on
+    a different number of vertices has no extension.
 
     With a homo target each extension found is recorded (the good
     recording of Jegou and Terrioux, Artif. Intell. 2003) in ``hold[x][w]``,
@@ -415,27 +436,29 @@ def _per_map_search(
     met is the first in ``enumerate_morphisms`` order, and the witness is
     the one that enumerating and completing every map would return.
 
-    A key is one int: the depth in the low ``dbits`` bits, then one
-    2 * g2.n-bit field per vertex x of g1, x's source mask in the low half
-    and its target mask in the high half.  Masks a vertex does not have
-    are zero.  Assigning v to w is ``(key & step[v][w]) + 1``: the mask
-    ANDs every neighbour's field with ``near[w]`` and every other vertex's
-    with ``far[w]``, through a product with the spread of the neighbours
-    or the others, and clears v's own field; the sum adds one to the
-    depth.  A row of ``step`` is built the first time its vertex is
-    assigned.
+    A key is one int: the depth in the low bits, then one 2 * g2.n-bit
+    field per vertex x of g1, x's source mask in the low half and its
+    target mask in the high half.  Masks a vertex does not have are zero.
+    Assigning v to w is ``(key & step[v][w]) + 1``: the mask ANDs every
+    neighbour's field with ``near[w]`` and every other vertex's with
+    ``far[w]``, through a product with the spread of the neighbours or the
+    others, and clears v's own field; the sum adds one to the depth.  A
+    row of ``step`` is built the first time its vertex is assigned.  The
+    field offsets and spreads, ``_key_layout``, depend only on g1 and
+    g2.n, so the searches from a graph to itself read the one its
+    ``_Symmetry`` keeps.
     """
     n1, n2, full2, adj2 = g1.n, g2.n, g2.full_mask, g2.adj
     src_iso = query.source is MorphKind.ISO
     src_inj = query.source is not MorphKind.HOMO
     tgt_iso = query.target is MorphKind.ISO
     track = tgt_iso and not src_iso  # domain vertices carry target masks
-    dbits = n1.bit_length()
-    at = [dbits + x * 2 * n2 for x in range(n1)]
-    depth_bits = (1 << dbits) - 1
-    spread_all = sum(1 << a for a in at)
-    near_spread = [sum(1 << at[x] for x in bits(row)) for row in g1.adj]
-    far_spread = [spread_all ^ near_spread[v] ^ 1 << at[v] for v in range(n1)]
+    # an isomorphism needs as many vertices on both sides
+    extendable = not tgt_iso or n1 == n2
+    depth_bits = (1 << n1.bit_length()) - 1
+    shared = sym2 is not None and sym2.graph is g1
+    layout = sym2.layout if shared else _key_layout(g1, n2)
+    at, high, spread_all, near_spread, far_spread = layout
     near: list[int] = []
     far: list[int] = []
     for w in range(n2):
@@ -452,11 +475,9 @@ def _per_map_search(
     step: list[list[int] | None] = [None] * n1
     note = f"no total {query.target.value} extension exists"
     checked = 0
-    shared = sym2 is not None and sym2.graph is g1
     domains = sym2.domains if shared else {}
     # only homo targets record
-    rec = sym2.record if shared and not tgt_iso else _Record(n1, n2)
-    high = [a + n2 for a in at]
+    rec = None if tgt_iso else sym2.record if shared else _Record(n1, n2)
 
     for domain in sources:
         entry = domains.get(domain)
@@ -464,6 +485,7 @@ def _per_map_search(
             entry = domains[domain] = [_variable_order(g1, domain), None]
         order = entry[0]
         inside = sum(1 << at[x] for x in bits(domain))
+        rest = list(bits(g1.full_mask ^ domain))
         outside = spread_all if track else spread_all ^ inside
         start = full2 * inside | (full2 << n2) * outside
         seen: set[int] = set()
@@ -474,27 +496,30 @@ def _per_map_search(
             key, images, doomed, h = stack.pop()
             depth = len(images)
             if depth == len(order):
-                if not doomed and rec.found:
-                    if entry[1] is None:
-                        entry[1] = _rims(g1, domain, high, full2)
-                    if _recorded(key, entry[1], rec, high, full2):
-                        continue
-                phi = dict(zip(order, images))
                 if not doomed:
+                    if rec is not None and rec.found:
+                        if entry[1] is None:
+                            entry[1] = _rims(g1, domain, high, full2)
+                        if _recorded(key, entry[1], rec, high, full2):
+                            continue
                     checked += 1
-                    ext = complete_map(g1, g2, phi, query.target)
-                    if ext is not None:
-                        if not tgt_iso:
+                    ext: dict[int, int] = {}
+                    if extendable and _complete(
+                        g1, g2, tgt_iso, {x: key >> high[x] & full2 for x in rest}, ext
+                    ):
+                        if rec is not None:
                             bit, rec.found = 1 << rec.found, rec.found + 1
+                            ext.update(zip(order, images))
                             for x, w in ext.items():
                                 rec.hold[x][w] |= bit
                         continue
+                phi = dict(zip(order, images))
                 return OracleResult(False, Witness(domain, phi, None, note), checked)
             v = order[depth]
             cand = key >> at[v] & full2
             if h:
                 cand &= sym2.least(h)
-            allowed = key >> at[v] + n2 & full2 if track else full2
+            allowed = key >> high[v] & full2 if track else full2
             row = step[v]
             if row is None:
                 near_v, far_v = near_spread[v], far_spread[v]
@@ -502,9 +527,12 @@ def _per_map_search(
                     depth_bits | near[w] * near_v | far[w] * far_v for w in range(n2)
                 ]
             children = []
-            for w in bits(cand):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                w = low.bit_length() - 1
                 child = (key & row[w]) + 1
-                dooms = doomed or not allowed >> w & 1
+                dooms = doomed or not allowed & low
                 if not dooms:
                     if child in seen:
                         continue

@@ -41,9 +41,12 @@ from homhom.graphs import (
 )
 from homhom.morphisms import (
     MorphKind,
+    _mask_images,
+    _permutation_table,
     _source_representatives,
     _variable_order,
     automorphism_generators,
+    check_kind,
     complete_map,
     enumerate_morphisms,
 )
@@ -63,6 +66,8 @@ HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
 # see TestEngineAgreement.test_one_point_results_are_pinned
 ONE_POINT_SHA256 = "f6f95ed7d3a9cb80b5f5ac392922fd9096a08a4fb5d13c1dfb62164b5c53b5dd"
+# see TestKeyedPerMapSearch.test_per_map_results_are_pinned
+PER_MAP_SHA256 = "e208e44bd7833a57bb4bfd5dbcd0619b7203ab974f7675b8c6d2a6b0560fefc4"
 
 
 def memberships(g: Graph) -> dict[str, bool]:
@@ -246,6 +251,25 @@ class TestSourceRepresentatives:
         g = cycle_graph(16)
         assert grown_sources(g, True, reduce) == brute_force_sources(g, True, reduce)
 
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(17), cycle_graph(20), bcpm_graph(9)],
+        ids=["K17", "cycle20", "bcpm9"],
+    )
+    def test_chunk_tables_above_sixteen_vertices(self, g, rebind):
+        # above 16 vertices the tables cover 8-bit chunks, the last one
+        # shorter; the first three sizes must be those got by applying each
+        # permutation vertex by vertex
+        gens = automorphism_generators(g)
+        got = list(itertools.islice(_source_representatives(g, True, gens), 3))
+
+        def vertex_by_vertex(n: int, perms: tuple) -> Callable:
+            return lambda q: [mask_of(p[v] for v in bits(q)) for p in perms]
+
+        rebind(_mask_images, vertex_by_vertex)
+        want = list(itertools.islice(_source_representatives(g, True, gens), 3))
+        assert got == want and [popcount(level[0]) for level in got] == [1, 2, 3]
+
 
 def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, dict]:
     """The per-map search without keys: every source map on each orbit
@@ -299,11 +323,21 @@ class TestLazySources:
         assert built_once(built) and len(built) == len({popcount(m) for m in eager})
 
     def test_search_stopping_early_builds_no_larger_size(self, rebind):
-        # path 9's iso-iso fails on a single vertex: only size 1 is built
-        built = []
+        # path 9's iso-iso fails on a single vertex: only size 1 is built,
+        # read off the vertex orbits, so no permutation table is built
+        # until a reader asks for size 2
+        built, tables = [], []
         rebind(_source_representatives, level_recorder(built))
-        res = is_class_member(path_graph(9), query_for_code("iso-iso"))
+        rebind(
+            _permutation_table,
+            lambda *args: tables.append(args) or _permutation_table(*args),
+        )
+        g = path_graph(9)
+        res = is_class_member(g, query_for_code("iso-iso"))
         assert not res.holds and [size for _, _, size in built] == [1]
+        assert tables == []
+        assert len(list(itertools.islice(oracle._symmetry(g).sources(True), 6))) == 6
+        assert [size for _, _, size in built] == [1, 2] and tables
 
 
 class TestKeyedPerMapSearch:
@@ -405,6 +439,49 @@ class TestKeyedPerMapSearch:
                         assert a.domain_mask == b.domain_mask, (g1, g2, q)
                         assert list(a.mapping.items()) == list(b.mapping.items())
 
+    def test_per_map_results_are_pinned(self):
+        # SHA-256 of one line per decision, (graph6 of g1 [and g2], class,
+        # holds, checked_maps, witness domain and mapping in stream order):
+        # the six classes through the per-map engine on each graph with at
+        # most 6 vertices, one object asked in turn, and the five per-map
+        # classes on every ordered pair of graphs with at most 4
+        def line(names, code, res):
+            w = res.witness
+            wit = "-" if w is None else f"{w.domain_mask} {list(w.mapping.items())}"
+            return f"{' '.join(names)} {code} {res.holds} {res.checked_maps} {wit}"
+
+        lines = [
+            line([to_graph6(g)], code, oracle._per_map(g, g, query_for_code(code)))
+            for g in enumerate_graphs(6, connected_only=False)
+            for code in CLASS_CODES
+        ]
+        small = list(enumerate_graphs(4, connected_only=False))
+        per_map = [(code, query_for_code(code)) for code in CLASS_CODES[:5]]
+        lines += [
+            line([to_graph6(a), to_graph6(b)], code, extension_morphic(a, b, q))
+            for a in small
+            for b in small
+            for code, q in per_map
+        ]
+        assert len(lines) == 208 * 6 + 18 * 18 * 5
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == PER_MAP_SHA256
+
+    def test_built_symmetry_leaves_no_checked_completion(self, rebind):
+        # once a graph's symmetry data is built, a per-map call completes
+        # maps straight from their keys: no complete_map and no check_kind
+        calls = []
+        rebind(complete_map, lambda *args: calls.append(args) or complete_map(*args))
+        rebind(check_kind, lambda *args: calls.append(args) or check_kind(*args))
+        for g in (rook_graph(3), petersen_graph(), multiclaw_graph(2, 1, (3, 3))):
+            oracle._symmetry(g)
+            calls.clear()
+            checked = sum(
+                is_class_member(g, query_for_code(code)).checked_maps
+                for code in CLASS_CODES[:5]
+            )
+            assert checked and calls == [], g
+
     def test_population_counter_gate(self):
         # the five per-map classes, asked in turn of each of the 208 graphs
         # with at most 6 vertices, complete 2 229 maps; 2 814 with a record
@@ -416,7 +493,7 @@ class TestKeyedPerMapSearch:
             for g in enumerate_graphs(6, connected_only=False)
             for code in CLASS_CODES[:5]
         )
-        assert total <= 2_229
+        assert total == 2_229
 
 
 class TestRecordedExtensions:
@@ -433,7 +510,7 @@ class TestRecordedExtensions:
             oracle._per_map(g, g, q).checked_maps
             for g in enumerate_graphs(6, connected_only=False)
         )
-        assert total <= 800  # 760; 3 010 without the recorded extensions
+        assert total == 760  # 3 010 without the recorded extensions
 
     def test_passed_rims_are_told_apart_by_their_vertices(self):
         # the failing map leaves an outside vertex with no candidate image,
