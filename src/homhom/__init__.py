@@ -42,7 +42,6 @@ from .graphs import (
     from_graph6,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     to_edge_list_text,
     to_graph6,
 )
@@ -52,6 +51,7 @@ from .morphisms import (
     core_of,
     enumerate_morphisms,
     has_homomorphism,
+    is_isomorphic,
 )
 from .oracle import (
     BUDGET_ENV_VAR,

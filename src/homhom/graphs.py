@@ -152,7 +152,7 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# connectivity and distances
+# connectivity
 
 
 def _reach(rows: Sequence[int], start_bit: int, within: int) -> int:
@@ -193,49 +193,6 @@ def connected_components(g: Graph) -> list[int]:
     return comps
 
 
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """BFS distance from u to v; None if v is unreachable from u."""
-    if u == v:
-        return 0
-    reached = 1 << u
-    frontier = 1 << u
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for w in bits(frontier):
-            nxt |= g.adj[w]
-        frontier = nxt & ~reached
-        if frontier >> v & 1:
-            return d
-        reached |= frontier
-    return None
-
-
-def eccentricity(g: Graph, u: int) -> int:
-    """Largest BFS distance from u; requires that u reaches every vertex."""
-    reached = 1 << u
-    frontier = 1 << u
-    d = 0
-    while True:
-        nxt = 0
-        for w in bits(frontier):
-            nxt |= g.adj[w]
-        frontier = nxt & ~reached
-        if not frontier:
-            break
-        reached |= frontier
-        d += 1
-    if reached != g.full_mask:
-        raise ValueError("eccentricity undefined: graph is not connected")
-    return d
-
-
-def diameter(g: Graph) -> int:
-    """Largest pairwise distance; raises on disconnected input."""
-    return max(eccentricity(g, u) for u in range(g.n))
-
-
 def bipartition(g: Graph) -> tuple[int, int] | None:
     """A 2-colouring (side_x_mask, side_y_mask) or None if none exists.
 
@@ -264,23 +221,6 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
         if g.adj[v] & own:
             return None
     return x, y
-
-
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle; None for forests.
-
-    Brute force: delete each edge in turn and measure the detour distance.
-    Fine at this package's graph sizes.
-    """
-    best: int | None = None
-    for u, v in g.edges():
-        rows = list(g.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        d = distance(Graph(g.n, tuple(rows)), u, v)
-        if d is not None and (best is None or d + 1 < best):
-            best = d + 1
-    return best
 
 
 def induced_cycle_lengths(g: Graph) -> frozenset[int]:
@@ -359,83 +299,6 @@ def _complement_rows(g: Graph) -> list[int]:
 
 def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple(_complement_rows(g)))
-
-
-# ---------------------------------------------------------------------------
-# induced-subgraph embedding and isomorphism
-
-
-def find_induced_embedding(pattern: Graph, host: Graph) -> dict[int, int] | None:
-    """A map realising ``pattern`` as an induced subgraph of ``host``, or None.
-
-    Backtracking over pattern vertices in a connectivity-aware order with
-    bitmask candidate filtering (adjacency, non-adjacency, degree).  The first
-    embedding in ascending candidate order is returned — deterministic.
-    """
-    if pattern.n > host.n:
-        return None
-    # order pattern vertices: heaviest first, then prefer vertices with an
-    # already-placed neighbour (keeps candidate sets tight)
-    order: list[int] = []
-    placed = 0
-    degs = [popcount(r) for r in pattern.adj]
-    while len(order) < pattern.n:
-        cands = [
-            v
-            for v in range(pattern.n)
-            if not placed >> v & 1 and (not order or pattern.adj[v] & placed)
-        ]
-        if not cands:
-            cands = [v for v in range(pattern.n) if not placed >> v & 1]
-        v = max(cands, key=lambda v: (degs[v], -v))
-        order.append(v)
-        placed |= 1 << v
-    host_degs = [popcount(r) for r in host.adj]
-    host_nonadj = [host.full_mask & ~row & ~(1 << v) for v, row in enumerate(host.adj)]
-    image: list[int | None] = [None] * pattern.n
-    used = 0
-
-    def assign(i: int) -> dict[int, int] | None:
-        nonlocal used
-        if i == pattern.n:
-            return {v: image[v] for v in range(pattern.n)}  # type: ignore[misc]
-        v = order[i]
-        cand = host.full_mask & ~used
-        for u in range(pattern.n):
-            if image[u] is None:
-                continue
-            if pattern.adj[v] >> u & 1:
-                cand &= host.adj[image[u]]
-            else:
-                cand &= host_nonadj[image[u]]
-            if not cand:
-                return None
-        for w in bits(cand):
-            if host_degs[w] < degs[v]:
-                continue
-            image[v] = w
-            used |= 1 << w
-            found = assign(i + 1)
-            if found is not None:
-                return found
-            image[v] = None
-            used &= ~(1 << w)
-        return None
-
-    return assign(0)
-
-
-def embeds(pattern: Graph, host: Graph) -> bool:
-    """True iff ``pattern`` appears as an induced subgraph of ``host``."""
-    return find_induced_embedding(pattern, host) is not None
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(map(popcount, g1.adj)) != sorted(map(popcount, g2.adj)):
-        return False
-    return find_induced_embedding(g1, g2) is not None
 
 
 # ---------------------------------------------------------------------------

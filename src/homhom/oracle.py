@@ -752,6 +752,8 @@ def validate_witness(g1: Graph, g2: Graph, query: ClassQuery, wit: Witness) -> b
         return False
     if set(wit.mapping) != set(bits(wit.domain_mask)):
         return False
+    if any(not 0 <= w < g2.n for w in wit.mapping.values()):
+        return False
     if not check_kind(g1, g2, wit.mapping, query.source):
         return False
     return complete_map(g1, g2, wit.mapping, query.target) is None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .families import (
     FamilyDescriptor,
@@ -37,12 +37,12 @@ from .graphs import (
     degree,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     mask_of,
     max_degree,
     neighbors,
     popcount,
 )
+from .morphisms import is_isomorphic
 from .oracle import (
     BudgetExceededError,
     Witness,
@@ -637,16 +637,6 @@ def _chh_case(comps: list[Graph], fams: list[dict[str, ChhFamily]]) -> str | Non
 # --------------------------------------------------------------------------
 
 
-def _isomorphic_components(g: Graph) -> Graph | None:
-    """The common component when all components of ``g`` are isomorphic."""
-    comps = [induced_subgraph(g, m) for m in connected_components(g)]
-    first = comps[0]
-    for comp in comps[1:]:
-        if comp.n != first.n or comp.edge_count() != first.edge_count() or not is_isomorphic(comp, first):
-            return None
-    return first
-
-
 def complete_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
     """Sorted part sizes if ``g`` is complete multipartite (2+ parts), else
     None: the complement must be a disjoint union of 2+ cliques."""
@@ -682,32 +672,45 @@ def _cii_component_family(c: Graph) -> FamilyDescriptor | None:
     return None
 
 
+def _single_key(g: Graph, key: Callable[[Graph], Hashable | None]) -> Hashable | None:
+    """The common ``key`` of every component of ``g``, or None when a
+    component's key is None or two components' keys differ."""
+    common = None
+    for m in connected_components(g):
+        k = key(induced_subgraph(g, m))
+        if k is None or common not in (None, k):
+            return None
+        common = k
+    return common
+
+
 def classify_cii(g: Graph) -> FamilyDescriptor | None:
     """Family descriptor if ``g`` is a disjoint union of copies of a single
-    iso-iso family member, else None."""
-    common = _isomorphic_components(g)
-    if common is None:
-        return None
-    return _cii_component_family(common)
+    iso-iso family member, else None.  A descriptor fixes its member up to
+    isomorphism, so equal descriptors mean isomorphic components."""
+    return _single_key(g, _cii_component_family)
+
+
+def _cmi_shape(c: Graph) -> tuple[str, int] | None:
+    """Shape of one connected component, in the fixed test order: complete
+    n, cycle n, or K_{s,s} with s >= 2."""
+    n = c.n
+    if c.edge_count() == n * (n - 1) // 2:
+        return "complete", n
+    if n >= 3 and all(degree(c, v) == 2 for v in range(n)):
+        return "cycle", n
+    parts = bipartition(c)
+    if parts is not None:
+        s = popcount(parts[0])
+        if s >= 2 and s == popcount(parts[1]) and c.edge_count() == s * s:
+            return "kss", s
+    return None
 
 
 def is_cmi(g: Graph) -> bool:
     """Whether ``g`` is a disjoint union of copies of one of: a complete
     graph, a complete bipartite graph with equal parts, or a cycle."""
-    c = _isomorphic_components(g)
-    if c is None:
-        return False
-    n = c.n
-    if c.edge_count() == n * (n - 1) // 2:
-        return True
-    if n >= 3 and all(degree(c, v) == 2 for v in range(n)):
-        return True
-    parts = bipartition(c)
-    if parts is not None:
-        s = popcount(parts[0])
-        if s >= 2 and s == popcount(parts[1]) and c.edge_count() == s * s:
-            return True
-    return False
+    return _single_key(g, _cmi_shape) is not None
 
 
 def is_chi(g: Graph) -> bool:

@@ -37,10 +37,9 @@ from homhom.graphs import (
     from_edges,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     to_graph6,
 )
-from homhom.morphisms import core_of
+from homhom.morphisms import core_of, is_isomorphic
 from homhom.oracle import (
     CLASS_CODES,
     extension_symmetric,

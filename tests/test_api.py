@@ -2,15 +2,19 @@
 
 Each of the six classes has one definition, so a decider needs no switch
 beyond ``budget``, the library face of ``HOMHOM_BUDGET``.  The engine is
-fixed by the query and the canonical form by the graph alone.
+fixed by the query and the canonical form by the graph alone.  And every
+function or class of the library modules has a caller in ``src``.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import homhom
 from homhom import graphs, oracle, recognizers
 
 POSITIONAL = inspect.Parameter.POSITIONAL_OR_KEYWORD
@@ -44,3 +48,48 @@ def test_no_module_wide_option_defaults():
     # the canonical form has no vertex cap
     assert not hasattr(oracle, "DEFAULT_STATE_LIMIT")
     assert not hasattr(graphs, "DEFAULT_CANONICAL_BOUND")
+
+
+# -- every library definition has a caller ------------------------------------
+
+LIBRARY_MODULES = ("graphs", "morphisms", "families", "oracle", "recognizers")
+
+# the recognizers' test reference for square-only cycles, and a traced layer
+CALLERLESS_ALLOWED = {"graphs.induced_cycle_lengths"}
+
+
+def _names_used(node: ast.AST, exports: bool) -> set[str]:
+    """Names that ``node`` reads, as bare names or attributes.  Import lines
+    count only where they export (``exports``): an import is not a use."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias) and exports:
+            used.add(sub.name)
+    return used
+
+
+def test_every_library_definition_has_a_caller():
+    # found by walking the syntax trees, so that a docstring saying
+    # "distance-hereditary" is no reference to a function ``distance``
+    src = Path(homhom.__file__).parent
+    defined: list[tuple[str, str]] = []
+    uses: list[tuple[str, str, set[str]]] = []
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", "")
+            if module in LIBRARY_MODULES and isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)
+            ):
+                defined.append((module, owner))
+            uses.append((module, owner, _names_used(node, exports=module == "__init__")))
+    callerless = {
+        f"{module}.{name}"
+        for module, name in defined
+        if not any(name in used for m, o, used in uses if (m, o) != (module, name))
+    }
+    assert callerless == CALLERLESS_ALLOWED

@@ -33,7 +33,8 @@ from homhom.families import (
     enumerate_graphs,
     path_graph,
 )
-from homhom.graphs import Graph, from_graph6, is_isomorphic, to_graph6
+from homhom.graphs import Graph, from_graph6, to_graph6
+from homhom.morphisms import is_isomorphic
 from homhom.oracle import CLASS_CODES
 
 

@@ -18,24 +18,19 @@ from homhom.graphs import (
     complement,
     connected_components,
     connected_within,
-    diameter,
     disjoint_union,
-    distance,
     edge_complete_union,
-    embeds,
-    find_induced_embedding,
     from_edge_list_text,
     from_edges,
     from_graph6,
-    girth,
     induced_cycle_lengths,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     mask_of,
     to_edge_list_text,
     to_graph6,
 )
+from homhom.morphisms import is_isomorphic
 
 # -- small fixtures ---------------------------------------------------------
 
@@ -124,7 +119,7 @@ def test_induced_subgraph_on_every_vertex_is_the_graph_itself():
     assert induced_subgraph(g, g.full_mask) is g
 
 
-# -- connectivity, distance, diameter ----------------------------------------
+# -- connectivity -------------------------------------------------------------
 
 
 def test_connectivity_basics():
@@ -133,16 +128,6 @@ def test_connectivity_basics():
     assert connected_components(g) == [mask_of([0, 1, 2]), mask_of([3, 4])]
     assert connected_within(g, mask_of([0, 1]))
     assert not connected_within(g, mask_of([0, 3]))
-    assert distance(g, 0, 3) is None
-    with pytest.raises(ValueError):
-        diameter(g)
-
-
-def test_distance_and_diameter_on_cycles():
-    c6 = cycle(6)
-    assert distance(c6, 0, 3) == 3
-    assert diameter(c6) == 3
-    assert diameter(path(4)) == 4
 
 
 # -- bipartition --------------------------------------------------------------
@@ -169,16 +154,7 @@ def test_bipartition_matches_networkx(g):
             assert (x >> u & 1) != (x >> v & 1)
 
 
-# -- girth and induced cycles --------------------------------------------------
-
-
-def test_girth_facts():
-    assert girth(path(3)) is None
-    assert girth(cycle(5)) == 5
-    assert girth(complete(4)) == 3
-    # 6-cycle with a long diagonal: shortest cycle is a square
-    two_sq = from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(2, 5)])
-    assert girth(two_sq) == 4
+# -- induced cycles -----------------------------------------------------------
 
 
 def test_induced_cycle_lengths():
@@ -213,43 +189,6 @@ def test_edge_complete_union_builds_complete_multipartite():
 def test_complement_involution():
     g = random_graph(7, 1234)
     assert complement(complement(g)) == g
-
-
-# -- embedding / isomorphism -----------------------------------------------------
-
-
-def test_embeds_basics():
-    assert embeds(path(2), cycle(6))
-    assert not embeds(path(2), complete(4))  # induced: the 2-path needs a non-edge
-    assert embeds(complete(3), complete(4))
-    assert not embeds(cycle(4), cycle(6))  # no induced square in a hexagon
-    assert embeds(cycle(6), cycle(6))
-
-
-def test_find_induced_embedding_returns_valid_map():
-    m = find_induced_embedding(path(2), cycle(6))
-    assert m is not None
-    ends = [v for k, v in m.items()]
-    assert len(set(ends)) == 3
-
-
-@given(graph_strategy, st.integers(0, 10**6))
-@settings(max_examples=150, deadline=None)
-def test_is_isomorphic_on_relabelled_copies(g, seed):
-    import random
-
-    rng = random.Random(seed)
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    h = from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert is_isomorphic(g, h)
-
-
-def test_is_isomorphic_distinguishes():
-    # same degree sequence (all 2s): triangle+triangle vs hexagon
-    g1 = disjoint_union(complete(3), complete(3))
-    g2 = cycle(6)
-    assert not is_isomorphic(g1, g2)
 
 
 # -- canonical form ----------------------------------------------------------------

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
+from collections import Counter, defaultdict
 
 import networkx as nx
 import pytest
@@ -27,7 +29,6 @@ from homhom.graphs import (
     bits,
     disjoint_union,
     from_edges,
-    is_isomorphic,
     mask_of,
     popcount,
 )
@@ -41,6 +42,7 @@ from homhom.morphisms import (
     core_of,
     enumerate_morphisms,
     has_homomorphism,
+    is_isomorphic,
     orbit_closure,
 )
 from homhom.oracle import is_class_member, query_for_code
@@ -72,6 +74,19 @@ def random_graph(n: int, seed: int) -> Graph:
 graph_strategy = st.builds(
     random_graph, n=st.integers(1, 6), seed=st.integers(0, 10**6)
 )
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
 
 
 def reference_variable_order(g: Graph, domain_mask: int) -> list[int]:
@@ -237,6 +252,59 @@ class TestCompletion:
             gc.enable()
 
 
+class TestIsomorphism:
+    @given(
+        st.builds(random_graph, n=st.integers(1, 9), seed=st.integers(0, 10**6)),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_relabelled_copies(self, g, seed):
+        assert is_isomorphic(g, relabelled(g, random.Random(seed)))
+
+    def test_distinguishes(self):
+        # same degree sequence (all 2s): triangle+triangle vs hexagon
+        assert not is_isomorphic(disjoint_union(complete_graph(3), complete_graph(3)), cycle_graph(6))
+        assert is_isomorphic(cycle_graph(6), cycle_graph(6))
+
+    def test_agrees_with_networkx_on_equal_degree_sequences(self):
+        # every pair of graphs with at most 6 vertices that shares a degree
+        # sequence, the second relabelled, so only the search tells them apart
+        rng = random.Random(6)
+        groups = defaultdict(list)
+        for g in enumerate_graphs(6, connected_only=False):
+            groups[g.n, tuple(sorted(map(popcount, g.adj)))].append(g)
+        verdicts = Counter()
+        for group in groups.values():
+            for g1, g2 in itertools.combinations_with_replacement(group, 2):
+                h = relabelled(g2, rng)
+                same = is_isomorphic(g1, h)
+                assert same == nx.is_isomorphic(to_nx(g1), to_nx(h)), (g1, g2)
+                verdicts[same] += 1
+        assert verdicts[True] == 208 and verdicts[False] > 0
+
+    def test_shrikhande_is_not_rook4(self, shrikhande):
+        # the one input that passes the rook(4) filters of the iso-iso
+        # recognizer without being rook(4)
+        rook = rook_graph(4)
+        assert shrikhande.edge_count() == rook.edge_count()
+        assert sorted(map(popcount, shrikhande.adj)) == sorted(map(popcount, rook.adj))
+        assert not is_isomorphic(shrikhande, rook)
+        assert not nx.is_isomorphic(to_nx(shrikhande), to_nx(rook))
+        assert is_isomorphic(shrikhande, relabelled(shrikhande, random.Random(16)))
+        assert is_isomorphic(rook, relabelled(rook, random.Random(16)))
+
+    def test_induced_embedding_facts(self):
+        # the induced-embedding reference of the recognizer tests
+        def embeds(pattern, host):
+            return next(enumerate_morphisms(pattern, host, ISO), None) is not None
+
+        assert embeds(path_graph(2), cycle_graph(6))
+        assert not embeds(path_graph(2), complete_graph(4))  # the 2-path needs a non-edge
+        assert embeds(complete_graph(3), complete_graph(4))
+        assert not embeds(cycle_graph(4), cycle_graph(6))  # no induced square in a hexagon
+        assert embeds(cycle_graph(6), cycle_graph(6))
+
+
 class TestAutomorphisms:
     @pytest.mark.parametrize(
         "g, order",
@@ -289,9 +357,7 @@ class TestAutomorphisms:
     @given(graph_strategy)
     @settings(max_examples=25, deadline=None)
     def test_matches_networkx(self, g):
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges())
+        nxg = to_nx(g)
         matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
         auts = enumerate_morphisms(g, g, ISO)
         assert sum(1 for _ in auts) == sum(1 for _ in matcher.isomorphisms_iter())

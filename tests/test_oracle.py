@@ -54,6 +54,7 @@ from homhom.oracle import (
     CLASS_CODES,
     BudgetExceededError,
     ClassQuery,
+    Witness,
     extension_morphic,
     extension_symmetric,
     is_class_member,
@@ -864,6 +865,16 @@ class TestBetweenGraphs:
         assert validate_witness(c6, p4, q, res.witness)
         phi = {i: i for i in range(5)}
         assert validate_witness(c6, p4, q, type(res.witness)(0b011111, phi))
+
+    @pytest.mark.parametrize("image", [99, 5, -1])
+    def test_witness_with_an_image_outside_the_target_is_refused(self, image):
+        # a map into a vertex that g2 does not have is no morphism: refused
+        # like every other invalid witness, not raised on
+        c5 = cycle_graph(5)
+        for code in CLASS_CODES:
+            q = query_for_code(code)
+            assert validate_witness(c5, c5, q, Witness(1, {0: image})) is False, code
+            assert validate_witness(c5, c5, q, Witness(0b11, {0: 0, 1: image})) is False, code
 
     @pytest.mark.parametrize("g1, g2", [("E?CW", "EKYW"), ("EBj?", "E_Cw")])
     def test_seeds_use_the_targets_own_orbits(self, g1, g2):

@@ -6,6 +6,7 @@ import itertools
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,18 +39,15 @@ from homhom.graphs import (
     connected_components,
     connected_within,
     disjoint_union,
-    embeds,
     from_edges,
-    girth,
     induced_cycle_lengths,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     max_degree,
     popcount,
     to_graph6,
 )
-from homhom.morphisms import _source_representatives
+from homhom.morphisms import MorphKind, _source_representatives, enumerate_morphisms, is_isomorphic
 from homhom.oracle import (
     extension_symmetric,
     is_class_member,
@@ -104,6 +102,18 @@ def mask(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def embeds(pattern: Graph, host: Graph) -> bool:
+    """Reference induced-subgraph test: some induced embedding exists."""
+    return next(enumerate_morphisms(pattern, host, MorphKind.ISO), None) is not None
+
+
+def to_nx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
 
 
 class TestKnTreelike:
@@ -564,6 +574,86 @@ class TestIsCmiAndIsChi:
         assert not is_chi(cycle_graph(4))
 
 
+def common_component_by_pairs(g: Graph) -> Graph | None:
+    """The common component when every component of ``g`` is isomorphic to
+    the first: the pairwise definition that the descriptors replaced."""
+    comps = [induced_subgraph(g, m) for m in connected_components(g)]
+    if all(is_isomorphic(c, comps[0]) for c in comps[1:]):
+        return comps[0]
+    return None
+
+
+def cmi_by_pairs(g: Graph) -> bool:
+    c = common_component_by_pairs(g)
+    if c is None:
+        return False
+    n = c.n
+    if c.edge_count() == n * (n - 1) // 2:
+        return True
+    if n >= 3 and all(popcount(row) == 2 for row in c.adj):
+        return True
+    parts = bipartition(c)
+    return parts is not None and popcount(parts[0]) == popcount(parts[1]) >= 2 and (
+        c.edge_count() == popcount(parts[0]) ** 2
+    )
+
+
+def prism() -> Graph:
+    # K3 x K2: 3-regular on 6 vertices with 9 edges, like K_{3,3}
+    return from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+class TestUnionsAgainstPairwiseIsomorphism:
+    def members(self, shrikhande) -> list[Graph]:
+        # named members and near misses; rook(4) and Shrikhande, K_{3,3}
+        # and the prism, and C4 and K_{2,2} share n, m and degrees
+        return [
+            complete_graph(2),
+            complete_graph(3),
+            cycle_graph(4),
+            cycle_graph(5),
+            cycle_graph(6),
+            cycle_graph(10),
+            regular_multipartite_graph(2, 3),
+            prism(),
+            path_graph(2),
+            bcpm_graph(4),
+            petersen_graph(),
+            rook_graph(4),
+            shrikhande,
+        ]
+
+    def test_cii_and_cmi_agree_on_unions_of_two_to_four(self, shrikhande):
+        rng = random.Random(23)
+        seen = Counter()
+        names = set()
+        for k in (2, 3, 4):
+            for parts in itertools.combinations_with_replacement(self.members(shrikhande), k):
+                if sum(p.n for p in parts) > 64:
+                    continue
+                u = disjoint_union(*parts)
+                perm = list(range(u.n))
+                rng.shuffle(perm)
+                g = from_edges(u.n, [(perm[a], perm[b]) for a, b in u.edges()])
+                common = common_component_by_pairs(g)
+                expected = None if common is None else classify_cii(common)
+                assert classify_cii(g) == expected, to_graph6(u)
+                assert is_cmi(g) == cmi_by_pairs(g), to_graph6(u)
+                seen["cii", expected is not None] += 1
+                seen["cmi", is_cmi(g)] += 1
+                names.add(to_graph6(u))
+        # C6 + K3 + K3 and 2 C5 + C10 are among them
+        assert to_graph6(disjoint_union(complete_graph(3), complete_graph(3), cycle_graph(6))) in names
+        assert to_graph6(disjoint_union(cycle_graph(5), cycle_graph(5), cycle_graph(10))) in names
+        # one copy of each member, 2 to 4 times over, and no other union
+        assert seen == {
+            ("cii", True): 30,
+            ("cii", False): 2_336,
+            ("cmi", True): 21,
+            ("cmi", False): 2_345,
+        }
+
+
 class TestMulticlawParameters:
     def test_generated_multiclaws_round_trip(self):
         for clique, blob, counts in [
@@ -606,6 +696,16 @@ class TestRecognizerOracleAgreement:
                 orc = is_class_member(g, query_for_code(code)).holds
                 assert rec == orc, f"{code} on {to_graph6(g)}"
 
+    def test_shrikhande_graph(self, shrikhande):
+        # it passes the rook(4) degree filter of the iso-iso recognizer; both
+        # roads say "no" to every recognizer class, with valid witnesses
+        for code in ("iso-iso", "mono-iso", "homo-iso", "homo-homo"):
+            q = query_for_code(code)
+            res = is_class_member(shrikhande, q, budget=16)
+            assert recognizer_verdict(shrikhande, code) is False, code
+            assert not res.holds, code
+            assert validate_witness(shrikhande, shrikhande, q, res.witness), code
+
     def test_recognizer_verdict_is_none_for_oracle_only_classes(self):
         assert recognizer_verdict(cycle_graph(5), "iso-homo") is None
         assert recognizer_verdict(cycle_graph(5), "mono-homo") is None
@@ -623,8 +723,8 @@ class TestStructuralLaws:
 
     def test_girth_of_members_is_three_four_or_six(self):
         for g in self.members(6):
-            gi = girth(g)
-            assert gi in (None, 3, 4, 6), to_graph6(g)
+            gi = nx.girth(to_nx(g))
+            assert gi in (float("inf"), 3, 4, 6), to_graph6(g)
 
     def test_members_with_long_squares_have_small_diameter(self):
         # a member embedding a six-cycle or the two-squares graph satisfies
@@ -632,9 +732,7 @@ class TestStructuralLaws:
         for g in self.members(6):
             if b1_holds(g) or is_kn_treelike(g) is not None:
                 continue
-            from homhom.graphs import diameter
-
-            assert diameter(g) <= 3, to_graph6(g)
+            assert nx.diameter(to_nx(g)) <= 3, to_graph6(g)
 
     def test_neighbourhoods_are_equal_cliques(self):
         # inside one member every vertex neighbourhood splits into cliques
