@@ -11,7 +11,6 @@ cross-verifies them exhaustively on small graphs.
 from .families import (
     FAMILY_TAGS,
     FamilyDescriptor,
-    TreeOfCliques,
     bcpm_graph,
     biclique_chain,
     clebsch_graph,
@@ -21,7 +20,6 @@ from .families import (
     empty_graph,
     enumerate_graphs,
     make,
-    make_treelike,
     multiclaw_graph,
     path_graph,
     pcm_example_graph,
@@ -36,7 +34,6 @@ from .graphs import (
     complement,
     connected_components,
     disjoint_union,
-    edge_complete_union,
     from_edge_list_text,
     from_edges,
     from_graph6,
@@ -67,7 +64,6 @@ from .oracle import (
     validate_witness,
 )
 from .recognizers import (
-    CHH_CASES,
     CHH_FAMILY_KINDS,
     ChhFamily,
     ClassEntry,

@@ -302,7 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweeping all graphs on up to {args.max_n} vertices is outside the "
             f"supported budget ({ENUMERATION_SOFT_CAP}); pass --force to try anyway"
         )
-    position = {to_graph6(g): i for i, g in enumerate(graphs)}
+    graph6s = [to_graph6(g) for g in graphs]
     done: set[str] = set()
     if args.resume and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -318,7 +318,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         f"a sweep record ({type(exc).__name__}: {exc})"
                     ) from None
     payloads = [
-        (g6, tuple(codes), args.force) for g6 in position if g6 not in done
+        (g6, tuple(codes), args.force) for g6 in graph6s if g6 not in done
     ]
     # --out is opened before the sweep, so that a path that cannot be
     # written is refused before any work is done; it is opened for appending
@@ -338,7 +338,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 records = list(pool.imap(_sweep_worker, payloads, chunksize=8))
         else:
             records = [_sweep_worker(p) for p in payloads]
-        records.sort(key=lambda r: position[r["graph6"]])
         if args.out and not done:
             fh.truncate(0)
         for rec in records:

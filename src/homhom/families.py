@@ -195,142 +195,46 @@ def multiclaw_graph(clique_size: int, blob_size: int, blob_counts: tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# trees of blocks
+# chains of blocks
 
 
-@dataclass(frozen=True)
-class TreeOfCliques:
-    """Blocks glued at single shared vertices along a tree.
-
-    ``blocks`` are either all ints (complete blocks, all of the same size)
-    or all (m, n) pairs (complete bipartite blocks, sizes may vary).
-    ``glues`` entries (block_a, vertex_a, block_b, vertex_b) identify one
-    vertex of block_a with one of block_b; a vertex may take part in several
-    glues, but each pair of blocks is glued at most once and the block-level
-    structure must be a tree.
-    """
-
-    blocks: tuple[int | tuple[int, int], ...]
-    glues: tuple[tuple[int, int, int, int], ...] = ()
-
-    def block_order(self, index: int) -> int:
-        b = self.blocks[index]
-        return b if isinstance(b, int) else b[0] + b[1]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        kinds = {isinstance(b, int) for b in self.blocks}
-        if len(kinds) != 1:
-            raise ValueError("blocks must be all complete or all bipartite")
-        if isinstance(self.blocks[0], int):
-            sizes = set(self.blocks)
-            if len(sizes) != 1:
-                raise ValueError("complete blocks must all have the same size")
-            if self.blocks[0] < 2:
-                raise ValueError("complete blocks need size >= 2")
-        else:
-            for b in self.blocks:
-                if b[0] < 1 or b[1] < 1:  # type: ignore[index]
-                    raise ValueError("bipartite blocks need both sides >= 1")
-        seen_pairs = set()
-        for ia, va, ib, vb in self.glues:
-            if ia == ib:
-                raise ValueError("a block cannot be glued to itself")
-            for i, v in ((ia, va), (ib, vb)):
-                if not 0 <= i < len(self.blocks):
-                    raise ValueError(f"glue mentions unknown block {i}")
-                if not 0 <= v < self.block_order(i):
-                    raise ValueError(f"glue mentions vertex {v} outside block {i}")
-            key = (min(ia, ib), max(ia, ib))
-            if key in seen_pairs:
-                raise ValueError(f"blocks {key} glued more than once")
-            seen_pairs.add(key)
-        # the block incidence structure must be a tree: n-1 glues, connected
-        if len(self.glues) != len(self.blocks) - 1:
-            raise ValueError("block structure must be a tree (block count - 1 glues)")
-        reach = {0}
-        frontier = [0]
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.blocks))}
-        for ia, _, ib, _ in self.glues:
-            adj[ia].append(ib)
-            adj[ib].append(ia)
-        while frontier:
-            nxt = [j for i in frontier for j in adj[i] if j not in reach]
-            reach.update(nxt)
-            frontier = nxt
-        if len(reach) != len(self.blocks):
-            raise ValueError("block structure must be a tree (connected)")
-
-
-def make_treelike(shape: TreeOfCliques) -> Graph:
-    """Build the glued graph; vertices are numbered by their earliest
-    (block index, in-block index) appearance."""
-    # union-find over (block, local vertex)
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x: tuple[int, int]) -> tuple[int, int]:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ia, va, ib, vb in shape.glues:
-        ra, rb = find((ia, va)), find((ib, vb))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    ids: dict[tuple[int, int], int] = {}
-    for i, _ in enumerate(shape.blocks):
-        for v in range(shape.block_order(i)):
-            root = find((i, v))
-            if root not in ids:
-                ids[root] = len(ids)
-    if len(ids) > 64:
-        raise ValueError(f"glued graph would have {len(ids)} > 64 vertices")
-
-    def vid(i: int, v: int) -> int:
-        return ids[find((i, v))]
-
-    edges = set()
-    for i, b in enumerate(shape.blocks):
-        if isinstance(b, int):
-            local = itertools.combinations(range(b), 2)
-        else:
-            m, n = b
-            local = ((u, m + w) for u in range(m) for w in range(n))
-        for u, w in local:
-            a, c = vid(i, u), vid(i, w)
-            if a == c:
-                raise ValueError("a glue identified two vertices of one block")
-            edges.add((min(a, c), max(a, c)))
-    return from_edges(len(ids), sorted(edges))
+def _chain(block_edges: list[tuple[int, int]], step: int, count: int) -> Graph:
+    """``count`` copies of one block on vertices 0..step, copy i shifted to
+    i*step..i*step+step, so consecutive copies share one vertex."""
+    n = count * step + 1
+    if n > 64:
+        raise ValueError(f"glued graph would have {n} > 64 vertices")
+    return from_edges(
+        n, [(i * step + u, i * step + w) for i in range(count) for u, w in block_edges]
+    )
 
 
 def clique_chain(clique_size: int, count: int) -> Graph:
     """Chain of ``count`` complete blocks of ``clique_size``, consecutive
-    blocks sharing one vertex (the canonical concrete clique-tree shape)."""
+    blocks sharing one vertex (the canonical concrete clique-tree shape).
+
+    Block i is vertices i*s..i*s+s with s = clique_size - 1."""
     if count < 1:
         raise ValueError("need at least one block")
     if count == 1:
         return complete_graph(clique_size)
-    shape = TreeOfCliques(
-        blocks=(clique_size,) * count,
-        glues=tuple((i, clique_size - 1, i + 1, 0) for i in range(count - 1)),
-    )
-    return make_treelike(shape)
+    if clique_size < 2:
+        raise ValueError("complete blocks need size >= 2")
+    return _chain(list(itertools.combinations(range(clique_size), 2)), clique_size - 1, count)
 
 
 def biclique_chain(side_a: int, side_b: int, count: int) -> Graph:
     """Chain of ``count`` complete bipartite blocks K_{side_a, side_b},
-    consecutive blocks sharing one vertex."""
+    consecutive blocks sharing one vertex.
+
+    Block i is vertices i*s..i*s+s with s = side_a + side_b - 1, side a
+    first: its edges are (i*s+u, i*s+side_a+w)."""
     if count < 1:
         raise ValueError("need at least one block")
     m, n = side_a, side_b
-    shape = TreeOfCliques(
-        blocks=((m, n),) * count,
-        glues=tuple((i, m + n - 1, i + 1, 0) for i in range(count - 1)),
-    )
-    return make_treelike(shape)
+    if m < 1 or n < 1:
+        raise ValueError("bipartite blocks need both sides >= 1")
+    return _chain([(u, m + w) for u in range(m) for w in range(n)], m + n - 1, count)
 
 
 # ---------------------------------------------------------------------------

@@ -277,21 +277,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, tuple(rows))
 
 
-def edge_complete_union(*graphs: Graph) -> Graph:
-    """Disjoint union plus every edge between distinct argument blocks (join)."""
-    base = disjoint_union(*graphs)
-    total = base.n
-    full = (1 << total) - 1
-    rows = list(base.adj)
-    offset = 0
-    for g in graphs:
-        block = ((1 << g.n) - 1) << offset
-        for v in bits(block):
-            rows[v] |= full & ~block
-        offset += g.n
-    return Graph(total, tuple(rows))
-
-
 def _complement_rows(g: Graph) -> list[int]:
     full = g.full_mask
     return [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]

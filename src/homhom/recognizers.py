@@ -530,39 +530,35 @@ def chh_symmetric(g1: Graph, g2: Graph) -> bool:
     """
     fams = []
     for g in (g1, g2):
-        fam = is_chh_connected(g)
-        if fam is None:
+        fam = {f.kind: f for f in chh_connected_families(g)}
+        if not fam:
             raise ValueError("chh_symmetric requires both graphs to be connected homo-homo graphs")
         fams.append(fam)
+    f1, f2 = fams
     if g1.n == 1 or g2.n == 1:
         return g1.n == 1 and g2.n == 1
-    t1 = is_kn_treelike(g1)
-    t2 = is_kn_treelike(g2)
+    t1, t2 = (f["clique-tree"].order if "clique-tree" in f else None for f in fams)
     if (t1 is not None and t1 >= 3) or (t2 is not None and t2 >= 3):
         return t1 == t2
     # both bipartite from here on
-    if b1_holds(g1) and b1_holds(g2):
+    if "square-only-bipartite" in f1 and "square-only-bipartite" in f2:
         return True
     if not (b2_holds(g1) and b2_holds(g2)):
         return False
-    order1, order2 = is_bcpm(g1), is_bcpm(g2)
-    if order1 is not None and order2 is not None:
-        return order1 == order2  # matching complements are isomorphic iff equal order
+    if "matching-complement" in f1 and "matching-complement" in f2:
+        # matching complements are isomorphic iff equal order
+        return f1["matching-complement"].order == f2["matching-complement"].order
     d1, d2 = max_degree(g1), max_degree(g2)
     if d1 == d2:
         return True
-    small, big = (g1, g2) if d1 < d2 else (g2, g1)
-    if b2_star_holds(small):
+    small, big = (f1, g2) if d1 < d2 else (f2, g1)
+    if "part-dominated-bipartite" in small:
         return True
     # The smaller-degree graph is a matching complement of order n; the
     # larger satisfies the part-domination condition, so symmetry comes down
     # to the larger graph being free of the order-n pattern.
-    order = is_bcpm(small)
-    assert order is not None
+    order = small["matching-complement"].order
     return embeds_pcm(big, order) is None
-
-
-CHH_CASES = ("a", "b", "c", "d", "e")
 
 
 def is_chh(g: Graph) -> str | None:

@@ -15,14 +15,13 @@ import random
 import pytest
 
 from homhom.families import (
-    TreeOfCliques,
     bcpm_graph,
     clebsch_graph,
     clique_chain,
     complete_graph,
     cycle_graph,
     enumerate_graphs,
-    make_treelike,
+    multiclaw_graph,
     path_graph,
     pcm_example_graph,
     petersen_graph,
@@ -35,6 +34,7 @@ from homhom.graphs import (
     canonical_form,
     connected_components,
     from_edges,
+    from_graph6,
     induced_subgraph,
     is_connected,
     to_graph6,
@@ -345,15 +345,10 @@ def test_core_laws_on_small_graphs_and_clique_trees(small_graphs, oracle_verdict
         for b in range(1, max_blocks + 1):
             shapes.append((k, clique_chain(k, b)))
         if max_blocks >= 3:
-            star = TreeOfCliques(
-                blocks=(k,) * 3, glues=((0, 0, 1, 0), (0, 0, 2, 0))
-            )
-            shapes.append((k, make_treelike(star)))
-    branched = TreeOfCliques(
-        blocks=(3,) * 5,
-        glues=((0, 1, 1, 0), (1, 2, 2, 0), (1, 1, 3, 0), (2, 1, 4, 0)),
-    )
-    shapes.append((3, make_treelike(branched)))
+            # three cliques sharing vertex 0
+            shapes.append((k, multiclaw_graph(1, k - 1, (3,))))
+    # five triangles: a chain of four with the fifth on the second
+    shapes.append((3, from_graph6("JySGW_P@?G_")))
     for k, g in shapes:
         assert g.n <= 12
         assert is_isomorphic(core_of(g), complete_graph(k)), (k, g.n)

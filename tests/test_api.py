@@ -3,7 +3,8 @@
 Each of the six classes has one definition, so a decider needs no switch
 beyond ``budget``, the library face of ``HOMHOM_BUDGET``.  The engine is
 fixed by the query and the canonical form by the graph alone.  And every
-function or class of the library modules has a caller in ``src``.
+function or class of the library modules has a caller in ``src``, and every
+name the package exports is read somewhere.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ CALLERLESS_ALLOWED = {"graphs.induced_cycle_lengths"}
 
 
 def _names_used(node: ast.AST, exports: bool) -> set[str]:
-    """Names that ``node`` reads, as bare names or attributes.  Import lines
-    count only where they export (``exports``): an import is not a use."""
+    """Names that ``node`` reads, as loaded bare names or attributes; an
+    assignment is not a read.  Import lines count only where they export
+    (``exports``): an import is not a use."""
     used = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             used.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             used.add(sub.attr)
@@ -93,3 +95,24 @@ def test_every_library_definition_has_a_caller():
         if not any(name in used for m, o, used in uses if (m, o) != (module, name))
     }
     assert callerless == CALLERLESS_ALLOWED
+
+
+def test_every_export_is_read():
+    # an export is read when ``src`` outside ``__init__``, the tests or the
+    # benchmark load it by name or as an attribute; importing it, or
+    # assigning to it, is no read
+    src = Path(homhom.__file__).parent
+    repo = Path(__file__).resolve().parent.parent
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(repo / "tests").rglob("*.py"), *(repo / "perfbench").rglob("*.py")]
+    read = set().union(
+        *(_names_used(ast.parse(p.read_text(encoding="utf-8")), exports=False) for p in paths)
+    )
+    assert sorted(exported - read) == []

@@ -13,7 +13,6 @@ import pytest
 from homhom.families import (
     FAMILY_TAGS,
     FamilyDescriptor,
-    TreeOfCliques,
     bcpm_graph,
     biclique_chain,
     clebsch_graph,
@@ -23,7 +22,6 @@ from homhom.families import (
     empty_graph,
     enumerate_graphs,
     make,
-    make_treelike,
     multiclaw_graph,
     path_graph,
     pcm_example_graph,
@@ -180,13 +178,12 @@ class TestTreelike:
         assert clique_chain(4, 1).n == 4
 
     def test_star_of_cliques(self):
-        # three triangles all sharing one vertex
-        shape = TreeOfCliques(
-            blocks=(3, 3, 3), glues=((0, 0, 1, 0), (1, 0, 2, 0))
-        )
-        g = make_treelike(shape)
-        assert g.n == 7
-        assert degree(g, 0) == 6  # the shared vertex (first seen) meets all
+        # three triangles all sharing one vertex: the clique first, then
+        # the three blobs
+        g = multiclaw_graph(1, 2, (3,))
+        assert g.n == 7 and g.edge_count() == 9
+        assert degree(g, 0) == 6  # the shared vertex meets all
+        assert induced_cycle_lengths(g) == frozenset({3})
 
     def test_biclique_chain_shape(self):
         g = biclique_chain(2, 3, 2)
@@ -194,22 +191,49 @@ class TestTreelike:
         assert is_isomorphic(biclique_chain(1, 1, 3), path_graph(3))
 
     @pytest.mark.parametrize(
-        "blocks, glues",
+        "fn, args, message",
         [
-            ((), ()),  # no blocks
-            ((3, (2, 2)), ()),  # mixed kinds
-            ((3, 4), ((0, 0, 1, 0),)),  # unequal complete sizes
-            ((1,), ()),  # complete block too small
-            (((0, 2),), ()),  # empty bipartite side
-            ((3, 3), ((0, 0, 0, 1),)),  # self glue
-            ((3, 3), ((0, 0, 1, 3),)),  # vertex outside block
-            ((3, 3, 3), ((0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 0, 1))),  # cycle
-            ((3, 3), ()),  # disconnected (too few glues)
+            (clique_chain, (3, 0), "need at least one block"),
+            (clique_chain, (3, -1), "need at least one block"),
+            (biclique_chain, (2, 2, 0), "need at least one block"),
+            (clique_chain, (1, 2), "complete blocks need size >= 2"),
+            (clique_chain, (0, 3), "complete blocks need size >= 2"),
+            (biclique_chain, (0, 2, 1), "bipartite blocks need both sides >= 1"),
+            (biclique_chain, (2, -1, 2), "bipartite blocks need both sides >= 1"),
+            (clique_chain, (3, 32), "glued graph would have 65 > 64 vertices"),
+            (biclique_chain, (4, 4, 10), "glued graph would have 71 > 64 vertices"),
         ],
     )
-    def test_rejects_bad_shapes(self, blocks, glues):
-        with pytest.raises(ValueError):
-            TreeOfCliques(blocks=blocks, glues=glues)
+    def test_rejects_bad_shapes(self, fn, args, message):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == message
+
+    def test_chain_layouts_pinned(self):
+        # every chain and every rejection over a grid of parameters, bad
+        # ones included, hashed so that a change to a vertex id shows
+        def line(name, fn, *args):
+            try:
+                out = to_graph6(fn(*args))
+            except ValueError as e:
+                out = f"ValueError: {e}"
+            return " ".join([name, *map(str, args), out])
+
+        lines = [
+            line("clique_chain", clique_chain, k, c)
+            for k in range(-1, 12)
+            for c in range(-1, 40)
+        ]
+        lines += [
+            line("biclique_chain", biclique_chain, a, b, c)
+            for a in range(-1, 8)
+            for b in range(-1, 8)
+            for c in range(-1, 30)
+        ]
+        assert len(lines) == 3044
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "180bd0e91c80a75e167217924f42b357ea44c8ad26bf08aac0e1f72cc878ff1e"
+        )
 
 
 class TestDescriptors:

@@ -19,7 +19,6 @@ from homhom.graphs import (
     connected_components,
     connected_within,
     disjoint_union,
-    edge_complete_union,
     from_edge_list_text,
     from_edges,
     from_graph6,
@@ -178,8 +177,8 @@ def test_induced_cycles_against_networkx_chordless(g):
 # -- unions, complement ---------------------------------------------------------
 
 
-def test_edge_complete_union_builds_complete_multipartite():
-    g = edge_complete_union(complement(complete(2)), complement(complete(3)))
+def test_complement_of_clique_union_is_complete_multipartite():
+    g = complement(disjoint_union(complete(2), complete(3)))
     # K_{2,3}: sides {0,1} and {2,3,4}
     assert g.edge_count() == 6
     assert all(g.has_edge(i, j) for i in range(2) for j in range(2, 5))
