@@ -9,7 +9,6 @@ cross-verifies them exhaustively on small graphs.
 """
 
 from .families import (
-    FAMILY_TAGS,
     FamilyDescriptor,
     bcpm_graph,
     biclique_chain,
@@ -19,7 +18,6 @@ from .families import (
     cycle_graph,
     empty_graph,
     enumerate_graphs,
-    make,
     multiclaw_graph,
     path_graph,
     pcm_example_graph,
@@ -45,7 +43,6 @@ from .graphs import (
 from .morphisms import (
     MorphKind,
     core_mask,
-    core_of,
     enumerate_morphisms,
     has_homomorphism,
     is_isomorphic,
@@ -71,7 +68,6 @@ from .recognizers import (
     PcmCertificate,
     Verdict,
     b1_holds,
-    b2_holds,
     b2_star_holds,
     chh_connected_families,
     chh_symmetric,
@@ -81,7 +77,6 @@ from .recognizers import (
     embeds_pcm,
     is_bcpm,
     is_chh,
-    is_chh_connected,
     is_chi,
     is_cmi,
     is_kn_treelike,

@@ -287,7 +287,6 @@ FAMILIES = {
     )
 }
 _BY_TAG = {f.tag: f for f in FAMILIES.values() if f.tag is not None}
-FAMILY_TAGS = tuple(_BY_TAG)
 
 
 @dataclass(frozen=True)
@@ -307,11 +306,6 @@ class FamilyDescriptor:
             return self.tag.lower()
         inner = ",".join(map(str, self.params))
         return f"{self.tag.lower()}({inner})"
-
-
-def make(desc: FamilyDescriptor) -> Graph:
-    """Build the graph a descriptor names; raises ValueError on bad params."""
-    return _BY_TAG[desc.tag].build(*desc.params)
 
 
 # ---------------------------------------------------------------------------

@@ -448,8 +448,3 @@ def core_mask(g: Graph) -> int:
                 found, key=lambda m: (canonical_form(induced_subgraph(g, m)), m)
             )
     raise AssertionError("identity is always a retraction")  # pragma: no cover
-
-
-def core_of(g: Graph) -> Graph:
-    """The core as a standalone graph (vertices relabelled ascending)."""
-    return induced_subgraph(g, core_mask(g))

@@ -12,7 +12,6 @@ no known structural description and stay with the search oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -163,22 +162,6 @@ def _connected_bipartition(g: Graph) -> tuple[int, int] | None:
     return bipartition(g)
 
 
-def b2_holds(g: Graph) -> bool:
-    """Connected bipartite, and every k-subset of a part (k up to the maximum
-    degree) has a common neighbour.  False when not connected bipartite."""
-    parts = _connected_bipartition(g)
-    if parts is None:
-        return False
-    dmax = max_degree(g)
-    for part in parts:
-        verts = list(bits(part))
-        for k in range(1, min(dmax, len(verts)) + 1):
-            for combo in itertools.combinations(verts, k):
-                if common_neighbors(g, mask_of(combo)) == 0:
-                    return False
-    return True
-
-
 def b2_star_holds(g: Graph) -> bool:
     """Connected bipartite and each (nonempty) part has a common neighbour."""
     parts = _connected_bipartition(g)
@@ -260,88 +243,53 @@ def validate_pcm_certificate(g: Graph, cert: PcmCertificate, n: int) -> bool:
     return True
 
 
-def _complement_matching(g: Graph, z_list: list[int], w_list: list[int]) -> dict[int, int] | None:
-    """Matching saturating ``z_list`` with distinct non-neighbours from
-    ``w_list`` (augmenting-path search), or None."""
-    owner: dict[int, int] = {}
-
-    def assign(z: int, seen: set[int]) -> bool:
-        for w in w_list:
-            if w in seen or (neighbors(g, z) >> w) & 1:
-                continue
-            seen.add(w)
-            if w not in owner or assign(owner[w], seen):
-                owner[w] = z
-                return True
-        return False
-
-    for z in z_list:
-        if not assign(z, set()):
-            return None
-    return {z: w for w, z in owner.items()}
-
-
-def _may_hold_pcm(g: Graph, z_side: int, w_side: int, n: int) -> bool:
-    """Whether a bipartite host could hold a pattern with its small part in
-    ``z_side`` and its target part in ``w_side``: that side needs n
-    vertices, and two vertices of ``z_side`` need distinct non-neighbours in
-    it.  Two such vertices exist exactly when at least two vertices miss
-    something there and, together, they miss at least two vertices."""
-    if popcount(w_side) < n:
-        return False
-    missed = [w_side & ~neighbors(g, z) for z in bits(z_side)]
-    missed = [m for m in missed if m]
-    union = 0
-    for m in missed:
-        union |= m
-    return len(missed) >= 2 and popcount(union) >= 2
-
-
 def embeds_pcm(g: Graph, n: int) -> PcmCertificate | None:
-    """Smallest (by vertex count, then lexicographic) complement-matching
-    pattern with target part size ``n`` inside ``g``, or None when ``g`` is
-    PCM(n)-free.  n must be at least 3.
+    """A complement-matching pattern with target part size ``n`` inside the
+    bipartite host ``g``, or None when ``g`` is PCM(n)-free.  Raises
+    ValueError when n < 3 or ``g`` is not bipartite.
 
-    Brute force over vertex subsets, after one exact early exit.  A pattern
-    is connected, so in a bipartite host its two parts lie on opposite
-    sides of the host's bipartition, each z opposite its matched w.  When
-    neither side can hold the small part (see ``_may_hold_pcm``), no
-    pattern exists and the search is skipped; a complete bipartite host
-    always exits here.  Other hosts still take the search, which is
-    exponential in n.
+    A pattern is connected, so its parts Z and W lie on opposite sides of
+    the host's bipartition; try each side as the home of Z.  Let S be that
+    side.  Split S into the components of S with its neighbours, and drop
+    every z whose neighbourhood is its whole component's; repeat until
+    nothing is dropped.  A component left whose neighbourhood N has at
+    least n vertices meets ``pcm_extract``'s preconditions: it is connected
+    and bipartite, and every z left misses a vertex of N.  So the
+    extraction finds a pattern, and a pattern induced in the component is
+    induced in ``g``.  Conversely, a pattern's z is never dropped: its
+    component's neighbourhood contains N(Z), which contains W, and z misses
+    its matched vertex of W.  Z with N(Z) is connected, so Z stays inside
+    one component, whose neighbourhood has at least |W| = n vertices.  At
+    most |S| rounds of one linear pass each.  The pattern returned is the
+    extraction's, not the smallest.
     """
     if n < 3:
         raise ValueError(f"the pattern's target part size must be at least 3, got {n}")
     parts = bipartition(g)
-    if parts is not None and not any(
-        _may_hold_pcm(g, z_side, w_side, n) for z_side, w_side in (parts, parts[::-1])
-    ):
-        return None
-    for size in range(n + 2, min(2 * n, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            mask = mask_of(combo)
-            if not connected_within(g, mask):
-                continue
-            sub = induced_subgraph(g, mask)
-            parts = bipartition(sub)
-            if parts is None:
-                continue
-            verts = sorted(combo)
-            side_a = [verts[i] for i in bits(parts[0])]
-            side_b = [verts[i] for i in bits(parts[1])]
-            for z_list, w_list in ((side_a, side_b), (side_b, side_a)):
-                if len(w_list) != n or not 2 <= len(z_list) <= n:
-                    continue
-                matching = _complement_matching(g, z_list, w_list)
-                if matching is None:
-                    continue
-                cert = PcmCertificate(
-                    z_mask=mask_of(z_list),
-                    w_mask=mask_of(w_list),
-                    matching=tuple(sorted(matching.items())),
+    if parts is None:
+        raise ValueError("the host of a complement-matching pattern must be bipartite")
+    for z_side, w_side in (parts, parts[::-1]):
+        while True:
+            comps = []
+            rest = z_side
+            while rest:
+                comp = _reach(g.adj, rest & -rest, z_side | w_side)
+                rest &= ~comp
+                comps.append((comp & z_side, comp & w_side))
+            full = mask_of(z for zs, ws in comps for z in bits(zs) if g.adj[z] == ws)
+            if not full:
+                break
+            z_side &= ~full
+        for zs, ws in comps:
+            if popcount(ws) >= n:
+                old = list(bits(zs | ws))
+                sub_w = mask_of(i for i, v in enumerate(old) if ws >> v & 1)
+                cert = pcm_extract(induced_subgraph(g, zs | ws), sub_w, n)
+                return PcmCertificate(
+                    z_mask=mask_of(old[i] for i in bits(cert.z_mask)),
+                    w_mask=mask_of(old[i] for i in bits(cert.w_mask)),
+                    matching=tuple((old[z], old[w]) for z, w in cert.matching),
                 )
-                assert validate_pcm_certificate(g, cert, n)
-                return cert
     return None
 
 
@@ -508,12 +456,6 @@ def chh_connected_families(g: Graph) -> tuple[ChhFamily, ...]:
     return tuple(matches)
 
 
-def is_chh_connected(g: Graph) -> ChhFamily | None:
-    """First matching homo-homo family of a connected graph, or None."""
-    matches = chh_connected_families(g)
-    return matches[0] if matches else None
-
-
 def chh_symmetric(g1: Graph, g2: Graph) -> bool:
     """Whether two connected homo-homo graphs are homo-homo symmetric: every
     homomorphism from a connected induced subgraph of either into the other
@@ -522,9 +464,9 @@ def chh_symmetric(g1: Graph, g2: Graph) -> bool:
     Decision ladder: a single vertex pairs only with a single vertex; a
     clique tree with blocks of size >= 3 pairs only with a same-size clique
     tree; two square-only bipartite graphs always pair; otherwise both must
-    satisfy the every-subset common-neighbour condition, and then: two
-    matching complements pair only when equal, equal maximum degrees always
-    pair, a part-dominated smaller-degree graph always pairs, and a
+    be part-dominated or matching complements, and then: two matching
+    complements pair only when equal, equal maximum degrees always pair, a
+    part-dominated smaller-degree graph always pairs, and a
     matching-complement smaller-degree graph pairs exactly when the larger
     graph is free of the corresponding complement-matching pattern.
     """
@@ -543,7 +485,15 @@ def chh_symmetric(g1: Graph, g2: Graph) -> bool:
     # both bipartite from here on
     if "square-only-bipartite" in f1 and "square-only-bipartite" in f2:
         return True
-    if not (b2_holds(g1) and b2_holds(g2)):
+    # Both need a common neighbour for each subset of a part of up to the
+    # maximum degree D.  Part-dominated graphs and matching complements have
+    # one (in bcpm(m) a set of at most m - 1 vertices misses a vertex, whose
+    # partner sees the rest), and no other connected bipartite graph does.
+    # If a part X has none, |X| > D and every D-subset of X is N(y) for its
+    # own y, so C(|X|, D) <= |Y|.  If Y has none either, also C(|Y|, D) <=
+    # |X|, so |X| = |Y| = D + 1: bcpm(D + 1).  If Y has one, |Y| <= D <
+    # C(|X|, D), a contradiction.
+    if not all("part-dominated-bipartite" in f or "matching-complement" in f for f in fams):
         return False
     if "matching-complement" in f1 and "matching-complement" in f2:
         # matching complements are isomorphic iff equal order
@@ -617,14 +567,8 @@ def _chh_case(comps: list[Graph], fams: list[dict[str, ChhFamily]]) -> str | Non
     if len(orders) != 1:
         return None
     order = orders.pop()
-    for comp in others:
-        # A part-dominated component embedding the order-n pattern has a
-        # vertex adjacent to all n pattern targets, so max degree <= n-1
-        # already guarantees pattern-freeness.
-        if max_degree(comp) <= order - 1:
-            continue
-        if embeds_pcm(comp, order) is not None:
-            return None
+    if any(embeds_pcm(comp, order) is not None for comp in others):
+        return None
     return "e"
 
 

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 
 from homhom.families import (
-    FAMILY_TAGS,
+    FAMILIES,
     FamilyDescriptor,
     bcpm_graph,
     biclique_chain,
@@ -21,7 +21,6 @@ from homhom.families import (
     cycle_graph,
     empty_graph,
     enumerate_graphs,
-    make,
     multiclaw_graph,
     path_graph,
     pcm_example_graph,
@@ -253,9 +252,10 @@ class TestDescriptors:
             (FamilyDescriptor("PCM_EXAMPLE", (5,)), pcm_example_graph(5)),
             (FamilyDescriptor("MULTICLAW", (1, 2, 2, 2)), multiclaw_graph(1, 2, (2, 2))),
         ]
-        assert {c[0].tag for c in cases} == set(FAMILY_TAGS)
+        by_tag = {f.tag: f for f in FAMILIES.values() if f.tag is not None}
+        assert {c[0].tag for c in cases} == set(by_tag)
         for desc, expected in cases:
-            assert make(desc) == expected
+            assert by_tag[desc.tag].build(*desc.params) == expected
 
     def test_descriptor_validation(self):
         with pytest.raises(ValueError, match="^unknown family tag 'NO_SUCH_FAMILY'$"):

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homhom import recognizers
 from homhom.cli import build_family
 from homhom.families import (
+    FAMILIES,
     FamilyDescriptor,
     bcpm_graph,
     clebsch_graph,
@@ -21,7 +23,6 @@ from homhom.families import (
     cycle_graph,
     empty_graph,
     enumerate_graphs,
-    make,
     multiclaw_graph,
     path_graph,
     pcm_example_graph,
@@ -35,6 +36,7 @@ from homhom.graphs import (
     bipartition,
     bits,
     canonical_form,
+    common_neighbors,
     complement,
     connected_components,
     connected_within,
@@ -63,8 +65,8 @@ from homhom.recognizers import (
     _clique_partition,
     _known_one_sided_note,
     b1_holds,
-    b2_holds,
     b2_star_holds,
+    chh_case_and_families,
     chh_connected_families,
     chh_symmetric,
     classify,
@@ -73,7 +75,6 @@ from homhom.recognizers import (
     embeds_pcm,
     is_bcpm,
     is_chh,
-    is_chh_connected,
     is_chi,
     is_cmi,
     is_kn_treelike,
@@ -102,6 +103,13 @@ def mask(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def chain_graph(s: int) -> Graph:
+    """The chain graph with sides of s: x_i ~ y_j iff i + j <= s - 1, so the
+    neighbourhoods on each side are nested.  Connected, part-dominated and
+    free of every complement-matching pattern."""
+    return from_edges(2 * s, [(i, s + j) for i in range(s) for j in range(s - i)])
 
 
 def embeds(pattern: Graph, host: Graph) -> bool:
@@ -165,17 +173,17 @@ class TestBipartitePredicates:
 
     def test_b2_profiles(self):
         # (b2, b2*, bcpm order) triples
-        assert (b2_holds(bcpm_graph(4)), b2_star_holds(bcpm_graph(4)), is_bcpm(bcpm_graph(4))) == (True, False, 4)
-        assert (b2_holds(cycle_graph(6)), b2_star_holds(cycle_graph(6)), is_bcpm(cycle_graph(6))) == (True, False, 3)
-        assert (b2_holds(complete_graph(2)), b2_star_holds(complete_graph(2)), is_bcpm(complete_graph(2))) == (True, True, None)
+        assert (b2_by_subsets(bcpm_graph(4)), b2_star_holds(bcpm_graph(4)), is_bcpm(bcpm_graph(4))) == (True, False, 4)
+        assert (b2_by_subsets(cycle_graph(6)), b2_star_holds(cycle_graph(6)), is_bcpm(cycle_graph(6))) == (True, False, 3)
+        assert (b2_by_subsets(complete_graph(2)), b2_star_holds(complete_graph(2)), is_bcpm(complete_graph(2))) == (True, True, None)
         assert b2_star_holds(STAR5)
         assert b2_star_holds(pcm_example_graph(4))
         assert b2_star_holds(two_squares_graph())
-        assert not b2_holds(path_graph(4))
+        assert not b2_by_subsets(path_graph(4))
 
     def test_b2_false_outside_connected_bipartite(self):
-        assert not b2_holds(complete_graph(3))
-        assert not b2_holds(disjoint_union(complete_graph(2), complete_graph(2)))
+        assert not b2_by_subsets(complete_graph(3))
+        assert not b2_by_subsets(disjoint_union(complete_graph(2), complete_graph(2)))
         assert not b2_star_holds(complete_graph(3))
 
     def test_bcpm_recognizes_only_the_matching_complements(self):
@@ -190,10 +198,10 @@ class TestBipartitePredicates:
         # part has a common neighbour.  The single vertex is the one
         # degenerate exception (vacuous B2, no neighbour at all), so start
         # at two vertices.
-        for g in enumerate_graphs(6, connected_only=True):
+        for g in enumerate_graphs(7, connected_only=True):
             if g.n < 2 or bipartition(g) is None:
                 continue
-            assert b2_holds(g) == (is_bcpm(g) is not None or b2_star_holds(g)), to_graph6(g)
+            assert b2_by_subsets(g) == (is_bcpm(g) is not None or b2_star_holds(g)), to_graph6(g)
 
 
 class TestPcmCertificates:
@@ -234,7 +242,7 @@ class TestEmbedsPcm:
 
     def test_first_certificate_in_matching_complement_four(self):
         cert = embeds_pcm(bcpm_graph(4), 4)
-        assert cert == PcmCertificate(z_mask=mask([4, 5]), w_mask=mask([0, 1, 2, 3]), matching=((4, 0), (5, 1)))
+        assert cert == PcmCertificate(z_mask=mask([0, 1]), w_mask=mask([4, 5, 6, 7]), matching=((0, 4), (1, 5)))
 
     def test_dominated_example_is_pattern_free(self):
         assert embeds_pcm(pcm_example_graph(4), 4) is None
@@ -254,6 +262,10 @@ class TestEmbedsPcm:
     def test_order_below_three_rejected(self):
         with pytest.raises(ValueError):
             embeds_pcm(cycle_graph(6), 2)
+
+    def test_non_bipartite_host_rejected(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            embeds_pcm(cycle_graph(7), 3)
 
     def test_every_found_pattern_contains_two_disjoint_edges(self):
         # a connected pattern with an injective non-neighbour assignment
@@ -386,12 +398,12 @@ class TestChhFamilyType:
 
 class TestChhConnectedFamilies:
     def test_examples(self):
-        assert str(is_chh_connected(BOWTIE)) == "clique-tree(3)"
-        assert str(is_chh_connected(pcm_example_graph(4))) == "part-dominated-bipartite"
-        assert str(is_chh_connected(cycle_graph(6))) == "matching-complement(3)"
-        assert str(is_chh_connected(two_squares_graph())) == "part-dominated-bipartite"
-        assert is_chh_connected(cycle_graph(5)) is None
-        assert is_chh_connected(petersen_graph()) is None
+        assert str(chh_connected_families(BOWTIE)[0]) == "clique-tree(3)"
+        assert str(chh_connected_families(pcm_example_graph(4))[0]) == "part-dominated-bipartite"
+        assert str(chh_connected_families(cycle_graph(6))[0]) == "matching-complement(3)"
+        assert str(chh_connected_families(two_squares_graph())[0]) == "part-dominated-bipartite"
+        assert chh_connected_families(cycle_graph(5)) == ()
+        assert chh_connected_families(petersen_graph()) == ()
 
     def test_overlapping_families_are_all_reported(self):
         assert tuple(map(str, chh_connected_families(complete_graph(1)))) == (
@@ -420,7 +432,7 @@ class TestChhConnectedFamilies:
     def test_agrees_with_oracle_on_small_graphs(self):
         q = query_for_code("homo-homo")
         for g in enumerate_graphs(6, connected_only=True):
-            rec = is_chh_connected(g) is not None
+            rec = chh_connected_families(g) != ()
             assert rec == is_class_member(g, q).holds, to_graph6(g)
 
 
@@ -453,7 +465,7 @@ class TestChhSymmetric:
         members = [
             g
             for g in enumerate_graphs(5, connected_only=True)
-            if is_chh_connected(g) is not None
+            if chh_connected_families(g)
         ]
         assert len(members) == 15
         for i, g1 in enumerate(members):
@@ -494,6 +506,29 @@ class TestIsChh:
         assert is_chh(disjoint_union(bcpm_graph(4), pcm_example_graph(4))) == "e"
         assert is_chh(disjoint_union(bcpm_graph(5), pcm_example_graph(5))) == "e"
         assert is_chh(disjoint_union(complete_graph(2), cycle_graph(6))) == "e"
+
+    def test_case_e_companion_tested_without_listing_vertex_subsets(self, monkeypatch):
+        # A subset search for the order-6 pattern in the 16-vertex chain
+        # graph built 18 748 subgraphs and ran 38 506 connectivity tests.
+        # Pruning the chain graph's sides leaves no candidate at all, so the
+        # only subgraphs are the two components.
+        calls: Counter[str] = Counter()
+
+        def counted(name):
+            inner = getattr(recognizers, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in ("induced_subgraph", "connected_within"):
+            monkeypatch.setattr(recognizers, name, counted(name))
+        case, _ = chh_case_and_families(disjoint_union(bcpm_graph(6), chain_graph(8)))
+        assert case == "e"
+        assert calls["induced_subgraph"] <= 4
+        assert calls["connected_within"] == 0
 
     def test_non_members(self):
         assert is_chh(cycle_graph(5)) is None
@@ -718,7 +753,7 @@ class TestRecognizerOracleAgreement:
 class TestStructuralLaws:
     def members(self, max_n: int):
         for g in enumerate_graphs(max_n, connected_only=True):
-            if is_chh_connected(g) is not None:
+            if chh_connected_families(g):
                 yield g
 
     def test_girth_of_members_is_three_four_or_six(self):
@@ -881,7 +916,8 @@ class TestDescriptorRoundTrip:
             if desc is None:
                 continue
             tags[desc.tag] += 1
-            built = make(desc)
+            (family,) = (f for f in FAMILIES.values() if f.tag == desc.tag)
+            built = family.build(*desc.params)
             for comp in connected_components(g):
                 assert is_isomorphic(built, induced_subgraph(g, comp)), (g, desc)
         assert tags == {
@@ -1014,13 +1050,27 @@ def kn_treelike_by_cycles(g: Graph) -> int | None:
     return sizes.pop() + 1 if len(sizes) == 1 else None
 
 
+def b2_by_subsets(g: Graph) -> bool:
+    """Reference B2 test: connected bipartite, and every k-subset of a part
+    (k up to the maximum degree) has a common neighbour."""
+    parts = bipartition(g) if is_connected(g) else None
+    if parts is None:
+        return False
+    for part in parts:
+        verts = list(bits(part))
+        for k in range(1, min(max_degree(g), len(verts)) + 1):
+            if any(common_neighbors(g, mask(combo)) == 0 for combo in itertools.combinations(verts, k)):
+                return False
+    return True
+
+
 def b1_by_cycles(g: Graph) -> bool:
     """Reference square-only test: induced cycles are squares, no domino."""
     return induced_cycle_lengths(g) <= {4} and not embeds(two_squares_graph(), g)
 
 
 def pcm_parts_by_brute_force(g: Graph, n: int) -> tuple[int, int] | None:
-    """Reference pattern search, with no early exit: the (Z, W) masks of the
+    """Reference pattern search over vertex subsets: the (Z, W) masks of the
     smallest pattern, by vertex count then lexicographically, or None."""
     for size in range(n + 2, min(2 * n, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
@@ -1119,15 +1169,33 @@ class TestPolynomialRecognizers:
         assert len(graphs) == 452
         found = 0
         for g in graphs:
-            for n in (3, 4):
+            for n in (3, 4, 5):
                 cert = embeds_pcm(g, n)
                 expected = pcm_parts_by_brute_force(g, n)
-                got = None if cert is None else (cert.z_mask, cert.w_mask)
-                assert got == expected, f"n={n} on {to_graph6(g)}"
+                assert (cert is None) == (expected is None), f"n={n} on {to_graph6(g)}"
                 if cert is not None:
                     found += 1
                     assert validate_pcm_certificate(g, cert, n)
         assert found >= 100
+
+    @given(
+        st.integers(9, 12),
+        st.integers(3, 5),
+        st.floats(0.2, 0.8),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_embeds_pcm_matches_brute_force_on_random_bipartite_hosts(self, size, n, density, seed):
+        rng = random.Random(seed)
+        left = rng.randint(2, size - 2)
+        g = from_edges(
+            size,
+            [(u, v) for u in range(left) for v in range(left, size) if rng.random() < density],
+        )
+        cert = embeds_pcm(g, n)
+        assert (cert is None) == (pcm_parts_by_brute_force(g, n) is None), f"n={n} on {to_graph6(g)}"
+        if cert is not None:
+            assert validate_pcm_certificate(g, cert, n)
 
     @pytest.mark.parametrize(
         "build, members",
