@@ -44,7 +44,6 @@ from .morphisms import (
     MorphKind,
     core_mask,
     enumerate_morphisms,
-    has_homomorphism,
     is_isomorphic,
 )
 from .oracle import (

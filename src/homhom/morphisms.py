@@ -228,10 +228,6 @@ def _complete(
     return False
 
 
-def has_homomorphism(g1: Graph, g2: Graph) -> bool:
-    return complete_map(g1, g2, {}, MorphKind.HOMO) is not None
-
-
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Cheap invariants first (order, size, sorted degrees), then one
     isomorphism completion from the empty map."""

@@ -16,40 +16,19 @@ Everything here is exhaustive search with witnesses, meant as ground truth
 for the structural recognizers; budgets guard against accidentally feeding
 it graphs where exhaustion cannot finish.
 
-Two engines do the search.  The per-map engine tries the source maps on one
-source subset per automorphism orbit of g1, and at every depth only the
-images least in their orbit under the generators of Aut(g2) that fix every
-image assigned so far.  Both reductions are exact.  Pre-composing a failing
-map with an automorphism of g1 gives a failing map on the orbit-mate
-subset.  For a in Aut(g2), a o phi extends exactly when phi does (a o e
-extends a o phi, and a^-1 o e' extends phi), so post-composition by an a
-fixing the images assigned so far keeps the failing maps below the state
-and can move the next image to the least of its orbit; the two compositions
-act on different sides, so they combine.  It builds the maps of one subset
-by a depth-first search keyed by the candidate images left for each
-unassigned vertex: source-kind candidates inside the subset, target-kind
-ones outside it.  Those masks fix every map below a state and whether each
-extends, so a key already seen, which held no failing map, is skipped, and
-a complete map is completed, from its outside masks as candidates, only
-when those masks are new and, for a homo target, the extensions found
-before, by this query or by another on the same graph, do not extend it.
-The search meets maps in stream order, so its witness is the first failing
-map of the stream; see ``_per_map_search``.  Connected homo-homo uses the
-one-point reduction of Cameron and Nesetril (CPC 2006) instead: it holds
-exactly when no homomorphism from a connected induced subgraph gets stuck,
-that is, has an adjacent vertex with no feasible image.  Stuckness is
-invariant under Aut(g1) x Aut(g2), so that engine starts only from the least
-vertex of each vertex orbit of g1, mapped to one vertex per orbit of g2,
-and grows each start only into orbits not already started from; see
-``_one_point_search`` for why this misses no stuck state.  It also keeps
-one state per pair (D, cand), where D is the domain and cand(v), for v
-outside D, is the set of images still adjacent to every image of v's
-neighbours in D.  The stuck test and every growth step read only that
-pair, so two maps with the same pair have the same future and one of them
-is explored.  Each state reads only the cand of the vertices next to D, and
-a growth step narrows them through a table with one row per vertex of g1.
-The map kept for a pair is the first that reached it, grown only by images
-from its own cand, so each witness is a real homomorphism.
+Two engines do the search, and both prune by the symmetry that one strong
+generating set of each graph's automorphism group gives (``_Symmetry``).
+The per-map engine decides five of the properties.  It tries the source
+maps on one source subset per automorphism orbit of g1, keyed by the
+candidate images each vertex has left, and returns the first failing map
+in ``enumerate_morphisms`` order; see ``_per_map_search`` for why each of
+its reductions is exact.  Connected homo-homo uses the one-point reduction
+of Cameron and Nesetril (CPC 2006) instead: it holds exactly when no
+homomorphism from a connected induced subgraph gets stuck, that is, has an
+adjacent vertex with no feasible image.  That engine grows such maps one
+vertex at a time from one start per pair of vertex orbits, keyed by domain
+and candidate images, under the stabilisers of the domain and of its
+image; see ``_one_point_search`` for why it misses no stuck map.
 """
 
 from __future__ import annotations
@@ -63,10 +42,7 @@ from .graphs import (
     Graph,
     _reach,
     bits,
-    connected_components,
     connected_within,
-    induced_subgraph,
-    mask_of,
     popcount,
 )
 from .morphisms import (
@@ -78,7 +54,6 @@ from .morphisms import (
     automorphism_generators,
     check_kind,
     complete_map,
-    has_homomorphism,
 )
 
 
@@ -148,11 +123,8 @@ class OracleResult:
     checked_maps: int
 
 
-DEFAULT_SOURCE_BUDGETS = {
-    MorphKind.ISO: 16,
-    MorphKind.MONO: 16,
-    MorphKind.HOMO: 10,
-}
+# the most vertices g1 may have, for every source kind
+SOURCE_BUDGET = 16
 # the most (D, cand) states the one-point engine keeps before it gives up
 STATE_LIMIT = 2_000_000
 
@@ -174,11 +146,11 @@ def env_budget() -> int | None:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _resolve_budget(explicit: int | None, kind: MorphKind) -> int:
+def _resolve_budget(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = env_budget()
-    return DEFAULT_SOURCE_BUDGETS[kind] if env is None else env
+    return SOURCE_BUDGET if env is None else env
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +190,15 @@ class _Symmetry:
     """The symmetry data of one graph object, and the per-map search's work
     on it, shared by every oracle call on it.
 
-    ``generators`` is ``automorphism_generators(graph)``, and ``orbits``
-    the vertex orbits of the group they generate, Aut(graph).
+    ``generators`` is ``automorphism_generators(graph)``, ``orbits`` the
+    vertex orbits of the group they generate, Aut(graph), and ``fixers[w]``
+    the generators fixing w, as a mask of their indices.  ``fixers`` and
+    ``least`` serve the stabiliser pruning of both engines.
     ``sources(connected)`` streams ``_source_representatives`` under the
-    same generators, and ``fixers``, ``least`` and the key ``layout``
-    serve the per-map search; each is built the first time it is asked
-    for.  The searches from the graph to itself also keep here each
-    domain's ``[order, rims]``, built at first need, and the ``record`` of
-    every homo-target search.
+    same generators, and the key ``layout`` serves the per-map search; each
+    is built the first time it is asked for.  The searches from the graph
+    to itself also keep here each domain's ``[order, rims]``, built at
+    first need, and the ``record`` of every homo-target search.
     All of it is shared by every later call on the graph object, so
     callers only read it, except that searches extend the record and the
     source lists.
@@ -235,6 +208,12 @@ class _Symmetry:
         self.graph = g
         self.generators = automorphism_generators(g)
         self.orbits = _vertex_orbits(g.n, self.generators)
+        self.fixers = fixers = [0] * g.n
+        for i, p in enumerate(self.generators):
+            bit = 1 << i
+            for w, image in enumerate(p):
+                if image == w:
+                    fixers[w] |= bit
         self._sources: dict[bool, tuple[list[int], Iterator[list[int]]]] = {}
         self._least = {0: g.full_mask}
         self.domains: dict[int, list] = {}
@@ -246,12 +225,6 @@ class _Symmetry:
     @cached_property
     def layout(self) -> _Layout:
         return _key_layout(self.graph, self.graph.n)
-
-    @cached_property
-    def fixers(self) -> list[int]:
-        """``fixers[w]``: the generators fixing w, as a mask of their indices."""
-        gens, n = self.generators, self.graph.n
-        return [mask_of(i for i, p in enumerate(gens) if p[w] == w) for w in range(n)]
 
     def least(self, h: int) -> int:
         """The mask of the vertices least in their orbit under the
@@ -384,8 +357,10 @@ def _per_map_search(
     a o phi would fail and come earlier.  This holds below any state, so
     the pruned search below a key finds a failing map whenever one exists,
     and the least candidate, never pruned, leads to the first map below a
-    doomed state.  The pre-composition picking one domain per Aut(g1) orbit
-    acts on the other side, so the two combine.
+    doomed state.  Pre-composing a failing map with an automorphism of g1
+    gives a failing map on the orbit-mate domain, so ``_per_map`` passes
+    one domain per Aut(g1) orbit; that acts on the other side, so the two
+    reductions combine.
 
     A state is keyed by its depth and candidate masks.  Each unassigned
     domain vertex has its source mask: the images adjacent to the images
@@ -549,9 +524,11 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     grown one adjacent vertex at a time.  A state where some vertex adjacent
     to D has no feasible image is exactly a homomorphism from a connected
     induced subgraph with no total extension (any total extension would
-    provide the missing image); if no state is stuck, greedy growth extends
-    any source map across its component, and the caller guarantees the other
-    components of g1 map into g2, so every source map extends.
+    provide the missing image).  If no state is stuck, greedy growth extends
+    any source map across its component, and maps every other component C
+    too: growth from a vertex of C, mapped to any vertex of g2, never gets
+    stuck, so it covers C.  So every source map extends, and a component
+    with no homomorphism into g2 needs no test of its own.
 
     Only one state per orbit of start points is explored.  Let O_1, O_2, ...
     be the vertex orbits of Aut(g1) ordered by least vertex r_i, and R2 a set
@@ -572,11 +549,43 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     replaces cand(x) by cand(x) & N(w) for each neighbour x of v; the allowed
     vertices are fixed by D's phase, because each phase's domains contain
     its start vertex and avoid the earlier orbits.  So everything reachable
-    from a state, stuck states included, depends only on its key, and two
-    maps with the same key need one exploration.  The stack keeps the first
-    phi that reached each key.  Its children take their images from cand of
-    that key, which is cand of that phi, so every phi kept is a genuine
-    homomorphism and the witness returned is one.
+    from a state, stuck states included, depends only on its key.  The
+    stack keeps the first phi that reached each key.  Its children take
+    their images from cand of that key, which is cand of that phi, so every
+    phi kept is a genuine homomorphism and the witness returned is one.
+
+    Each state grows only part of its children, pruned by stabilisers on
+    both sides.  Its entry carries h1, the generators of Aut(g1) fixing
+    every vertex of D, and h2, those of Aut(g2) fixing every image in
+    phi(D), as masks over ``_Symmetry.fixers``: a seed r -> w starts them
+    at ``fixers[r]`` and ``fixers[w]``, and mapping v to w ANDs them with
+    ``fixers[v]`` and ``fixers[w]``.  The state grows only the allowed
+    frontier vertices least in their orbit under h1, and maps each v only
+    to the images in cand(v) least in their orbit under h2
+    (``_Symmetry.least``); the stuck test still reads every frontier
+    vertex.  No stuck state is missed.  Take b in the group H1 that h1
+    generates and a in the group H2 that h2 generates.  b fixes D
+    pointwise, so it maps the frontier onto itself, and the allowed set,
+    a union of orbits of Aut(g1), too, and b(v) has the neighbours in D
+    that v has, so cand(b(v)) = cand(v).  a fixes each phi(u), u in D, so
+    it maps each N(phi(u)), and with them every cand field, onto itself.
+    So (b, a) fixes the state and carries its child v -> w onto its child
+    b(v) -> a(w), and carries the growth inside the allowed set below the
+    one onto growth below the other, stuck states onto stuck states.  Call
+    a key doomed at distance d when d growth steps inside the allowed set
+    reach a stuck state from it, and no fewer.  Induct on d, that is, on
+    the size of D counted down from that stuck state's: a doomed key at
+    distance 0 is stuck, and the stuck test of the first entry popped with
+    it fires.  At distance d > 0, some child v -> w is doomed at distance
+    d - 1; b in H1 moves v to the least of its orbit under H1, then a in
+    H2 moves w to the least of its orbit under H2, so a child that the
+    entry keeps is doomed at distance d - 1.  It is pushed unless its key
+    was pushed before, and either way it is popped.  That holds whichever
+    phi, with its own h1 and h2, first reached the key, so every doomed key
+    pushed leads to a stuck state, and a phase with a stuck state has a
+    doomed seed, as above.  A frontier with one allowed vertex, or a
+    cand(v) with one image, needs no orbit lookup: H1 maps the first onto
+    itself and H2 the second, so their lone member is fixed, hence least.
 
     A key is one int: D in the low n1 bits, then one g2.n-bit field per
     vertex of g1 holding cand, with the fields of D cleared.  Mapping v to w
@@ -589,25 +598,29 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     So each stack entry carries the frontier N(D) \\ D as a vertex mask,
     grown by ``(front | N(v)) & ~(D | 1 << v)``, and a state reads only the
     fields of its frontier, in ascending order.  The stack holds (key,
-    front, phi) triples, phi packed with phi(v) + 1 in a ``width``-bit field
-    per vertex.
+    front, phi, h1, h2), phi packed with phi(v) + 1 in a ``width``-bit
+    field per vertex.
 
     More than ``STATE_LIMIT`` states raise ``BudgetExceededError``.
-
-    Assumes the caller verified each component of g1 admits a homomorphism
-    into g2 (within one graph that is the identity).
     """
     limit = STATE_LIMIT
-    orbits1 = _symmetry(g1).orbits
-    orbits2 = orbits1 if g2 is g1 else _symmetry(g2).orbits
-    reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in orbits2]
+    # g2 first, so that the slot ends on g1 when they differ
+    sym2 = _symmetry(g2)
+    sym1 = _symmetry(g1)
+    orbits1, fixers1, fixers2 = sym1.orbits, sym1.fixers, sym2.fixers
+    least1, least2 = sym1.least, sym2.least
+    reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in sym2.orbits]
     n1, n2, full2, adj1, adj2 = g1.n, g2.n, g2.full_mask, g1.adj, g2.adj
     shifts = [n1 + v * n2 for v in range(n1)]
     everything = (1 << n1 + n1 * n2) - 1
     step: list[list[int] | None] = [None] * n1
 
     def row_of(v: int) -> list[int]:
-        spread = sum(1 << shifts[x] for x in bits(adj1[v]))
+        spread, rest = 0, adj1[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            spread |= 1 << shifts[low.bit_length() - 1]
         keep = everything & ~(full2 * (spread | 1 << shifts[v]))
         step[v] = [keep | adj2[w] * spread for w in range(n2)]
         return step[v]
@@ -621,15 +634,20 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     for phase, orbit in enumerate(orbits1, 1):
         r = (orbit & -orbit).bit_length() - 1
         row = step[r] or row_of(r)
-        stack: list[tuple[int, int, int]] = []
+        stack: list[tuple[int, int, int, int, int]] = []
         for w in reps2:
             key = start & row[w] | 1 << r
             if key not in seen:
                 seen.add(key)
-                stack.append((key, adj1[r], (w + 1) << r * width))
+                stack.append(
+                    (key, adj1[r], (w + 1) << r * width, fixers1[r], fixers2[w])
+                )
         while stack:
-            key, front, phi = stack.pop()
+            key, front, phi, h1, h2 = stack.pop()
             checked += 1
+            grow = front & allowed
+            if h1 and grow & (grow - 1):
+                grow &= least1(h1)
             rest = front
             while rest:
                 bit = rest & -rest
@@ -646,11 +664,14 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                         "mapped neighbours",
                     )
                     return OracleResult(False, wit, checked)
-                if not allowed & bit:
+                if not grow & bit:
                     continue
+                if h2 and cand & (cand - 1):
+                    cand &= least2(h2)
                 row = step[v] or row_of(v)
                 grown = (front | adj1[v]) & ~(key | bit)
                 at = v * width
+                h1v = h1 & fixers1[v]
                 while cand:
                     low = cand & -cand
                     cand ^= low
@@ -666,7 +687,9 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                                 f"{n1} vertices)"
                             )
                         seen.add(nxt)
-                        stack.append((nxt, grown, phi | (w + 1) << at))
+                        stack.append(
+                            (nxt, grown, phi | (w + 1) << at, h1v, h2 & fixers2[w])
+                        )
         allowed &= ~orbit
     return OracleResult(True, None, checked)
 
@@ -691,33 +714,21 @@ def extension_morphic(
     g1 -> g2 of the target kind?
 
     The search is always exhaustive.  ``budget`` caps g1's vertex count
-    (default per source kind, ``HOMHOM_BUDGET`` overrides).  Connected
+    (default ``SOURCE_BUDGET``, ``HOMHOM_BUDGET`` overrides).  Connected
     homo-homo is decided by the one-point engine, every other query by the
     per-map engine.
     """
-    budget_n = _resolve_budget(budget, query.source)
+    budget_n = _resolve_budget(budget)
     if g1.n > budget_n:
         raise BudgetExceededError(
-            f"{g1.n} vertices exceeds the {query.source.value}-source "
-            f"budget of {budget_n} (set {BUDGET_ENV_VAR} or pass budget=...)"
+            f"{g1.n} vertices exceeds the source budget of {budget_n} "
+            f"(set {BUDGET_ENV_VAR} or pass budget=...)"
         )
     if (
         query.source is MorphKind.HOMO
         and query.target is MorphKind.HOMO
         and query.connected_sources
     ):
-        if g1 is not g2:
-            for comp in connected_components(g1):
-                if not has_homomorphism(induced_subgraph(g1, comp), g2):
-                    v = min(bits(comp))
-                    wit = Witness(
-                        1 << v,
-                        {v: 0},
-                        None,
-                        "the vertex's whole component admits no homomorphism "
-                        "into the target graph",
-                    )
-                    return OracleResult(False, wit, 0)
         return _one_point_search(g1, g2)
     return _per_map(g1, g2, query)
 

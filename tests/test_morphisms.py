@@ -41,7 +41,6 @@ from homhom.morphisms import (
     complete_map,
     core_mask,
     enumerate_morphisms,
-    has_homomorphism,
     is_isomorphic,
     orbit_closure,
 )
@@ -365,11 +364,11 @@ class TestAutomorphisms:
 
 class TestHomEquivalence:
     def test_basics(self):
-        assert has_homomorphism(cycle_graph(6), complete_graph(2))
-        assert has_homomorphism(complete_graph(2), cycle_graph(6))
-        assert has_homomorphism(complete_graph(2), complete_graph(3))
-        assert not has_homomorphism(complete_graph(3), complete_graph(2))
-        assert has_homomorphism(cycle_graph(5), complete_graph(3))
+        assert complete_map(cycle_graph(6), complete_graph(2), {}, HOMO) is not None
+        assert complete_map(complete_graph(2), cycle_graph(6), {}, HOMO) is not None
+        assert complete_map(complete_graph(2), complete_graph(3), {}, HOMO) is not None
+        assert complete_map(complete_graph(3), complete_graph(2), {}, HOMO) is None
+        assert complete_map(cycle_graph(5), complete_graph(3), {}, HOMO) is not None
 
 
 class TestCores:
@@ -403,6 +402,7 @@ class TestCores:
     @settings(max_examples=25, deadline=None)
     def test_core_is_hom_equivalent_and_minimal(self, g):
         c = induced_subgraph(g, core_mask(g))
-        assert has_homomorphism(g, c) and has_homomorphism(c, g)
+        assert complete_map(g, c, {}, HOMO) is not None
+        assert complete_map(c, g, {}, HOMO) is not None
         # a core has no proper retract: its own core is itself
         assert induced_subgraph(c, core_mask(c)).n == c.n

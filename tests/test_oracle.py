@@ -61,12 +61,12 @@ from homhom.oracle import (
     query_for_code,
     validate_witness,
 )
-from homhom.recognizers import classify
+from homhom.recognizers import chh_case_and_families, classify
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
 # see TestEngineAgreement.test_one_point_results_are_pinned
-ONE_POINT_SHA256 = "f6f95ed7d3a9cb80b5f5ac392922fd9096a08a4fb5d13c1dfb62164b5c53b5dd"
+ONE_POINT_SHA256 = "cee7d392e342559501c9d683b9cf568c5ce5178bf479490b340969b56566b3a2"
 # see TestKeyedPerMapSearch.test_per_map_results_are_pinned
 PER_MAP_SHA256 = "e208e44bd7833a57bb4bfd5dbcd0619b7203ab974f7675b8c6d2a6b0560fefc4"
 
@@ -628,9 +628,11 @@ class TestEngineAgreement:
             )
             assert oracle._symmetry(g).orbits == want, g
 
-    def test_k8_counter_gate_never_enumerates_the_group(self, rebind, monkeypatch):
-        # the start orbits come from the generators: at most n(n-1)/2 = 28
-        # completions on a fresh K8, and no morphism is enumerated
+    def test_k8_counter_gate_never_enumerates_the_group(self, rebind):
+        # the start orbits and stabilisers come from the generators: at most
+        # n(n-1)/2 = 28 completions on a fresh K8, and no morphism is
+        # enumerated; the stabiliser pruning grows one chain of 8 states
+        # (3 432 (D, cand) keys without it)
         def refuse(*args, **kwargs):
             raise AssertionError("the one-point engine enumerated morphisms")
 
@@ -639,29 +641,49 @@ class TestEngineAgreement:
         rebind(
             complete_map, lambda *args: completions.append(args) or complete_map(*args)
         )
-        monkeypatch.setattr(oracle, "STATE_LIMIT", 5_000)
         res = is_class_member(complete_graph(8), query_for_code("homo-homo"))
-        assert res.holds and res.checked_maps <= 5_000  # 3 432 (D, cand) keys
+        assert res.holds and res.checked_maps == 8
         assert len(completions) <= 8 * 7 // 2
 
     @pytest.mark.parametrize("centre", [0, 7])
-    def test_star_decided_whatever_its_labels(self, centre, monkeypatch):
+    def test_star_decided_whatever_its_labels(self, centre):
         # K_{1,7}: keyed by phi, centre 0 took over 2 M states and centre 7
-        # took 262 k; keyed by (D, cand) they take 257 and 131
+        # took 262 k; keyed by (D, cand) they took 257 and 131, and with the
+        # stabiliser pruning both take 17
         g = star_graph(8, centre)
-        monkeypatch.setattr(oracle, "STATE_LIMIT", 1_000)
         res = is_class_member(g, query_for_code("homo-homo"))
-        assert res.holds and res.checked_maps <= 1_000
+        assert res.holds and res.checked_maps == 17
+
+    @pytest.mark.parametrize(
+        "family, args, states",
+        [
+            (complete_graph, (12,), 12),
+            (complete_graph, (16,), 16),
+            (regular_multipartite_graph, (2, 8), 65),
+            (clique_chain, (4, 4), 35_598),
+            (bcpm_graph, (6,), 98_037),
+        ],
+        ids=["K12", "K16", "multipartite-2-8", "clique-chain-4-4", "bcpm-6"],
+    )
+    def test_symmetric_members_state_gate(self, family, args, states):
+        # without the stabiliser pruning K12 took 705 432 states,
+        # multipartite 2 8 took 32 641 and clique chain 4 4 took 671 491,
+        # and K16 and bcpm(6) gave up at 2 M
+        g = family(*args)
+        res = is_class_member(g, query_for_code("homo-homo"))
+        assert res.checked_maps == states
+        assert res.holds == (chh_case_and_families(g)[0] is not None)
 
     def test_connected_population_counter_gate(self):
-        # all 996 connected graphs on at most 7 vertices pop 40 631 states
-        # (423 575 when states were keyed by phi)
+        # all 996 connected graphs on at most 7 vertices pop 25 422 states
+        # (40 631 before the stabiliser pruning, 423 575 when states were
+        # keyed by phi)
         q = query_for_code("homo-homo")
         total = sum(
             is_class_member(g, q).checked_maps
             for g in enumerate_graphs(7, connected_only=True)
         )
-        assert total == 40_631
+        assert total == 25_422
 
     def test_one_point_results_are_pinned(self):
         # SHA-256 of one line per decision, (graph6 of g1 [and g2], holds,
@@ -715,13 +737,13 @@ class TestEngineAgreement:
         [
             (
                 star_graph(8, 0),
-                "more than 5 partial-map states (popped 1, seeding phase 1 "
-                "of 2, largest domain 2 of 8 vertices)",
+                "more than 5 partial-map states (popped 4, seeding phase 1 "
+                "of 2, largest domain 4 of 8 vertices)",
             ),
             (
                 star_graph(8, 7),
-                "more than 5 partial-map states (popped 2, seeding phase 1 "
-                "of 2, largest domain 3 of 8 vertices)",
+                "more than 5 partial-map states (popped 4, seeding phase 1 "
+                "of 2, largest domain 4 of 8 vertices)",
             ),
         ],
         ids=["centre-0", "centre-7"],
@@ -889,11 +911,13 @@ class TestBetweenGraphs:
         assert validate_witness(g1, g2, q, res.witness)
 
     def test_unmappable_component(self):
+        # the triangle has no homomorphism into K2, so growth inside it gets
+        # stuck with no test of the component as a whole
         q = query_for_code("homo-homo")
         g1 = disjoint_union(complete_graph(3), complete_graph(1))
         res = extension_morphic(g1, complete_graph(2), q)
         assert not res.holds
-        assert "component" in res.witness.note
+        assert res.witness.domain_mask | 1 << res.witness.stuck_vertex == 0b111
         assert validate_witness(g1, complete_graph(2), q, res.witness)
         assert extension_morphic(complete_graph(1), complete_graph(2), q).holds
 
@@ -905,8 +929,8 @@ class TestBetweenGraphs:
 
 class TestBudgetsAndSampling:
     def test_homo_budget_default(self):
-        with pytest.raises(BudgetExceededError):
-            is_class_member(complete_graph(11), query_for_code("homo-homo"))
+        with pytest.raises(BudgetExceededError, match="the source budget of 16 "):
+            is_class_member(complete_graph(17), query_for_code("homo-homo"))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("HOMHOM_BUDGET", "5")
