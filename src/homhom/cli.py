@@ -170,10 +170,6 @@ def witness_json(wit: Witness) -> dict[str, Any]:
     }
 
 
-def dump_line(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def print_object(obj: Any) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
@@ -272,21 +268,41 @@ def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
     }
 
 
-def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> dict[str, Any]:
-    g6, codes, force = payload
-    return sweep_record(g6, codes, force)
+def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> Any:
+    """``sweep_record``, or the budget refusal in the record's place, so that
+    a pool still returns the records before it in its chunk."""
+    try:
+        return sweep_record(*payload)
+    except BudgetExceededError as exc:
+        return exc
 
 
 def sorted_graphs(args: argparse.Namespace) -> Iterator[Graph]:
-    """Every graph on 1..--max-n vertices (connected ones with --connected),
-    one per isomorphism class, ordered by vertex count then canonical form,
-    streamed as ``enumerate_graphs`` yields them.  --max-n is checked at
-    the call, before any graph is made."""
+    """``enumerate_graphs`` for --max-n and --connected, with --max-n checked
+    at the call, before any graph is made."""
     if not 1 <= args.max_n <= ENUMERATION_HARD_CAP:
         raise InputError(
             f"--max-n must be in 1..{ENUMERATION_HARD_CAP}, got {args.max_n}"
         )
     return enumerate_graphs(args.max_n, connected_only=args.connected)
+
+
+def swept_graph6s(path: str) -> set[str]:
+    """The graph6 of every record in ``path``, the JSON-lines output of a sweep."""
+    done: set[str] = set()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    done.add(json.loads(line)["graph6"])
+    except OSError as exc:
+        raise InputError(f"cannot resume from {path!r}: {exc}") from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(
+            f"cannot resume from {path!r}: line {lineno} is not a sweep record "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
+    return done
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -302,67 +318,63 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"sweeping all graphs on up to {args.max_n} vertices is outside the "
             f"supported budget ({ENUMERATION_SOFT_CAP}); pass --force to try anyway"
         )
-    graph6s = [to_graph6(g) for g in graphs]
-    done: set[str] = set()
-    if args.resume and os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    done.add(json.loads(line)["graph6"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise InputError(
-                        f"cannot resume from {args.out!r}: line {lineno} is not "
-                        f"a sweep record ({type(exc).__name__}: {exc})"
-                    ) from None
-    payloads = [
-        (g6, tuple(codes), args.force) for g6 in graph6s if g6 not in done
-    ]
-    # --out is opened before the sweep, so that a path that cannot be
-    # written is refused before any work is done; it is opened for appending
-    # and emptied only once the records are ready, so a sweep that stops
-    # early leaves the file as it was
-    sink: Any = contextlib.nullcontext(sys.stdout)
-    if args.out:
-        try:
-            sink = open(args.out, "a", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out!r}: {exc}") from None
-    with sink as fh:
-        if args.jobs > 1:
-            import multiprocessing  # only a pool needs it; it slows start-up
-
-            with multiprocessing.Pool(args.jobs) as pool:
-                records = list(pool.imap(_sweep_worker, payloads, chunksize=8))
-        else:
-            records = [_sweep_worker(p) for p in payloads]
-        if args.out and not done:
-            fh.truncate(0)
-        for rec in records:
-            fh.write(dump_line(rec) + "\n")
-
     # yes/no count oracle verdicts only; a graph on which the oracle gave up
     # counts in oracleUnknown, and also in unknown when no recognizer exists
     per_class: dict[str, dict[str, int]] = {
         code: {"yes": 0, "no": 0, "oracleUnknown": 0, "unknown": 0} for code in codes
     }
-    mismatches = 0
-    for rec in records:
-        if rec["mismatch"]:
-            mismatches += 1
-        for code in codes:
-            cell = rec["verdicts"][code]
-            counts = per_class[code]
-            if cell["oracle"] is not None:
-                counts["yes" if cell["oracle"] else "no"] += 1
-            else:
-                counts["oracleUnknown"] += 1
-                if cell["recognizer"] is None:
-                    counts["unknown"] += 1
+    done: set[str] = set()
+    written = mismatches = 0
+    with contextlib.ExitStack() as stack:
+        fh = sys.stdout
+        if args.out:
+            # Records stream into FILE.partial, which replaces FILE once all
+            # are written, so a sweep that stops early leaves FILE as it was.
+            # --resume continues an interrupted run's FILE.partial, else a copy
+            # of FILE.  A path that cannot be written is refused before any work.
+            partial = args.out + ".partial"
+            source = partial if args.resume and os.path.exists(partial) else args.out
+            if args.resume and os.path.exists(source):
+                done = swept_graph6s(source)
+            if os.path.isdir(args.out):
+                raise InputError(f"cannot write {args.out!r}: it is a directory")
+            try:
+                # one write per line, so an interrupted run leaves whole records
+                fh = stack.enter_context(open(
+                    partial, "a" if source == partial else "w", encoding="utf-8", buffering=1
+                ))
+                if done and source == args.out:
+                    with open(args.out, encoding="utf-8") as old:
+                        fh.writelines(line.rstrip("\n") + "\n" for line in old)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.out!r}: {exc}") from None
+        payloads = (
+            (g6, tuple(codes), args.force) for g6 in map(to_graph6, graphs) if g6 not in done
+        )
+        if args.jobs > 1:
+            import multiprocessing  # only a pool needs it; it slows start-up
+
+            pool = stack.enter_context(multiprocessing.Pool(args.jobs))
+            records = pool.imap(_sweep_worker, payloads, chunksize=8)
+        else:
+            records = map(_sweep_worker, payloads)
+        for rec in records:
+            if isinstance(rec, BudgetExceededError):
+                raise rec
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            written += 1
+            mismatches += rec["mismatch"]
+            for code in codes:
+                cell, counts = rec["verdicts"][code], per_class[code]
+                if cell["oracle"] is not None:
+                    counts["yes" if cell["oracle"] else "no"] += 1
+                else:
+                    counts["oracleUnknown"] += 1
+                    counts["unknown"] += cell["recognizer"] is None
+    if args.out:
+        os.replace(partial, args.out)
     summary = {
-        "graphCount": len(records),
+        "graphCount": written,
         "skippedCount": len(done),
         "mismatchCount": mismatches,
         "perClass": per_class,

@@ -18,10 +18,9 @@ from typing import Callable, Iterator, NamedTuple
 from .graphs import (
     Graph,
     _canonical_labelling,
-    _graph6_from_rows,
+    _graph_from_rows,
     _refined_colors,
     from_edges,
-    from_graph6,
     is_connected,
     popcount,
 )
@@ -389,8 +388,13 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
                 canon, perm = _canonical_labelling(child, colors=colors)
                 m = perm[-1]
                 if m == x or complete_map(child, child, {x: m}, MorphKind.ISO) is not None:
-                    forms.add(_graph6_from_rows(n, canon))
-        level = [from_graph6(f.decode("ascii")) for f in sorted(forms)]
-        for g in level:
+                    forms.add(canon)
+        # the rows of one size sort as their graph6 bytes do; only a level
+        # with a next one is kept, as its parents
+        level = []
+        for canon in sorted(forms):
+            g = _graph_from_rows(n, canon)
+            if n < max_n:
+                level.append(g)
             if not connected_only or is_connected(g):
                 yield g

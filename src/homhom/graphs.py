@@ -410,6 +410,14 @@ def _graph6_from_rows(n: int, rows: Iterable[int]) -> bytes:
     return head + bytes((stream >> shift & 63) + 63 for shift in range(length + pad - 6, -1, -6))
 
 
+def _graph_from_rows(n: int, rows: Iterable[int]) -> Graph:
+    """The graph on n vertices with the upper-triangle rows that
+    ``_graph6_from_rows`` reads."""
+    return from_edges(
+        n, ((i, j) for j, row in enumerate(rows, 1) for i in range(j) if row >> j - 1 - i & 1)
+    )
+
+
 def to_graph6(g: Graph) -> str:
     """Standard graph6 encoding of g with its current labelling."""
     # column j is the low j bits of adj[j], reversed so that i = 0 comes first
@@ -451,15 +459,10 @@ def from_graph6(text: str) -> Graph:
             raise ValueError(f"bad graph6 byte {ch!r}")
         stream = stream << 6 | val
     total_bits = 6 * len(body)
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if stream >> (total_bits - 1 - k) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    # row j-1 is the j bits that end j(j+1)/2 bits into the stream
+    return _graph_from_rows(
+        n, [stream >> total_bits - j * (j + 1) // 2 & (1 << j) - 1 for j in range(1, n)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,12 @@ class TestSweep:
 
     def test_out_file_and_resume_skip(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.jsonl"
+        # without --resume a left-over FILE.partial is emptied, not read
+        (tmp_path / "sweep.jsonl.partial").write_text("not a record\n")
         code, stdout, _ = run_cli(capsys, ["sweep", "--max-n", "4", "--out", str(out_file)])
         assert code == 0
         assert stdout.strip().startswith("{")  # summary goes to stdout with --out
+        assert json.loads(stdout)["skippedCount"] == 0
         full = out_file.read_text().splitlines()
         assert len(full) == 18
 
@@ -378,6 +381,62 @@ class TestSweep:
         assert [json.loads(l)["graph6"] for l in resumed] == [
             json.loads(l)["graph6"] for l in full
         ]
+        assert not (tmp_path / "sweep.jsonl.partial").exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_sweep_streams(self, capsys, rebind, tmp_path, to_file):
+        # when graph k is swept, the records of graphs 1..k-1 are written
+        # already: to stdout, or to FILE.partial with --out
+        original = cli.sweep_record
+        partial = tmp_path / "sweep.jsonl.partial"
+        swept: list[str] = []
+        written: list[str] = [""]
+
+        def watched(g6, codes, force):
+            if to_file:
+                written.append(partial.read_text())
+            else:
+                written.append(written[-1] + capsys.readouterr().out)
+            swept.append(g6)
+            return original(g6, codes, force)
+
+        rebind(original, watched)
+        argv = ["sweep", "--max-n", "4"]
+        if to_file:
+            argv += ["--out", str(tmp_path / "sweep.jsonl")]
+        assert run_cli(capsys, argv)[0] == 0
+        assert len(swept) == 18
+        for k, text in enumerate(written[1:]):
+            assert [json.loads(line)["graph6"] for line in text.splitlines()] == swept[:k]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupted_sweep_resumes_from_partial_file(
+        self, capsys, monkeypatch, tmp_path, jobs
+    ):
+        _, expected, _ = run_cli(capsys, ["sweep", "--max-n", "4", "--classes", "c-hh"])
+        out_file = tmp_path / "sweep.jsonl"
+        partial = tmp_path / "sweep.jsonl.partial"
+        out_file.write_text("keep\n")
+        argv = ["sweep", "--max-n", "4", "--classes", "c-hh", "--jobs", jobs]
+        argv += ["--out", str(out_file)]
+        # a 3-vertex budget stops the sweep at the first 4-vertex graph
+        monkeypatch.setenv("HOMHOM_BUDGET", "3")
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3 and err.startswith("error: ")
+        assert out_file.read_text() == "keep\n"
+        kept = expected.splitlines()[:7]  # the records on 1..3 vertices
+        assert normalize_timing(partial.read_text()).splitlines() == [
+            normalize_timing(line) for line in kept
+        ]
+        # --resume continues FILE.partial, not FILE, and replaces FILE at the end
+        monkeypatch.delenv("HOMHOM_BUDGET")
+        code, out, _ = run_cli(capsys, argv + ["--resume"])
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["skippedCount"], summary["graphCount"]) == (7, 11)
+        assert normalize_timing(out_file.read_text()) == normalize_timing(expected)
+        assert not partial.exists()
+
 
     def test_budget_aborts_count_as_oracle_unknown(self, capsys, monkeypatch):
         # a 3-vertex budget refuses the oracle on all eleven 4-vertex graphs
@@ -883,6 +942,7 @@ class TestErrorContract:
             (["sweep", "--max-n", "10"], {}),
             (["sweep", "--max-n", "2", "--resume", "--out", "truncated.jsonl"], {}),
             (["sweep", "--max-n", "2", "--out", "missing/records.jsonl"], {}),
+            (["sweep", "--max-n", "2", "--out", "."], {}),
         ],
         ids=[
             "core-budget",
@@ -895,6 +955,7 @@ class TestErrorContract:
             "sweep-n10",
             "resume-truncated",
             "out-missing-directory",
+            "out-directory",
         ],
     )
     def test_one_line_error(self, tmp_path, args, env):
@@ -932,7 +993,9 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
-        "args", [["enumerate", "--max-n", "5"], CLASSIFY_K3], ids=["enumerate", "classify"]
+        "args",
+        [["enumerate", "--max-n", "5"], ["sweep", "--max-n", "6"], CLASSIFY_K3],
+        ids=["enumerate", "sweep", "classify"],
     )
     def test_closed_reader_exits_quietly(self, tmp_path, args, unbuffered):
         # like ``| head -1`` that has already exited: every write hits a

@@ -329,6 +329,16 @@ class TestEnumeration:
         assert Counter(g.n for g in graphs if is_connected(g)) == CONNECTED_COUNTS
         assert len(calls) == 13624
 
+    def test_levels_built_from_canonical_rows(self, rebind):
+        # each level's graphs are built from the rows the labelling returned;
+        # no graph6 string is parsed again
+        def refuse(*_args):
+            raise AssertionError("enumerate_graphs parsed a graph6 string")
+
+        rebind(from_graph6, refuse)
+        graphs = enumerate_graphs(6, connected_only=False)
+        assert Counter(g.n for g in graphs) == {n: c for n, c in ALL_COUNTS.items() if n <= 6}
+
     def test_matches_dedupe_enumerator_to_six(self):
         ours = [to_graph6(g) for g in enumerate_graphs(6, connected_only=False)]
         assert ours == [to_graph6(g) for g in enumerate_by_dedupe(6)]
