@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import warnings
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .families import (
     ENUMERATION_HARD_CAP,
@@ -287,14 +287,17 @@ def sorted_graphs(args: argparse.Namespace) -> Iterator[Graph]:
     return enumerate_graphs(args.max_n, connected_only=args.connected)
 
 
-def swept_graph6s(path: str) -> set[str]:
-    """The graph6 of every record in ``path``, the JSON-lines output of a sweep."""
+def swept_graph6s(path: str, tally: Callable[[dict[str, Any]], None]) -> set[str]:
+    """The graph6 of every record in ``path``, the JSON-lines output of a
+    sweep, each record passed to ``tally`` as it is read."""
     done: set[str] = set()
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 if line.strip():
-                    done.add(json.loads(line)["graph6"])
+                    rec = json.loads(line)
+                    tally(rec)
+                    done.add(rec["graph6"])
     except OSError as exc:
         raise InputError(f"cannot resume from {path!r}: {exc}") from None
     except (ValueError, KeyError, TypeError) as exc:
@@ -324,7 +327,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         code: {"yes": 0, "no": 0, "oracleUnknown": 0, "unknown": 0} for code in codes
     }
     done: set[str] = set()
-    written = mismatches = 0
+    graph_count = mismatches = 0
+
+    def tally(rec: dict[str, Any]) -> None:
+        nonlocal graph_count, mismatches
+        graph_count += 1
+        mismatches += rec["mismatch"]
+        for code in codes:
+            cell, counts = rec["verdicts"][code], per_class[code]
+            if cell["oracle"] is not None:
+                counts["yes" if cell["oracle"] else "no"] += 1
+            else:
+                counts["oracleUnknown"] += 1
+                counts["unknown"] += cell["recognizer"] is None
+
     with contextlib.ExitStack() as stack:
         fh = sys.stdout
         if args.out:
@@ -335,7 +351,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             partial = args.out + ".partial"
             source = partial if args.resume and os.path.exists(partial) else args.out
             if args.resume and os.path.exists(source):
-                done = swept_graph6s(source)
+                done = swept_graph6s(source, tally)
             if os.path.isdir(args.out):
                 raise InputError(f"cannot write {args.out!r}: it is a directory")
             try:
@@ -353,8 +369,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         if args.jobs > 1:
             import multiprocessing  # only a pool needs it; it slows start-up
+            import signal
 
-            pool = stack.enter_context(multiprocessing.Pool(args.jobs))
+            # workers leave Ctrl-C to the main process, which ends the pool
+            ignore = (signal.SIGINT, signal.SIG_IGN)
+            pool = stack.enter_context(multiprocessing.Pool(args.jobs, signal.signal, ignore))
             records = pool.imap(_sweep_worker, payloads, chunksize=8)
         else:
             records = map(_sweep_worker, payloads)
@@ -362,19 +381,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if isinstance(rec, BudgetExceededError):
                 raise rec
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-            written += 1
-            mismatches += rec["mismatch"]
-            for code in codes:
-                cell, counts = rec["verdicts"][code], per_class[code]
-                if cell["oracle"] is not None:
-                    counts["yes" if cell["oracle"] else "no"] += 1
-                else:
-                    counts["oracleUnknown"] += 1
-                    counts["unknown"] += cell["recognizer"] is None
+            tally(rec)
     if args.out:
         os.replace(partial, args.out)
     summary = {
-        "graphCount": written,
+        "graphCount": graph_count,
         "skippedCount": len(done),
         "mismatchCount": mismatches,
         "perClass": per_class,
@@ -507,29 +518,11 @@ COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict[str, Any]], ...]]] = {
 }
 
 
-def parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``: only the sub-parser of the command that
-    ``argv`` names first, else all of them, for help and for the errors that
-    list the commands."""
-    parser = argparse.ArgumentParser(
-        prog="homhom",
-        description="Decide membership of finite graphs in the six "
-        "connected-source extension-homogeneity classes.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names: Iterable[str] = COMMANDS
-    if argv and argv[0] in COMMANDS:
-        names = argv[:1]
-        # keeps every command in the usage line of an "unrecognized
-        # arguments" error; unset otherwise, so as not to rename "argument
-        # command" in the errors about the command itself
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
-    for name in names:
-        help_text, flags = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, keywords in flags:
-            p.add_argument(flag, **keywords)
-        p.set_defaults(func=globals()[f"cmd_{name}"])  # looked up here, so it can be patched
+def with_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser``, a parser of its own or a sub-parser, given command
+    ``name``'s flags from ``COMMANDS``."""
+    for flag, keywords in COMMANDS[name][1]:
+        parser.add_argument(flag, **keywords)
     return parser
 
 
@@ -541,7 +534,22 @@ def _print_warning(message: Warning | str, *_: Any) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = parser_for(argv).parse_args(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        alone = argparse.ArgumentParser(prog=f"homhom {name}")
+        args, extra = with_flags(alone, name).parse_known_args(argv[1:])
+    if name not in COMMANDS or extra:
+        # help, or an error under the usage line that lists every command
+        parser = argparse.ArgumentParser(
+            prog="homhom",
+            description="Decide membership of finite graphs in the six "
+            "connected-source extension-homogeneity classes.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for each, (help_text, _) in COMMANDS.items():
+            with_flags(sub.add_parser(each, help=help_text), each)
+        args = parser.parse_args(argv)
+        name = args.command
     try:
         env_budget()  # a malformed HOMHOM_BUDGET is refused before any work
     except ValueError as exc:
@@ -550,7 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            code = args.func(args)
+            code = globals()[f"cmd_{name}"](args)  # looked up here, so it can be patched
     except BrokenPipeError:
         code = 0  # the reader stopped early (``| head``), which is not an error
     except InputError as exc:
@@ -559,6 +567,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = 130  # 128 + SIGINT, as a shell reports it
     try:
         sys.stdout.flush()  # a closed reader shows up here, not at exit
     except BrokenPipeError:

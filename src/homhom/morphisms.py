@@ -252,16 +252,17 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     and G_(n-1) is trivial.  Levels run deepest first, b = n-2 down to 0,
     and on entering level b the generators found so far generate G_(b+1).
     They all lie in G_b, so closing {b} under them gives part of b's orbit
-    under G_b.  For each v > b of b's degree outside that part, one
-    ``complete_map`` call looks for an automorphism fixing 0..b-1 and
-    sending b to v; each one found becomes a generator, and the orbit is
-    closed again under all generators so far.  A v that no member of G_b
-    reaches stays outside, so the generated group H lies in G_b, has b's
-    whole G_b-orbit, and contains G_(b+1), which is the stabiliser of b in
-    G_b; hence |H| = |orbit| * |G_(b+1)| = |G_b|, and the invariant holds
-    at level b-1.  So for every b the generators fixing 0..b-1 generate
-    G_b.  Level b makes at most n-1-b calls, n(n-1)/2 in all, and each
-    generator at least doubles the group generated before it.
+    under G_b.  For each v > b outside that part with b's degree and b's
+    neighbours among 0..b-1, which G_b keeps, one ``complete_map`` call
+    looks for a member of G_b sending b to v; each one found becomes a
+    generator, and the orbit is closed again under all generators so far.
+    A v that no member of G_b reaches stays outside, so the generated group
+    H lies in G_b, has b's whole G_b-orbit, and contains G_(b+1), which is
+    the stabiliser of b in G_b; hence |H| = |orbit| * |G_(b+1)| = |G_b|,
+    and the invariant holds at level b-1.  So for every b the generators
+    fixing 0..b-1 generate G_b.  Level b makes at most n-1-b calls,
+    n(n-1)/2 in all, and each generator at least doubles the group
+    generated before it.
     """
     n = g.n
     degrees = [popcount(row) for row in g.adj]
@@ -269,8 +270,9 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     for b in range(n - 2, -1, -1):
         fixed = {u: u for u in range(b)}
         orbit = 1 << b  # every generator so far fixes b
+        low, row = (1 << b) - 1, g.adj[b]
         for v in range(b + 1, n):
-            if orbit >> v & 1 or degrees[v] != degrees[b]:
+            if orbit >> v & 1 or degrees[v] != degrees[b] or (g.adj[v] ^ row) & low:
                 continue
             m = complete_map(g, g, {**fixed, b: v}, MorphKind.ISO)
             if m is None:

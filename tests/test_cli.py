@@ -16,8 +16,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -364,7 +366,8 @@ class TestSweep:
         code, stdout, _ = run_cli(capsys, ["sweep", "--max-n", "4", "--out", str(out_file)])
         assert code == 0
         assert stdout.strip().startswith("{")  # summary goes to stdout with --out
-        assert json.loads(stdout)["skippedCount"] == 0
+        uninterrupted = json.loads(stdout)
+        assert uninterrupted["skippedCount"] == 0
         full = out_file.read_text().splitlines()
         assert len(full) == 18
 
@@ -376,12 +379,27 @@ class TestSweep:
         assert code == 0
         summary = json.loads(stdout)
         assert summary["skippedCount"] == 7
-        assert summary["graphCount"] == 11
+        # the summary describes all of FILE, not only the records written now
+        untimed = {**summary, "elapsedMs": 0, "skippedCount": 0}
+        assert untimed == {**uninterrupted, "elapsedMs": 0}
+        assert summary["graphCount"] == 18
         resumed = out_file.read_text().splitlines()
         assert [json.loads(l)["graph6"] for l in resumed] == [
             json.loads(l)["graph6"] for l in full
         ]
         assert not (tmp_path / "sweep.jsonl.partial").exists()
+
+    def test_mismatch_read_back_fails_the_resumed_run(self, capsys, tmp_path):
+        out_file = tmp_path / "sweep.jsonl"
+        argv = ["sweep", "--max-n", "3", "--classes", "c-hh", "--out", str(out_file)]
+        assert run_cli(capsys, argv)[0] == 0
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        records[1]["mismatch"] = True
+        out_file.write_text("".join(json.dumps(r) + "\n" for r in records[:3]))
+        code, out, _ = run_cli(capsys, argv + ["--resume"])
+        summary = json.loads(out)
+        assert (code, summary["mismatchCount"], summary["graphCount"]) == (1, 1, 7)
+        assert summary["skippedCount"] == 3
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
     def test_sweep_streams(self, capsys, rebind, tmp_path, to_file):
@@ -433,7 +451,7 @@ class TestSweep:
         code, out, _ = run_cli(capsys, argv + ["--resume"])
         assert code == 0
         summary = json.loads(out)
-        assert (summary["skippedCount"], summary["graphCount"]) == (7, 11)
+        assert (summary["skippedCount"], summary["graphCount"]) == (7, 18)
         assert normalize_timing(out_file.read_text()) == normalize_timing(expected)
         assert not partial.exists()
 
@@ -767,6 +785,8 @@ HELP_CASES = [
     (["classify", "--bogus"], 2, "", unrecognized("--bogus")),
     (["classify", "--g6", "A_", "--bogus"], 2, "", unrecognized("--bogus")),
     (["enumerate", "--max-n", "2", "extra"], 2, "", unrecognized("extra")),
+    (["classify", "--", "x"], 2, "", unrecognized("-- x")),
+    (["sweep", "--jobs", "2", "-x"], 2, "", unrecognized("-x")),
     (
         ["sweep", "--max-n", "x"],
         2,
@@ -798,8 +818,8 @@ class TestHelpText:
         assert capsys.readouterr() == (out, err)
 
     def test_one_sub_parser_per_command(self, capsys, monkeypatch):
-        # a command builds only its own sub-parser: the top-level parser and
-        # one more; help builds all six, listed in the table's order
+        # a command builds only its own parser; help builds the top-level
+        # parser and all six sub-parsers, listed in the table's order
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -809,7 +829,7 @@ class TestHelpText:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert exit_code(["classify", "--g6", "A_"]) == 0
-        assert len(built) == 2
+        assert len(built) == 1
         capsys.readouterr()
         built.clear()
         assert exit_code(["--help"]) == 0
@@ -990,6 +1010,38 @@ class TestErrorContract:
         code, out, err = run_cli(capsys, ["sweep", *args])
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: --"), err
+
+    def test_interrupt_exits_quietly(self, tmp_path):
+        # Ctrl-C, which a terminal sends to the whole process group, once
+        # the first record is written: one error line and exit 130, from the
+        # main process and the workers, FILE never created, and FILE.partial
+        # whole records only
+        out_file = tmp_path / "sweep.jsonl"
+        partial = tmp_path / "sweep.jsonl.partial"
+        args = ["sweep", "--max-n", "8", "--connected", "--classes", "c-hh", "--jobs", "2"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "homhom", *args, "--out", str(out_file)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=tmp_path,
+            env=checkout_env(),
+            start_new_session=True,
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not (partial.exists() and "\n" in partial.read_text()):
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                os.killpg(proc.pid, signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert not out_file.exists()
+        lines = partial.read_text().splitlines()
+        assert lines and all("graph6" in json.loads(line) for line in lines)
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(

@@ -304,6 +304,23 @@ class TestIsomorphism:
         assert embeds(cycle_graph(6), cycle_graph(6))
 
 
+def degree_only_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``automorphism_generators`` as it was when it tried every image of
+    b's degree: the reference for the search that skips more images."""
+    degrees = [popcount(row) for row in g.adj]
+    gens: list[tuple[int, ...]] = []
+    for b in range(g.n - 2, -1, -1):
+        orbit = 1 << b
+        for v in range(b + 1, g.n):
+            if orbit >> v & 1 or degrees[v] != degrees[b]:
+                continue
+            m = complete_map(g, g, {**{u: u for u in range(b)}, b: v}, ISO)
+            if m is not None:
+                gens.append(tuple(m[u] for u in range(g.n)))
+                orbit = orbit_closure(orbit, gens)
+    return tuple(gens)
+
+
 class TestAutomorphisms:
     @pytest.mark.parametrize(
         "g, order",
@@ -329,8 +346,8 @@ class TestAutomorphisms:
         ids=["K8", "rook4", "clebsch"],
     )
     def test_generators_never_enumerate_the_group(self, make, rebind):
-        # K8 has 40 320 automorphisms; individualisation finds 7 generators
-        # with at most 28 completions, rook(4) 6 and Clebsch 5
+        # K8 has 40 320 automorphisms; individualisation finds 7 generators,
+        # rook(4) 6 and Clebsch 5, each with the one completion that found it
         def refuse(*args, **kwargs):
             raise AssertionError("the automorphism group was enumerated")
 
@@ -344,9 +361,25 @@ class TestAutomorphisms:
         rebind(complete_map, counted)
         g = make()
         gens = automorphism_generators(g)
-        assert len(calls) <= g.n * (g.n - 1) // 2
-        assert len(gens) <= g.n - 1
+        assert len(calls) == len(gens) <= g.n - 1
         assert all(sorted(p) == list(range(g.n)) for p in gens)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            lambda: enumerate_graphs(7),
+            lambda: [
+                complete_graph(8), rook_graph(4), petersen_graph(), clebsch_graph(), bcpm_graph(5)
+            ],
+        ],
+        ids=["n<=7", "named"],
+    )
+    def test_generators_match_the_degree_only_search(self, graphs):
+        # the same generators as the search that tries every image of b's
+        # degree, so the images skipped for their neighbours among 0..b-1
+        # are only ones that complete_map refuses
+        for g in graphs():
+            assert automorphism_generators(g) == degree_only_generators(g), g
 
     def test_clebsch_group_order(self):
         g = clebsch_graph()
