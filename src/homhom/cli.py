@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
 import time
 import warnings
@@ -287,25 +288,32 @@ def sorted_graphs(args: argparse.Namespace) -> Iterator[Graph]:
     return enumerate_graphs(args.max_n, connected_only=args.connected)
 
 
-def swept_graph6s(path: str, tally: Callable[[dict[str, Any]], None]) -> set[str]:
-    """The graph6 of every record in ``path``, the JSON-lines output of a
-    sweep, each record passed to ``tally`` as it is read."""
-    done: set[str] = set()
+def read_back(path: str, graph6s: Iterator[str], codes: Sequence[str], tally: Callable) -> int:
+    """The count of records in ``path``, each checked to be the whole record of
+    the next of ``graph6s``, swept for ``codes``, and then passed to ``tally``."""
+    k, problem = 0, ""
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    rec = json.loads(line)
-                    tally(rec)
-                    done.add(rec["graph6"])
+        with open(path, "rb") as fh:  # bytes: a line that is not UTF-8 is refused by number
+            for k, line in enumerate(fh, 1):
+                g6 = next(graph6s, None)
+                if g6 is None:
+                    problem = "is past this sweep's last graph (a larger --max-n?)"
+                elif not line.endswith(b"\n"):
+                    problem = "is cut short: it has no newline"
+                elif (rec := json.loads(line))["graph6"] != g6:
+                    problem = f"is a record of {rec['graph6']!r}, not {g6!r} (another --connected?)"
+                elif sorted(rec["verdicts"]) != sorted(codes):
+                    problem = f"is swept for {','.join(rec['verdicts'])}, not {','.join(codes)}"
+                if problem:
+                    break
+                tally(rec)
     except OSError as exc:
         raise InputError(f"cannot resume from {path!r}: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(
-            f"cannot resume from {path!r}: line {lineno} is not a sweep record "
-            f"({type(exc).__name__}: {exc})"
-        ) from None
-    return done
+    except (ValueError, KeyError, TypeError):
+        problem = "is not a sweep record"
+    if problem:
+        raise InputError(f"cannot resume from {path!r}: line {k} {problem}")
+    return k
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -315,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.out:
         raise InputError("--resume needs --out")
     started = time.perf_counter_ns()
-    graphs = sorted_graphs(args)  # an --max-n out of range exits 2 here
+    graph6s = map(to_graph6, sorted_graphs(args))  # an --max-n out of range exits 2 here
     if args.max_n > ENUMERATION_SOFT_CAP and not args.force:
         raise BudgetExceededError(
             f"sweeping all graphs on up to {args.max_n} vertices is outside the "
@@ -326,8 +334,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     per_class: dict[str, dict[str, int]] = {
         code: {"yes": 0, "no": 0, "oracleUnknown": 0, "unknown": 0} for code in codes
     }
-    done: set[str] = set()
-    graph_count = mismatches = 0
+    graph_count = mismatches = skipped = 0
 
     def tally(rec: dict[str, Any]) -> None:
         nonlocal graph_count, mismatches
@@ -344,29 +351,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         fh = sys.stdout
         if args.out:
-            # Records stream into FILE.partial, which replaces FILE once all
-            # are written, so a sweep that stops early leaves FILE as it was.
-            # --resume continues an interrupted run's FILE.partial, else a copy
-            # of FILE.  A path that cannot be written is refused before any work.
+            # Records stream into FILE.partial, a line per write, which replaces
+            # FILE once all are written; --resume continues FILE.partial, else a
+            # copy of FILE that read_back accepts.  Unwritable paths fail first.
             partial = args.out + ".partial"
             source = partial if args.resume and os.path.exists(partial) else args.out
             if args.resume and os.path.exists(source):
-                done = swept_graph6s(source, tally)
+                skipped = read_back(source, graph6s, codes, tally)
             if os.path.isdir(args.out):
                 raise InputError(f"cannot write {args.out!r}: it is a directory")
             try:
-                # one write per line, so an interrupted run leaves whole records
-                fh = stack.enter_context(open(
-                    partial, "a" if source == partial else "w", encoding="utf-8", buffering=1
-                ))
-                if done and source == args.out:
-                    with open(args.out, encoding="utf-8") as old:
-                        fh.writelines(line.rstrip("\n") + "\n" for line in old)
+                if skipped and source == args.out:
+                    shutil.copyfile(args.out, partial)
+                fh = stack.enter_context(
+                    open(partial, "a" if args.resume else "w", encoding="utf-8", buffering=1)
+                )
             except OSError as exc:
                 raise InputError(f"cannot write {args.out!r}: {exc}") from None
-        payloads = (
-            (g6, tuple(codes), args.force) for g6 in map(to_graph6, graphs) if g6 not in done
-        )
+        payloads = ((g6, tuple(codes), args.force) for g6 in graph6s)
         if args.jobs > 1:
             import multiprocessing  # only a pool needs it; it slows start-up
             import signal
@@ -386,7 +388,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         os.replace(partial, args.out)
     summary = {
         "graphCount": graph_count,
-        "skippedCount": len(done),
+        "skippedCount": skipped,
         "mismatchCount": mismatches,
         "perClass": per_class,
         "elapsedMs": (time.perf_counter_ns() - started) // 1_000_000,

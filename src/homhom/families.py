@@ -2,8 +2,8 @@
 
 Every generator documents its vertex layout, since witnesses and tests refer
 to concrete vertex ids.  ``FAMILIES`` is the one table of the named families:
-the CLI's ``--family`` names, the recognizers' descriptor tags, the builders
-and their parameter counts are all read from it.  ``enumerate_graphs``
+the CLI's ``--family`` names, the tags naming a family in a descriptor, the
+builders and their parameter counts are all read from it.  ``enumerate_graphs``
 streams one representative per isomorphism class in a fixed order (vertex
 count ascending, then canonical graph6 bytes ascending).
 """
@@ -241,10 +241,11 @@ def biclique_chain(side_a: int, side_b: int, count: int) -> Graph:
 
 
 class Family(NamedTuple):
-    """One named family: its ``--family`` name, the descriptor tag the
-    recognizers report (None for a family they never report), its builder
-    over flat integer parameters, and how many parameters it takes
-    (``max_params`` None: no upper limit)."""
+    """One named family: its ``--family`` name, the tag that names it in a
+    ``FamilyDescriptor`` (None: none does), its builder over flat integer
+    parameters, and how many it takes (``max_params`` None: no upper limit).
+    Recognizers report COMPLETE, REGULAR_MULTIPARTITE, CYCLE, LINE_KSS, BCPM,
+    PETERSEN, CLEBSCH and MULTICLAW; the other tags only name descriptors."""
 
     name: str
     tag: str | None

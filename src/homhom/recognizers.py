@@ -213,9 +213,6 @@ class PcmCertificate:
     w_mask: int
     matching: tuple[tuple[int, int], ...]
 
-    def subgraph_mask(self) -> int:
-        return self.z_mask | self.w_mask
-
 
 def validate_pcm_certificate(g: Graph, cert: PcmCertificate, n: int) -> bool:
     """Check every invariant of ``cert`` as a PCM(n) pattern inside ``g``."""

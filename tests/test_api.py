@@ -3,9 +3,9 @@
 Each of the six classes has one definition, so a decider needs no switch
 beyond ``budget``, the library face of ``HOMHOM_BUDGET``.  The engine is
 fixed by the query and the canonical form by the graph alone.  And every
-function, class and module-level name of the library modules has a reader
-in ``src`` besides the package's exports, and every name the package
-exports is read somewhere.
+function, class, module-level name and non-dunder method of the library
+modules has a reader in ``src`` besides the package's exports, and every
+name the package exports is read somewhere.
 """
 
 from __future__ import annotations
@@ -118,6 +118,40 @@ def test_every_library_definition_has_a_caller():
         if not any(name in used for m, owners, used in uses if not (m == module and name in owners))
     }
     assert callerless == CALLERLESS_ALLOWED
+
+
+# methods and properties of library classes that nothing in ``src`` reads,
+# each kept for a reader outside it
+CALLERLESS_METHODS_ALLOWED = {
+    # perfbench/tracer.py names a traced call's class by it
+    "oracle.ClassQuery.code",
+}
+
+
+def test_every_library_method_has_a_caller():
+    # a method or property is read as an attribute; dunders are the
+    # language's to call, and a method's reads of its own name are no calls
+    src = Path(homhom.__file__).parent
+    methods: list[tuple[str, ast.FunctionDef]] = []
+    uses: list[tuple[ast.stmt, set[str]]] = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            parts = node.body if isinstance(node, ast.ClassDef) else [node]
+            for part in parts:
+                uses.append((part, {a.attr for a in ast.walk(part) if isinstance(a, ast.Attribute)}))
+                if (
+                    path.stem in LIBRARY_MODULES
+                    and isinstance(node, ast.ClassDef)
+                    and isinstance(part, ast.FunctionDef)
+                    and not (part.name.startswith("__") and part.name.endswith("__"))
+                ):
+                    methods.append((f"{path.stem}.{node.name}.{part.name}", part))
+    callerless = {
+        label
+        for label, method in methods
+        if not any(method.name in attrs for part, attrs in uses if part is not method)
+    }
+    assert callerless == CALLERLESS_METHODS_ALLOWED
 
 
 def test_every_export_is_read():

@@ -11,6 +11,7 @@ codes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -307,6 +308,16 @@ class TestClassify:
         assert "expected 1 graph" in err
 
 
+@pytest.fixture(scope="module")
+def sweep4(tmp_path_factory):
+    """The records, one line each, and the summary of an uninterrupted
+    ``sweep --max-n 4 --out FILE``."""
+    out_file = tmp_path_factory.mktemp("sweep4") / "sweep.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()) as summary:
+        assert main(["sweep", "--max-n", "4", "--out", str(out_file)]) == 0
+    return out_file.read_text().splitlines(keepends=True), json.loads(summary.getvalue())
+
+
 class TestSweep:
     def test_small_sweep_has_no_mismatches(self, capsys):
         code, out, err = run_cli(capsys, ["sweep", "--max-n", "4"])
@@ -455,6 +466,87 @@ class TestSweep:
         assert normalize_timing(out_file.read_text()) == normalize_timing(expected)
         assert not partial.exists()
 
+    @pytest.mark.parametrize("source", ["FILE", "FILE.partial"])
+    @pytest.mark.parametrize(
+        "jobs, k", [*(("1", k) for k in range(19)), ("2", 0), ("2", 9), ("2", 18)]
+    )
+    def test_resume_from_every_cut(self, capsys, tmp_path, sweep4, source, jobs, k):
+        # the uninterrupted run's first k records, in FILE or in FILE.partial
+        # (which is read instead of FILE when it exists), resume to the whole run
+        lines, uninterrupted = sweep4
+        out_file = tmp_path / "sweep.jsonl"
+        partial = tmp_path / "sweep.jsonl.partial"
+        if source == "FILE":
+            out_file.write_text("".join(lines[:k]))
+        else:
+            out_file.write_text("stale\n")
+            partial.write_text("".join(lines[:k]))
+        argv = ["sweep", "--max-n", "4", "--jobs", jobs, "--out", str(out_file), "--resume"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert normalize_timing(out_file.read_text()) == normalize_timing("".join(lines))
+        assert not partial.exists()
+        summary = json.loads(out)
+        assert summary["skippedCount"] == k
+        assert {**summary, "elapsedMs": 0, "skippedCount": 0} == {**uninterrupted, "elapsedMs": 0}
+
+    @pytest.mark.parametrize("source", ["FILE", "FILE.partial"])
+    @pytest.mark.parametrize(
+        "swept, resumed, edit, problem",
+        [
+            (
+                ["--max-n", "4", "--connected"],
+                ["--max-n", "4"],
+                str,
+                "line 2 is a record of 'A_', not 'A?' (another --connected?)",
+            ),
+            (
+                ["--max-n", "3", "--classes", "c-hh"],
+                ["--max-n", "3"],
+                str,
+                "line 1 is swept for homo-homo, "
+                "not iso-iso,mono-iso,homo-iso,iso-homo,mono-homo,homo-homo",
+            ),
+            (
+                ["--max-n", "4"],
+                ["--max-n", "3"],
+                str,
+                "line 8 is past this sweep's last graph (a larger --max-n?)",
+            ),
+            (
+                ["--max-n", "4"],
+                ["--max-n", "4"],
+                lambda text: text[:-1],
+                "line 18 is cut short: it has no newline",
+            ),
+            (
+                ["--max-n", "4"],
+                ["--max-n", "4"],
+                lambda text: text.replace("\n", "\n\n", 1),
+                "line 2 is not a sweep record",
+            ),
+        ],
+        ids=["another-graph", "another-class-list", "past-the-last-graph", "cut-short", "blank"],
+    )
+    def test_resume_refuses_what_is_not_the_head_of_the_sweep(
+        self, capsys, tmp_path, source, swept, resumed, edit, problem
+    ):
+        # one error line, exit 2, and FILE and FILE.partial as they were (an
+        # absent FILE.partial stays absent)
+        out_file = tmp_path / "sweep.jsonl"
+        partial = tmp_path / "sweep.jsonl.partial"
+        assert run_cli(capsys, ["sweep", *swept, "--out", str(out_file)])[0] == 0
+        text = edit(out_file.read_text())
+        read = out_file if source == "FILE" else partial
+        if source == "FILE.partial":
+            out_file.write_text("keep\n")
+        read.write_text(text)
+        before = {path: path.read_bytes() for path in (out_file, partial) if path.exists()}
+        argv = ["sweep", *resumed, "--out", str(out_file), "--resume"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot resume from {str(read)!r}: {problem}\n"
+        assert {path: path.read_bytes() for path in (out_file, partial) if path.exists()} == before
 
     def test_budget_aborts_count_as_oracle_unknown(self, capsys, monkeypatch):
         # a 3-vertex budget refuses the oracle on all eleven 4-vertex graphs
@@ -979,7 +1071,8 @@ class TestErrorContract:
         ],
     )
     def test_one_line_error(self, tmp_path, args, env):
-        # the resume row reads this file: one record, then a line cut short
+        # the resume row reads this file: a line that is no whole sweep record
+        # (it has no verdicts), then a line cut short
         (tmp_path / "truncated.jsonl").write_text('{"graph6":"@"}\n{"graph6":"A')
         proc = run_module(args, tmp_path, **env)
         assert proc.returncode == 2, proc.stderr
