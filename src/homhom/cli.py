@@ -435,9 +435,7 @@ def cmd_symmetric(args: argparse.Namespace) -> int:
 
 def cmd_core(args: argparse.Namespace) -> int:
     g = collect_graphs(args, 1)[0]
-    budget = env_budget()
-    if budget is None:
-        budget = DEFAULT_CORE_BUDGET
+    budget = env_budget(DEFAULT_CORE_BUDGET)
     if g.n > budget and not args.force:
         raise BudgetExceededError(
             f"{g.n} vertices exceeds the core-search budget of {budget} "
@@ -553,7 +551,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         name = args.command
     try:
-        env_budget()  # a malformed HOMHOM_BUDGET is refused before any work
+        env_budget(DEFAULT_CORE_BUDGET)  # a malformed HOMHOM_BUDGET is refused before any work
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

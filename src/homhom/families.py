@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _canonical_labelling,
     _graph_from_rows,
@@ -31,22 +32,33 @@ from .morphisms import (
     complete_map,
 )
 
+
+def _check_order(n: int, what: str) -> None:
+    """Refuse a ``what`` of more than ``MAX_VERTICES`` vertices, so that a
+    builder given a large parameter fails before it builds any edge."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{what} would have {n} > {MAX_VERTICES} vertices")
+
+
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_order(n, "complete graph")
     return from_edges(n, itertools.combinations(range(n), 2))
 
 
 def empty_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("empty graph needs n >= 1")
-    return Graph(n, (0,) * n)
+    _check_order(n, "empty graph")
+    return from_edges(n, ())
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices: i ~ i+1 (mod n)."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_order(n, "cycle")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, n - 1)])
 
 
@@ -54,6 +66,7 @@ def path_graph(length: int) -> Graph:
     """Path with ``length`` edges, i.e. length+1 vertices 0..length in a row."""
     if length < 0:
         raise ValueError("path length must be >= 0")
+    _check_order(length + 1, "path")
     return from_edges(length + 1, [(i, i + 1) for i in range(length)])
 
 
@@ -63,6 +76,7 @@ def regular_multipartite_graph(parts: int, part_size: int) -> Graph:
     if parts < 2 or part_size < 2:
         raise ValueError("regular multipartite graph needs parts >= 2 and size >= 2")
     n = parts * part_size
+    _check_order(n, "regular multipartite graph")
     edges = [
         (u, v)
         for u in range(n)
@@ -81,6 +95,7 @@ def rook_graph(s: int) -> Graph:
     if s < 2:
         raise ValueError("rook graph needs s >= 2")
     n = s * s
+    _check_order(n, "rook graph")
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -97,6 +112,7 @@ def bcpm_graph(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError("bipartite complement of a perfect matching needs n >= 2")
+    _check_order(2 * n, "bipartite complement of a perfect matching")
     return from_edges(
         2 * n, [(i, n + j) for i in range(n) for j in range(n) if i != j]
     )
@@ -148,6 +164,7 @@ def pcm_example_graph(n: int) -> Graph:
     """
     if n < 4:
         raise ValueError("the example needs a large side of size >= 4")
+    _check_order(n + 3, "the example")
     missing = {(0, 3), (0, 5), (1, 4), (1, 5)}
     edges = [
         (a, b)
@@ -173,6 +190,7 @@ def multiclaw_graph(clique_size: int, blob_size: int, blob_counts: tuple[int, ..
             "multiclaw needs clique_size >= 0, blob_size >= 1 and every "
             "blob count >= 2"
         )
+    _check_order(m + k * sum(blob_counts), "multiclaw")
     # group id -1 = the clique; inside a group, blob id distinguishes blobs
     labels: list[tuple[int, int]] = [(-1, i) for i in range(m)]
     for alpha, j in enumerate(blob_counts):
@@ -197,14 +215,15 @@ def multiclaw_graph(clique_size: int, blob_size: int, blob_counts: tuple[int, ..
 # chains of blocks
 
 
-def _chain(block_edges: list[tuple[int, int]], step: int, count: int) -> Graph:
+def _chain(block_edges: Iterable[tuple[int, int]], step: int, count: int) -> Graph:
     """``count`` copies of one block on vertices 0..step, copy i shifted to
-    i*step..i*step+step, so consecutive copies share one vertex."""
+    i*step..i*step+step, so consecutive copies share one vertex.  The block
+    edges are read only once the size is known to fit."""
     n = count * step + 1
-    if n > 64:
-        raise ValueError(f"glued graph would have {n} > 64 vertices")
+    _check_order(n, "glued graph")
+    block = list(block_edges)
     return from_edges(
-        n, [(i * step + u, i * step + w) for i in range(count) for u, w in block_edges]
+        n, [(i * step + u, i * step + w) for i in range(count) for u, w in block]
     )
 
 
@@ -219,7 +238,7 @@ def clique_chain(clique_size: int, count: int) -> Graph:
         return complete_graph(clique_size)
     if clique_size < 2:
         raise ValueError("complete blocks need size >= 2")
-    return _chain(list(itertools.combinations(range(clique_size), 2)), clique_size - 1, count)
+    return _chain(itertools.combinations(range(clique_size), 2), clique_size - 1, count)
 
 
 def biclique_chain(side_a: int, side_b: int, count: int) -> Graph:
@@ -233,7 +252,7 @@ def biclique_chain(side_a: int, side_b: int, count: int) -> Graph:
     m, n = side_a, side_b
     if m < 1 or n < 1:
         raise ValueError("bipartite blocks need both sides >= 1")
-    return _chain([(u, m + w) for u in range(m) for w in range(n)], m + n - 1, count)
+    return _chain(((u, m + w) for u in range(m) for w in range(n)), m + n - 1, count)
 
 
 # ---------------------------------------------------------------------------

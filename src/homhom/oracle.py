@@ -8,7 +8,6 @@ their morphism kinds::
     iso-iso    mono-iso    homo-iso      (extend to an automorphism)
     iso-homo   mono-homo   homo-homo     (extend to an endomorphism)
 
-``connected_sources=False`` drops the connectedness restriction on sources.
 The same machinery decides the relative versions between two graphs: every
 source map out of g1 landing in g2 must extend to a total morphism g1 -> g2.
 
@@ -67,7 +66,6 @@ class ClassQuery:
 
     source: MorphKind
     target: MorphKind
-    connected_sources: bool = True
 
     def __post_init__(self) -> None:
         if self.target is MorphKind.MONO:
@@ -91,13 +89,11 @@ CLASS_CODES = (
 _KIND_BY_NAME = {k.value: k for k in MorphKind}
 
 
-def query_for_code(code: str, connected_sources: bool = True) -> ClassQuery:
+def query_for_code(code: str) -> ClassQuery:
     parts = code.split("-")
     if len(parts) != 2 or any(p not in _KIND_BY_NAME for p in parts):
         raise ValueError(f"unknown class code {code!r} (expected e.g. 'mono-homo')")
-    return ClassQuery(
-        _KIND_BY_NAME[parts[0]], _KIND_BY_NAME[parts[1]], connected_sources
-    )
+    return ClassQuery(_KIND_BY_NAME[parts[0]], _KIND_BY_NAME[parts[1]])
 
 
 @dataclass(frozen=True)
@@ -131,26 +127,20 @@ STATE_LIMIT = 2_000_000
 BUDGET_ENV_VAR = "HOMHOM_BUDGET"
 
 
-def env_budget() -> int | None:
-    """The vertex budget set by ``HOMHOM_BUDGET``, or None when it is unset.
+def env_budget(default: int) -> int:
+    """The vertex budget set by ``HOMHOM_BUDGET``, or ``default`` when it is
+    unset.
 
     Raises ValueError with a one-line message when the value is not an
     integer.
     """
     env = os.environ.get(BUDGET_ENV_VAR)
     if not env:
-        return None
+        return default
     try:
         return int(env)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-
-
-def _resolve_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = env_budget()
-    return SOURCE_BUDGET if env is None else env
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +184,14 @@ class _Symmetry:
     vertex orbits of the group they generate, Aut(graph), and ``fixers[w]``
     the generators fixing w, as a mask of their indices.  ``fixers`` and
     ``least`` serve the stabiliser pruning of both engines.
-    ``sources(connected)`` streams ``_source_representatives`` under the
-    same generators, and the key ``layout`` serves the per-map search; each
-    is built the first time it is asked for.  The searches from the graph
+    ``sources()`` streams the connected ``_source_representatives`` under
+    the same generators, and the key ``layout`` serves the per-map search;
+    each is built the first time it is asked for.  The searches from the graph
     to itself also keep here each domain's ``[order, rims]``, built at
     first need, and the ``record`` of every homo-target search.
     All of it is shared by every later call on the graph object, so
     callers only read it, except that searches extend the record and the
-    source lists.
+    source list.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -214,7 +204,8 @@ class _Symmetry:
             for w, image in enumerate(p):
                 if image == w:
                     fixers[w] |= bit
-        self._sources: dict[bool, tuple[list[int], Iterator[list[int]]]] = {}
+        self._sources: list[int] = []
+        self._levels = _source_representatives(g, True, self.generators)
         self._least = {0: g.full_mask}
         self.domains: dict[int, list] = {}
 
@@ -234,18 +225,15 @@ class _Symmetry:
             self._least[h] = sum(o & -o for o in _vertex_orbits(self.graph.n, gens))
         return self._least[h]
 
-    def sources(self, connected: bool) -> Iterator[int]:
-        """The source representatives in ``_source_representatives`` order.
+    def sources(self) -> Iterator[int]:
+        """The connected source representatives in
+        ``_source_representatives`` order.
 
-        They are kept in one list per ``connected`` for the graph object,
-        which grows by a whole size only when a reader passes its end, so a
-        search that stops early builds no larger size, and each size is
-        built once however many searches read it."""
-        if connected not in self._sources:
-            self._sources[connected] = [], _source_representatives(
-                self.graph, connected, self.generators
-            )
-        built, levels = self._sources[connected]
+        They are kept in one list for the graph object, which grows by a
+        whole size only when a reader passes its end, so a search that stops
+        early builds no larger size, and each size is built once however
+        many searches read it."""
+        built, levels = self._sources, self._levels
         i = 0
         while True:
             if i == len(built):
@@ -699,7 +687,7 @@ def _per_map(g1: Graph, g2: Graph, query: ClassQuery) -> OracleResult:
     g1, pruned by the stabilisers in Aut(g2)."""
     # g2 first, so that the slot ends on g1 when they differ
     sym2 = _symmetry(g2)
-    sources = _symmetry(g1).sources(query.connected_sources)
+    sources = _symmetry(g1).sources()
     return _per_map_search(g1, g2, query, sources, sym2)
 
 
@@ -707,46 +695,34 @@ def _per_map(g1: Graph, g2: Graph, query: ClassQuery) -> OracleResult:
 # public API
 
 
-def extension_morphic(
-    g1: Graph, g2: Graph, query: ClassQuery, *, budget: int | None = None
-) -> OracleResult:
+def extension_morphic(g1: Graph, g2: Graph, query: ClassQuery) -> OracleResult:
     """Does every source map out of g1 into g2 extend to a total morphism
     g1 -> g2 of the target kind?
 
-    The search is always exhaustive.  ``budget`` caps g1's vertex count
-    (default ``SOURCE_BUDGET``, ``HOMHOM_BUDGET`` overrides).  Connected
-    homo-homo is decided by the one-point engine, every other query by the
-    per-map engine.
+    The search is always exhaustive.  g1 may have at most ``SOURCE_BUDGET``
+    vertices, or as many as ``HOMHOM_BUDGET`` says.  Homo-homo is decided by
+    the one-point engine, every other query by the per-map engine.
     """
-    budget_n = _resolve_budget(budget)
-    if g1.n > budget_n:
+    budget = env_budget(SOURCE_BUDGET)
+    if g1.n > budget:
         raise BudgetExceededError(
-            f"{g1.n} vertices exceeds the source budget of {budget_n} "
-            f"(set {BUDGET_ENV_VAR} or pass budget=...)"
+            f"{g1.n} vertices exceeds the source budget of {budget} (set {BUDGET_ENV_VAR})"
         )
-    if (
-        query.source is MorphKind.HOMO
-        and query.target is MorphKind.HOMO
-        and query.connected_sources
-    ):
+    if query.source is MorphKind.HOMO and query.target is MorphKind.HOMO:
         return _one_point_search(g1, g2)
     return _per_map(g1, g2, query)
 
 
-def is_class_member(
-    g: Graph, query: ClassQuery, *, budget: int | None = None
-) -> OracleResult:
+def is_class_member(g: Graph, query: ClassQuery) -> OracleResult:
     """Decide the extension property for one graph (maps g -> g)."""
-    return extension_morphic(g, g, query, budget=budget)
+    return extension_morphic(g, g, query)
 
 
-def extension_symmetric(
-    g1: Graph, g2: Graph, query: ClassQuery, *, budget: int | None = None
-) -> OracleResult:
+def extension_symmetric(g1: Graph, g2: Graph, query: ClassQuery) -> OracleResult:
     """Both directions of ``extension_morphic``; witness notes the direction."""
     checked = 0
     for direction, a, b in (("forward", g1, g2), ("backward", g2, g1)):
-        res = extension_morphic(a, b, query, budget=budget)
+        res = extension_morphic(a, b, query)
         checked += res.checked_maps
         if not res.holds:
             wit = replace(res.witness, note=f"{direction} direction: {res.witness.note}")
@@ -759,7 +735,7 @@ def validate_witness(g1: Graph, g2: Graph, query: ClassQuery, wit: Witness) -> b
     morphism on its domain, and the exhaustive completer must fail on it."""
     if wit.domain_mask == 0 or wit.domain_mask & ~g1.full_mask:
         return False
-    if query.connected_sources and not connected_within(g1, wit.domain_mask):
+    if not connected_within(g1, wit.domain_mask):  # sources are connected
         return False
     if set(wit.mapping) != set(bits(wit.domain_mask)):
         return False

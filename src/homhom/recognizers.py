@@ -156,15 +156,13 @@ def b1_holds(g: Graph) -> bool:
     return True
 
 
-def _connected_bipartition(g: Graph) -> tuple[int, int] | None:
-    if not is_connected(g):
-        return None
-    return bipartition(g)
-
-
 def b2_star_holds(g: Graph) -> bool:
-    """Connected bipartite and each (nonempty) part has a common neighbour."""
-    parts = _connected_bipartition(g)
+    """Connected bipartite and each (nonempty) part has a common neighbour.
+
+    Connectedness needs no test of its own: ``bipartition`` puts the lowest
+    vertex of each component on side x, and vertices of two components
+    have no common neighbour."""
+    parts = bipartition(g)
     if parts is None:
         return False
     for part in parts:
@@ -178,11 +176,12 @@ def is_bcpm(g: Graph) -> int | None:
     perfect matching (n >= 3); None otherwise (including when ``g`` is not
     connected bipartite).
 
-    A connected bipartite graph with equal parts of size n and all degrees
-    n-1 is forced to be exactly that: each vertex misses a unique cross
-    vertex, and the missed pairs form a perfect matching.
+    A bipartite graph with equal parts of size n >= 3 and all degrees n-1
+    is forced to be exactly that: each vertex misses a unique cross vertex,
+    and the missed pairs form a perfect matching.  It is connected, as any
+    two vertices of one part share n-2 >= 1 of their n-1 neighbours.
     """
-    parts = _connected_bipartition(g)
+    parts = bipartition(g)
     if parts is None:
         return None
     x, y = parts

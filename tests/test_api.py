@@ -1,11 +1,12 @@
-"""The public deciders take the graphs, the query and at most a budget.
+"""The public deciders take the graphs and the query, nothing else.
 
-Each of the six classes has one definition, so a decider needs no switch
-beyond ``budget``, the library face of ``HOMHOM_BUDGET``.  The engine is
-fixed by the query and the canonical form by the graph alone.  And every
-function, class, module-level name and non-dunder method of the library
-modules has a reader in ``src`` besides the package's exports, and every
-name the package exports is read somewhere.
+Each of the six classes has one definition, so a decider needs no switch;
+``HOMHOM_BUDGET`` is the one budget setting.  The engine is fixed by the
+query and the canonical form by the graph alone.  Every function, class,
+module-level name and non-dunder method of the library modules has a reader
+in ``src`` besides the package's exports, every name the package exports is
+read somewhere, and every defaulted parameter or dataclass field is passed
+by some call in ``src``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ EMPTY = inspect.Parameter.empty
 
 
 PARAMETERS = {
-    oracle.extension_morphic: ["g1", "g2", "query", "*budget=None"],
-    oracle.is_class_member: ["g", "query", "*budget=None"],
-    oracle.extension_symmetric: ["g1", "g2", "query", "*budget=None"],
+    oracle.extension_morphic: ["g1", "g2", "query"],
+    oracle.is_class_member: ["g", "query"],
+    oracle.extension_symmetric: ["g1", "g2", "query"],
+    oracle.query_for_code: ["code"],
     recognizers.classify: ["g"],
     graphs.canonical_form: ["g"],
     graphs.induced_cycle_lengths: ["g"],
@@ -173,3 +175,90 @@ def test_every_export_is_read():
         *(_names_used(ast.parse(p.read_text(encoding="utf-8"))) for p in paths)
     )
     assert sorted(exported - read) == []
+
+
+# -- every default is one some caller departs from ----------------------------
+
+# defaulted parameters that no call in ``src`` passes, each kept for a caller
+# outside it
+UNPASSED_ALLOWED = {
+    # the tests' reference stream of the source maps on one domain
+    "morphisms.enumerate_morphisms.domain_mask",
+}
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name ``node`` reads, bare or as an attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is a dataclass or a ``NamedTuple``, whose annotated
+    class attributes are its constructor's parameters."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(_name(m) in ("dataclass", "NamedTuple") for m in marks + node.bases)
+
+
+def _defaulted(node: ast.AST) -> list[tuple[str, str, int | None]]:
+    """The defaulted parameters of a function or record class: (callee
+    name, parameter, its position in a call, None when keyword-only)."""
+    if isinstance(node, ast.ClassDef):
+        fields = [
+            (part.target.id, part.value is not None)
+            for part in node.body
+            if isinstance(part, ast.AnnAssign) and isinstance(part.target, ast.Name)
+        ]
+        return [(node.name, name, i) for i, (name, default) in enumerate(fields) if default]
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+    out = [
+        (node.name, name, i - skip)
+        for i, name in enumerate(positional)
+        if i >= len(positional) - len(args.defaults)
+    ]
+    out += [
+        (node.name, a.arg, None)
+        for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` may pass the parameter ``name`` at ``position``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and any(
+        i == position or isinstance(arg, ast.Starred) for i, arg in enumerate(call.args)
+    )
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that every caller keeps is an option nobody takes; a call
+    # inside the definition itself, a recursion, does not count, and a call
+    # is matched to its callee by name, bare or as an attribute
+    src = Path(homhom.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
+    calls = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.Call)]
+    unpassed = set()
+    for module in LIBRARY_MODULES:
+        for parent in ast.walk(trees[module]):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, ast.ClassDef) and _is_record(node):
+                    owner = module
+                elif isinstance(node, ast.FunctionDef):
+                    in_class = isinstance(parent, ast.ClassDef)
+                    owner = f"{module}.{parent.name}" if in_class else module
+                else:
+                    continue
+                inside = {id(sub) for sub in ast.walk(node)}
+                for callee, name, position in _defaulted(node):
+                    if not any(
+                        _name(call.func) == callee
+                        and id(call) not in inside
+                        and _passes(call, name, position)
+                        for call in calls
+                    ):
+                        unpassed.add(f"{owner}.{callee}.{name}")
+    assert unpassed == UNPASSED_ALLOWED

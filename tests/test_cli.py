@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from homhom import cli, recognizers
+from homhom import cli, families, recognizers
 from homhom.cli import build_family, main, parse_classes
 from homhom.families import (
     FAMILIES,
@@ -179,6 +179,48 @@ class TestFamilyBuilding:
     def test_error_line(self, capsys, tokens, line):
         code, out, err = run_cli(capsys, ["generate", "--family", *tokens])
         assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    # one oversized parameter list per parameterised family; the vertex
+    # counts are small enough that a builder that checked late would still
+    # reach ``from_edges`` quickly, where the test stops it
+    OVERSIZED = {
+        "complete": ["65"],
+        "empty": ["65"],
+        "cycle": ["65"],
+        "path": ["64"],
+        "regular_multipartite": ["5", "13"],
+        "rook": ["9"],
+        "bcpm": ["33"],
+        "pcm_example": ["62"],
+        "multiclaw": ["63", "1", "2"],
+        "clique_chain": ["3", "32"],
+        "biclique_chain": ["4", "4", "10"],
+    }
+
+    def test_oversized_table_covers_every_parameterised_family(self):
+        assert set(self.OVERSIZED) == {n for n, f in FAMILIES.items() if f.min_params}
+
+    def test_oversized_chain_reads_no_block_edge(self):
+        def block():
+            raise AssertionError("an oversized chain read its block edges")
+            yield
+
+        with pytest.raises(ValueError, match="^glued graph would have 65 > 64 vertices$"):
+            families._chain(block(), 1, 64)
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    def test_oversized_family_refused_before_any_edge(self, name, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("an oversized family reached from_edges")
+
+        monkeypatch.setattr(families, "from_edges", refuse)
+        params = self.OVERSIZED[name]
+        with pytest.raises(ValueError, match=r" would have \d+ > 64 vertices$"):
+            FAMILIES[name].build(*map(int, params))
+        with pytest.raises(cli.InputError, match=f"^cannot build family '{name}': "):
+            build_family([name, *params])
+        code, out, err = run_cli(capsys, ["generate", "--family", name, *params])
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot build family '{name}'")
 
     def test_readme_names_every_family(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -113,7 +113,7 @@ class TestQueryCodes:
     def test_round_trip(self):
         for code in CLASS_CODES:
             q = query_for_code(code)
-            assert q.code == code and q.connected_sources
+            assert q.code == code
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -147,14 +147,16 @@ class TestFrozenProfiles:
         got = tuple(int(b) for b in memberships(g).values())
         assert got == profile
 
-    def test_connected_flag_matters(self):
+    def test_sources_must_be_connected(self):
         # the 6-cycle extends all its connected embeddings, but an antipodal
-        # independent pair maps to a distance-2 pair: no automorphism does that
-        c6 = cycle_graph(6)
-        assert is_class_member(c6, ClassQuery(ISO, ISO, True)).holds
-        res = is_class_member(c6, ClassQuery(ISO, ISO, False))
-        assert not res.holds
-        assert validate_witness(c6, c6, ClassQuery(ISO, ISO, False), res.witness)
+        # independent pair maps to a distance-2 pair: no automorphism does
+        # that, and such a disconnected domain is no witness
+        c6, q = cycle_graph(6), ClassQuery(ISO, ISO)
+        assert is_class_member(c6, q).holds
+        res = per_map(c6, c6, q, connected=False)
+        assert not res.holds and popcount(res.witness.domain_mask) == 2
+        assert not connected_within(c6, res.witness.domain_mask)
+        assert not validate_witness(c6, c6, q, res.witness)
 
     def test_petersen_spot_checks(self):
         g = petersen_graph()
@@ -272,15 +274,15 @@ class TestSourceRepresentatives:
         assert got == want and [popcount(level[0]) for level in got] == [1, 2, 3]
 
 
-def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, dict]:
+def reference_per_map(
+    g1: Graph, g2: Graph, q: ClassQuery, connected: bool
+) -> tuple[bool, int, dict]:
     """The per-map search without keys: every source map on each orbit
     representative domain whose first vertex lands on an orbit
     representative of g2, completed one by one in stream order."""
     gens = automorphism_generators(g1)
     reps = mask_of((o & -o).bit_length() - 1 for o in oracle._symmetry(g2).orbits)
-    for domain in itertools.chain.from_iterable(
-        _source_representatives(g1, q.connected_sources, gens)
-    ):
+    for domain in itertools.chain.from_iterable(_source_representatives(g1, connected, gens)):
         for phi in enumerate_morphisms(g1, g2, q.source, domain):
             if reps >> phi[next(iter(phi))] & 1:
                 if complete_map(g1, g2, phi, q.target) is None:
@@ -288,9 +290,23 @@ def reference_per_map(g1: Graph, g2: Graph, q: ClassQuery) -> tuple[bool, int, d
     return True, 0, {}
 
 
-def assert_matches_reference(g1: Graph, g2: Graph, q: ClassQuery) -> None:
-    res = oracle._per_map(g1, g2, q)
-    holds, domain, phi = reference_per_map(g1, g2, q)
+def per_map(g1: Graph, g2: Graph, q: ClassQuery, connected: bool = True) -> oracle.OracleResult:
+    """``oracle._per_map``, or with ``connected`` false the same search on
+    one source subset per automorphism orbit of g1, connected or not: the
+    engine itself does not care whether its domains are connected."""
+    if connected:
+        return oracle._per_map(g1, g2, q)
+    # g2 first, so that the slot ends on g1 when they differ, as in _per_map
+    sym2 = oracle._symmetry(g2)
+    levels = _source_representatives(g1, False, oracle._symmetry(g1).generators)
+    return oracle._per_map_search(g1, g2, q, itertools.chain.from_iterable(levels), sym2)
+
+
+def assert_matches_reference(
+    g1: Graph, g2: Graph, q: ClassQuery, connected: bool = True
+) -> None:
+    res = per_map(g1, g2, q, connected)
+    holds, domain, phi = reference_per_map(g1, g2, q, connected)
     assert res.holds == holds, (g1, g2, q)
     if not holds:
         assert res.witness.domain_mask == domain, (g1, g2, q)
@@ -299,7 +315,7 @@ def assert_matches_reference(g1: Graph, g2: Graph, q: ClassQuery) -> None:
 
 def unreduced(g1: Graph, g2: Graph, q: ClassQuery) -> oracle.OracleResult:
     """The per-map search on every source subset, with no symmetry."""
-    levels = _source_representatives(g1, q.connected_sources, ())
+    levels = _source_representatives(g1, True, ())
     return oracle._per_map_search(g1, g2, q, itertools.chain.from_iterable(levels), None)
 
 
@@ -315,12 +331,12 @@ class TestLazySources:
         built = []
         rebind(_source_representatives, level_recorder(built))
         sym = oracle._Symmetry(Graph(g.n, g.adj))
-        first = sym.sources(True)
+        first = sym.sources()
         head = list(itertools.islice(first, 3))
         assert head == eager[:3] and len(built) < len({popcount(m) for m in eager})
-        assert list(sym.sources(True)) == eager
+        assert list(sym.sources()) == eager
         assert head + list(first) == eager
-        assert list(sym.sources(True)) == eager
+        assert list(sym.sources()) == eager
         assert built_once(built) and len(built) == len({popcount(m) for m in eager})
 
     def test_search_stopping_early_builds_no_larger_size(self, rebind):
@@ -337,7 +353,7 @@ class TestLazySources:
         res = is_class_member(g, query_for_code("iso-iso"))
         assert not res.holds and [size for _, _, size in built] == [1]
         assert tables == []
-        assert len(list(itertools.islice(oracle._symmetry(g).sources(True), 6))) == 6
+        assert len(list(itertools.islice(oracle._symmetry(g).sources(), 6))) == 6
         assert [size for _, _, size in built] == [1, 2] and tables
 
 
@@ -345,7 +361,7 @@ class TestKeyedPerMapSearch:
     # the keyed search skips states whose future an earlier map had; it
     # must return the verdict and the witness of completing every map
     QUERIES = [
-        query_for_code(code, connected)
+        (query_for_code(code), connected)
         for code in CLASS_CODES
         for connected in (True, False)
     ]
@@ -354,8 +370,8 @@ class TestKeyedPerMapSearch:
         graphs = list(enumerate_graphs(6, connected_only=False))
         assert len(graphs) == 208
         for g in graphs:
-            for q in self.QUERIES:
-                assert_matches_reference(g, g, q)
+            for q, connected in self.QUERIES:
+                assert_matches_reference(g, g, q, connected)
 
     def test_matches_reference_between_graphs(self):
         # iso targets between graphs of different sizes fail on every map,
@@ -364,8 +380,8 @@ class TestKeyedPerMapSearch:
         graphs = list(enumerate_graphs(4, connected_only=False))
         for g1 in graphs:
             for g2 in graphs:
-                for q in self.QUERIES:
-                    assert_matches_reference(g1, g2, q)
+                for q, connected in self.QUERIES:
+                    assert_matches_reference(g1, g2, q, connected)
 
     @pytest.mark.parametrize(
         "g",
@@ -379,8 +395,8 @@ class TestKeyedPerMapSearch:
         ids=["petersen", "rook3", "K333", "bcpm4", "multiclaw-2-1-3-3"],
     )
     def test_matches_reference_on_named_graphs(self, g):
-        for q in self.QUERIES:
-            assert_matches_reference(g, g, q)
+        for q, connected in self.QUERIES:
+            assert_matches_reference(g, g, q, connected)
 
     def test_first_failing_map_on_each_domain(self):
         # one domain at a time and every first image, so that no earlier
@@ -388,7 +404,7 @@ class TestKeyedPerMapSearch:
         # returns the first map of the stream that does not extend
         for g in enumerate_graphs(5, connected_only=False):
             for code in CLASS_CODES:
-                q = query_for_code(code, False)
+                q = query_for_code(code)
                 for domain in range(1, 1 << g.n):
                     res = oracle._per_map_search(g, g, q, [domain])
                     want = next(
@@ -431,7 +447,7 @@ class TestKeyedPerMapSearch:
                 for code in CLASS_CODES[:5]:
                     if g1 is rook4 and connected and code.startswith("iso"):
                         continue
-                    q = query_for_code(code, connected)
+                    q = query_for_code(code)
                     pruned = oracle._per_map_search(g1, g2, q, domains, sym2)
                     full = oracle._per_map_search(g1, g2, q, domains)
                     assert pruned.holds == full.holds, (g1, g2, q)
@@ -542,7 +558,7 @@ class TestRecordedExtensions:
         # asked forward and then in reverse on one object, must be the one
         # a fresh object gives
         queries = [
-            query_for_code(code, connected)
+            (query_for_code(code), connected)
             for connected in (True, False)
             for code in CLASS_CODES
         ]
@@ -554,15 +570,15 @@ class TestRecordedExtensions:
             multiclaw_graph(2, 1, (3, 3)),
         ]
 
-        def answer(g: Graph, q: ClassQuery) -> tuple:
-            res = oracle._per_map(g, g, q)
+        def answer(g: Graph, q: ClassQuery, connected: bool) -> tuple:
+            res = per_map(g, g, q, connected)
             w = res.witness
             return res.holds, w and (w.domain_mask, list(w.mapping.items()))
 
         for g in graphs:
-            fresh = {q: answer(Graph(g.n, g.adj), q) for q in queries}
-            for q in queries + queries[::-1]:
-                assert answer(g, q) == fresh[q], (g, q)
+            fresh = {query: answer(Graph(g.n, g.adj), *query) for query in queries}
+            for query in queries + queries[::-1]:
+                assert answer(g, *query) == fresh[query], (g, query)
 
     def test_mono_homo_after_iso_homo_counter_gate(self):
         # iso-homo's extensions already extend every mono-homo map on the
@@ -939,28 +955,23 @@ class TestBudgetsAndSampling:
         monkeypatch.delenv("HOMHOM_BUDGET")
         assert is_class_member(cycle_graph(6), query_for_code("iso-iso")).holds
 
-    def test_explicit_budget_wins(self):
-        assert is_class_member(
-            cycle_graph(6), query_for_code("homo-homo"), budget=6
-        ).holds
-        with pytest.raises(BudgetExceededError):
-            is_class_member(cycle_graph(6), query_for_code("homo-homo"), budget=5)
-
     @pytest.mark.parametrize("reduce", [True, False])
-    def test_sources_above_sixteen_vertices(self, reduce):
+    def test_sources_above_sixteen_vertices(self, reduce, monkeypatch):
         # 17 vertices take the generic mask images instead of the byte
         # tables; C17 completes 17 maps with orbit reduction and 8 671
         # without (32 with one first image per orbit and no pruning below,
         # 33 and 8 993 when every map was completed)
+        monkeypatch.setenv("HOMHOM_BUDGET", "17")
         g, q = cycle_graph(17), query_for_code("iso-iso")
-        res = is_class_member(g, q, budget=17) if reduce else unreduced(g, g, q)
+        res = is_class_member(g, q) if reduce else unreduced(g, g, q)
         assert res.holds
         assert res.checked_maps == (17 if reduce else 8_671)
 
-    def test_witness_above_sixteen_vertices(self):
+    def test_witness_above_sixteen_vertices(self, monkeypatch):
+        monkeypatch.setenv("HOMHOM_BUDGET", "17")
         g = clique_chain(2, 16)  # the path on 17 vertices
         q = query_for_code("iso-iso")
-        res = is_class_member(g, q, budget=17)
+        res = is_class_member(g, q)
         assert not res.holds
         assert validate_witness(g, g, q, res.witness)
 

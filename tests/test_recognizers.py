@@ -186,6 +186,22 @@ class TestBipartitePredicates:
         assert not b2_by_subsets(disjoint_union(complete_graph(2), complete_graph(2)))
         assert not b2_star_holds(complete_graph(3))
 
+    def test_disconnected_graphs_fail_without_a_connectivity_test(self):
+        # b2* and the matching-complement test read the bipartition alone: on
+        # a disconnected graph side x holds a vertex of each component, so it
+        # has no common neighbour, and n - 1 regular parts of n >= 3 vertices
+        # are connected.  So both refuse every disconnected graph, on every
+        # graph up to 7 vertices and on unions of graphs that pass one test
+        unions = [
+            disjoint_union(a, b)
+            for a, b in itertools.combinations_with_replacement(
+                [complete_graph(1), complete_graph(2), STAR5, bcpm_graph(3), bcpm_graph(4)], 2
+            )
+        ]
+        for g in [*enumerate_graphs(7, connected_only=False), *unions]:
+            if not is_connected(g):
+                assert not b2_star_holds(g) and is_bcpm(g) is None, g
+
     def test_bcpm_recognizes_only_the_matching_complements(self):
         for n in range(3, 7):
             assert is_bcpm(bcpm_graph(n)) == n
@@ -736,7 +752,7 @@ class TestRecognizerOracleAgreement:
         # roads say "no" to every recognizer class, with valid witnesses
         for code in ("iso-iso", "mono-iso", "homo-iso", "homo-homo"):
             q = query_for_code(code)
-            res = is_class_member(shrikhande, q, budget=16)
+            res = is_class_member(shrikhande, q)
             assert recognizer_verdict(shrikhande, code) is False, code
             assert not res.holds, code
             assert validate_witness(shrikhande, shrikhande, q, res.witness), code
