@@ -44,7 +44,6 @@ from .morphisms import (
     MorphKind,
     core_mask,
     enumerate_morphisms,
-    is_isomorphic,
 )
 from .oracle import (
     BUDGET_ENV_VAR,

@@ -9,6 +9,7 @@ deterministic: vertex iteration is ascending unless stated otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -78,6 +79,45 @@ class Graph:
             for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
                 out.append((u, v))
         return out
+
+    # The two values below depend on (n, adj) alone, so each graph computes
+    # them on first read and keeps them; equality, hash and repr ignore them.
+
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        """Masks of the connected components, ordered by their lowest vertex."""
+        remaining = self.full_mask
+        comps = []
+        while remaining:
+            comp = _reach(self.adj, remaining & -remaining, remaining)
+            comps.append(comp)
+            remaining &= ~comp
+        return tuple(comps)
+
+    @cached_property
+    def _bipartition(self) -> tuple[int, int] | None:
+        """One BFS per component, colouring by the parity of the distance
+        from its lowest vertex, then one check that no edge joins a side."""
+        adj = self.adj
+        x = 0
+        for comp in self._components:
+            frontier = comp & -comp
+            seen = frontier
+            level = 0
+            while frontier:
+                if not level:
+                    x |= frontier
+                level ^= 1
+                nxt = 0
+                for v in bits(frontier):
+                    nxt |= adj[v]
+                frontier = nxt & ~seen
+                seen |= frontier
+        y = self.full_mask & ~x
+        for v, row in enumerate(adj):
+            if row & (x if x >> v & 1 else y):
+                return None
+        return x, y
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -178,19 +218,12 @@ def connected_within(g: Graph, vertex_mask: int) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    return connected_within(g, g.full_mask)
+    return len(g._components) == 1
 
 
 def connected_components(g: Graph) -> list[int]:
     """Masks of the connected components, ordered by their lowest vertex."""
-    remaining = g.full_mask
-    comps = []
-    while remaining:
-        start = remaining & -remaining
-        comp = _reach(g.adj, start, remaining)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    return list(g._components)
 
 
 def bipartition(g: Graph) -> tuple[int, int] | None:
@@ -198,29 +231,7 @@ def bipartition(g: Graph) -> tuple[int, int] | None:
 
     Deterministic: the lowest vertex of each component goes to side x.
     """
-    side = [-1] * g.n
-    for comp in connected_components(g):
-        start = (comp & -comp).bit_length() - 1
-        side[start] = 0
-        frontier = 1 << start
-        seen = frontier
-        colour = 0
-        while frontier:
-            colour ^= 1
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & comp & ~seen
-            for v in bits(frontier):
-                side[v] = colour
-            seen |= frontier
-    x = mask_of(v for v in range(g.n) if side[v] == 0)
-    y = g.full_mask & ~x
-    for v in range(g.n):
-        own = x if x >> v & 1 else y
-        if g.adj[v] & own:
-            return None
-    return x, y
+    return g._bipartition
 
 
 def induced_cycle_lengths(g: Graph) -> frozenset[int]:
@@ -476,11 +487,7 @@ def from_edge_list_text(text: str) -> Graph:
     in 0..n-1 (either order).  Blank lines and lines starting with '#' are
     ignored anywhere.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [line for raw in text.splitlines() if (line := raw.strip()) and line[0] != "#"]
     if not lines:
         raise ValueError("edge-list input is empty")
     head = lines[0].split()
@@ -494,20 +501,21 @@ def from_edge_list_text(text: str) -> Graph:
         raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
     if len(lines) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    seen = set()
+    rows = [0] * n
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"expected edge line 'u v', got {ln!r}")
-        u, v = sorted((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        if u > v:
+            u, v = v, u
         if not 0 <= u < v < n:
             raise ValueError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}")
-        if (u, v) in seen:
+        if rows[u] >> v & 1:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return from_edges(n, edges)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -228,16 +228,6 @@ def _complete(
     return False
 
 
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Cheap invariants first (order, size, sorted degrees), then one
-    isomorphism completion from the empty map."""
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(map(popcount, g1.adj)) != sorted(map(popcount, g2.adj)):
-        return False
-    return complete_map(g1, g2, {}, MorphKind.ISO) is not None
-
-
 # ---------------------------------------------------------------------------
 # automorphism groups
 

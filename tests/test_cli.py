@@ -11,6 +11,7 @@ codes.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -37,8 +38,8 @@ from homhom.families import (
     path_graph,
 )
 from homhom.graphs import Graph, from_graph6, to_graph6
-from homhom.morphisms import is_isomorphic
 from homhom.oracle import CLASS_CODES
+from helpers import is_isomorphic
 
 
 def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -984,6 +985,26 @@ ENTRY_POINT_PROGRAM = (
 
 CLASSIFY_K3 = ["classify", "--family", "complete", "3", "--classes", "c-ii"]
 
+# the standard-library modules that ``src`` imports at module level
+STDLIB_AT_IMPORT = (
+    "__future__",
+    "argparse",
+    "contextlib",
+    "dataclasses",
+    "enum",
+    "functools",
+    "itertools",
+    "json",
+    "math",
+    "os",
+    "shutil",
+    "sys",
+    "time",
+    "types",
+    "typing",
+    "warnings",
+)
+
 
 def checkout_env(**overrides: str) -> dict[str, str]:
     """The test's environment with this checkout's ``src`` first on
@@ -1050,22 +1071,39 @@ class TestConsoleScript:
         assert bad.returncode == 2
         assert bad.stderr.startswith("error: unknown family")
 
-    def test_import_leaves_multiprocessing_unloaded(self, tmp_path):
-        """Only ``sweep --jobs N`` with N > 1 needs a pool, so importing the
-        CLI does not pay for ``multiprocessing``."""
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, homhom.cli; print('multiprocessing' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            cwd=tmp_path,
-            env=checkout_env(),
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    def test_import_loads_only_the_named_stdlib_modules(self, tmp_path):
+        """Every CLI call pays for what importing homhom loads, so that is
+        the standard-library modules ``src`` imports at module level, what
+        they load themselves, and nothing else.  ``multiprocessing`` is not
+        among them: only ``sweep --jobs N`` with N > 1 needs a pool."""
+        src = REPO_ROOT / "src" / "homhom"
+        named = set()
+        for path in src.glob("*.py"):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.Import):
+                    named.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    named.add(node.module.split(".")[0])
+        assert named == set(STDLIB_AT_IMPORT)
+
+        def loaded(code: str) -> set[str]:
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; {code}; print(*sys.modules)"],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                cwd=tmp_path,
+                env=checkout_env(),
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return set(proc.stdout.split())
+
+        # the allowed set comes from the same interpreter, so that it
+        # follows the Python version
+        allowed = loaded(f"import {', '.join(STDLIB_AT_IMPORT)}")
+        extra = loaded("import homhom.cli") - allowed
+        assert "multiprocessing" not in allowed
+        assert sorted(m for m in extra if m.split(".")[0] != "homhom") == []
 
     @pytest.mark.skipif(
         shutil.which("homhom") is None, reason="homhom console script not installed"

@@ -46,7 +46,7 @@ from homhom.graphs import (
     popcount,
     to_graph6,
 )
-from homhom.morphisms import is_isomorphic
+from helpers import is_isomorphic
 
 
 def degrees(g: Graph) -> list[int]:

@@ -29,7 +29,7 @@ from homhom.graphs import (
     to_edge_list_text,
     to_graph6,
 )
-from homhom.morphisms import is_isomorphic
+from helpers import is_isomorphic
 
 # -- small fixtures ---------------------------------------------------------
 
@@ -292,6 +292,8 @@ def test_edge_list_round_trip_and_comments():
     assert from_edge_list_text(to_edge_list_text(g)) == g
     text = "# a comment\n3 2\n\n0 1\n# another\n1 2\n"
     assert from_edge_list_text(text) == path(2)
+    text = "  # a comment\n3 2\n\n 2 1 \n\t# another\n1 0\n"
+    assert from_edge_list_text(text) == path(2)
 
 
 def test_edge_list_accepts_either_endpoint_order():
@@ -299,16 +301,41 @@ def test_edge_list_accepts_either_endpoint_order():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, message",
     [
-        "",
-        "3\n",
-        "3 1\n1 1\n",  # self-loop
-        "3 1\n0 3\n",  # out of range
-        "3 2\n0 1\n1 0\n",  # duplicate (despite flipped orientation)
-        "3 2\n0 1\n",  # count mismatch
+        ("", "edge-list input is empty"),
+        ("# only a comment\n\n", "edge-list input is empty"),
+        ("3\n", "expected header 'n m', got '3'"),
+        ("3 x\n", "non-integer header '3 x'"),
+        ("0 0\n", "vertex count must be in 1..64, got 0"),
+        ("65 0\n", "vertex count must be in 1..64, got 65"),
+        ("3 2\n0 1\n", "header promises 2 edges, found 1"),
+        # the count is checked before any edge line is read
+        ("3 2\n0 x y\n", "header promises 2 edges, found 1"),
+        ("3 1\n0 1 2\n", "expected edge line 'u v', got '0 1 2'"),
+        ("3 1\n0 y\n", "invalid literal for int() with base 10: 'y'"),
+        ("3 1\n3 0\n", "edge (0, 3) violates 0 <= u < v < n=3"),
+        ("3 1\n1 1\n", "edge (1, 1) violates 0 <= u < v < n=3"),
+        ("3 2\n0 1\n1 0\n", "duplicate edge (0, 1)"),
+    ],
+    ids=[
+        "empty",
+        "comments-only",
+        "header-one-field",
+        "header-not-integer",
+        "n-zero",
+        "n-65",
+        "too-few-edges",
+        "count-before-edge-lines",
+        "edge-three-fields",
+        "endpoint-not-integer",
+        "endpoint-out-of-range",
+        "self-loop",
+        "duplicate-flipped",
     ],
 )
-def test_edge_list_rejects_bad_input(bad):
-    with pytest.raises(ValueError):
+def test_edge_list_rejects_bad_input(bad, message):
+    with pytest.raises(ValueError) as info:
         from_edge_list_text(bad)
+    assert str(info.value) == message
+

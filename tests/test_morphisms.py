@@ -41,10 +41,10 @@ from homhom.morphisms import (
     complete_map,
     core_mask,
     enumerate_morphisms,
-    is_isomorphic,
     orbit_closure,
 )
 from homhom.oracle import is_class_member, query_for_code
+from helpers import is_isomorphic
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from functools import cached_property
 
 import networkx as nx
 import pytest
@@ -49,7 +50,13 @@ from homhom.graphs import (
     popcount,
     to_graph6,
 )
-from homhom.morphisms import MorphKind, _source_representatives, enumerate_morphisms, is_isomorphic
+from homhom.morphisms import (
+    MorphKind,
+    _complete,
+    _source_representatives,
+    complete_map,
+    enumerate_morphisms,
+)
 from homhom.oracle import (
     extension_symmetric,
     is_class_member,
@@ -83,6 +90,7 @@ from homhom.recognizers import (
     recognizer_verdict,
     validate_pcm_certificate,
 )
+from helpers import is_isomorphic
 
 BOWTIE = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 DIAMOND = from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -847,18 +855,17 @@ class TestClassifyReport:
         assert "known non-member" in rep.classes["mono-homo"].note
 
     def test_rook_family_is_matched_once(self, rebind, recognizers_only):
-        # the mono-homo note reuses the iso-iso family of a connected
-        # graph instead of matching its component against rook(6) again
+        # the family is tested by its parameters, with no graph built to
+        # compare against, and the mono-homo note reuses the iso-iso family
+        # of a connected graph
         g = rook_graph(6)
-        calls = []
 
-        def counting(side):
-            calls.append(side)
-            return rook_graph(side)
+        def refuse(*args):
+            raise AssertionError("a family graph was built")
 
-        rebind(rook_graph, counting)
+        for builder in (rook_graph, petersen_graph, clebsch_graph):
+            rebind(builder, refuse)
         rep = classify(g)
-        assert calls == [6]
         fam = FamilyDescriptor("LINE_KSS", (6,))
         assert rep.classes["iso-iso"] == ClassEntry(Verdict.YES, "recognizer", family=fam)
         assert rep.classes["mono-homo"] == ClassEntry(
@@ -1085,6 +1092,50 @@ def b1_by_cycles(g: Graph) -> bool:
     return induced_cycle_lengths(g) <= {4} and not embeds(two_squares_graph(), g)
 
 
+def b1_by_rescan(g: Graph) -> bool:
+    """Reference pendant-and-twin pruning: delete the first vertex, in
+    ascending order, of degree at most 1 or with the live neighbourhood of
+    an earlier vertex, rescanning every live vertex after each deletion."""
+    alive = g.full_mask
+    while alive:
+        seen: set[int] = set()
+        for v in bits(alive):
+            nbhd = g.adj[v] & alive
+            if nbhd & (nbhd - 1) == 0 or nbhd in seen:
+                break
+            seen.add(nbhd)
+        else:
+            return False
+        alive &= ~(1 << v)
+    return True
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def two_switched(g: Graph, seed: int, switches: int) -> Graph:
+    """``g`` after ``switches`` random 2-switches, then relabelled at random.
+    A 2-switch trades edges ab and cd for the non-edges ac and bd, so every
+    degree stays the same."""
+    rng = random.Random(seed)
+    edges = set(g.edges())
+    done = 0
+    while done < switches:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        ac, bd = (min(a, c), max(a, c)), (min(b, d), max(b, d))
+        if len({a, b, c, d}) == 4 and ac not in edges and bd not in edges:
+            edges -= {(a, b), (min(c, d), max(c, d))}
+            edges |= {ac, bd}
+            done += 1
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def pcm_parts_by_brute_force(g: Graph, n: int) -> tuple[int, int] | None:
     """Reference pattern search over vertex subsets: the (Z, W) masks of the
     smallest pattern, by vertex count then lexicographically, or None."""
@@ -1239,6 +1290,102 @@ class TestPolynomialRecognizers:
         assert {c for c in codes if report.verdict(c) is Verdict.YES} == members
         assert {c for c in codes if report.verdict(c) is Verdict.NO} == set(codes) - members
 
+    def test_b1_worklist_agrees_with_rescan_on_all_graphs_up_to_7(self):
+        graphs = list(enumerate_graphs(7, connected_only=False))
+        assert len(graphs) == 1252
+        assert sum(b1_holds(g) for g in graphs) > 100
+        for g in graphs:
+            assert b1_holds(g) == b1_by_rescan(g), to_graph6(g)
+
+    def test_b1_worklist_agrees_with_rescan_up_to_64_vertices(self):
+        shapes = [
+            *(path_graph(n - 1) for n in range(2, 65, 7)),
+            *(cycle_graph(n) for n in range(3, 65, 5)),
+            *(from_edges(n, [(0, v) for v in range(1, n)]) for n in range(2, 65, 9)),
+            *(random_tree(n, seed) for n in (16, 40, 64) for seed in range(3)),
+        ]
+        shapes += [disjoint_union(g, h) for g, h in zip(shapes[:6], shapes[-6:]) if g.n + h.n <= 64]
+        for g in shapes:
+            assert b1_holds(g) == b1_by_rescan(g), to_graph6(g)
+        assert b1_holds(random_tree(64, 0)) and not b1_holds(cycle_graph(64))
+
+
+FAMILY_GRAPHS = {
+    "rook 3": (lambda: rook_graph(3), "line_kss(3)"),
+    "rook 4": (lambda: rook_graph(4), "line_kss(4)"),
+    "rook 5": (lambda: rook_graph(5), "line_kss(5)"),
+    "petersen": (petersen_graph, "petersen"),
+    "clebsch": (clebsch_graph, "clebsch"),
+}
+
+
+class TestFamilyParameters:
+    """rook(s), Petersen and Clebsch are recognized by their parameters, with
+    no isomorphism search."""
+
+    @pytest.mark.parametrize("name", list(FAMILY_GRAPHS))
+    def test_agree_with_isomorphism_on_switched_copies(self, name):
+        build, tag = FAMILY_GRAPHS[name]
+        base = build()
+        members = 0
+        for seed in range(24):
+            g = two_switched(base, seed, seed % 4)
+            fam = classify_cii(g)
+            same = is_isomorphic(g, base)
+            assert (fam is not None and str(fam) == tag) == same, (name, seed)
+            members += same
+        assert members >= 6
+
+    def test_rook_needs_both_cliques_of_every_neighbourhood(self):
+        # the line graph of a bipartite graph with degrees 4, 4, 4, 4 on one
+        # side and 4, 4, 4, 2, 2 on the other, so every neighbourhood is two
+        # cliques; with these labels the clique of the lowest neighbour
+        # always has 3 vertices, as in rook(4), yet four degrees are 4
+        edges = [
+            (1, 3), (1, 12), (1, 14), (1, 11), (1, 10), (1, 15), (3, 12), (3, 14),
+            (3, 6), (3, 4), (3, 7), (12, 14), (12, 8), (14, 13), (14, 2), (14, 0),
+            (5, 6), (5, 13), (5, 11), (5, 9), (6, 13), (6, 11), (6, 4), (6, 7),
+            (13, 11), (13, 2), (13, 0), (11, 10), (11, 15), (9, 10), (9, 2), (9, 4),
+            (10, 2), (10, 4), (10, 15), (2, 4), (2, 0), (4, 7), (0, 15), (0, 7),
+            (0, 8), (15, 7), (15, 8), (7, 8),
+        ]
+        g = from_edges(16, edges)
+        assert sorted(map(popcount, g.adj)) == [4] * 4 + [6] * 12
+        assert classify_cii(g) is None and not is_isomorphic(g, rook_graph(4))
+
+    @pytest.mark.parametrize(
+        "name, tag",
+        [
+            ("switched rook 7", None),
+            ("switched rook 8", None),
+            ("shrikhande", None),
+            ("rook 8", "line_kss(8)"),
+            ("petersen", "petersen"),
+            ("clebsch", "clebsch"),
+        ],
+    )
+    def test_classify_runs_no_isomorphism_search(
+        self, rebind, request, name, tag, recognizers_only
+    ):
+        # a 2-switched rook(7) or rook(8) kept the search of the old family
+        # test busy past 120 s; Shrikhande has rook(4)'s parameters
+        g = {
+            "switched rook 7": lambda: two_switched(rook_graph(7), 7, 1),
+            "switched rook 8": lambda: two_switched(rook_graph(8), 8, 1),
+            "shrikhande": lambda: request.getfixturevalue("shrikhande"),
+            "rook 8": lambda: rook_graph(8),
+            "petersen": petersen_graph,
+            "clebsch": clebsch_graph,
+        }[name]()
+
+        def refuse(*args):
+            raise AssertionError("an isomorphism search ran")
+
+        rebind(complete_map, refuse)
+        rebind(_complete, refuse)
+        fam = classify(g).classes["iso-iso"].family
+        assert (None if fam is None else str(fam)) == tag
+
 
 # --------------------------------------------------------------------------
 # The clique-partition recognizers against the subgraph-building ones they
@@ -1362,10 +1509,14 @@ class TestCliquePartition:
         assert_recognizers_match_references(LARGE_FAMILY_GRAPHS[name]())
 
     @pytest.mark.parametrize("name", list(LARGE_FAMILY_GRAPHS)[:6])
-    def test_classify_builds_only_the_component_lists(self, rebind, name, recognizers_only):
-        # three induced_subgraph calls on a connected graph: the component
-        # lists of chh_case_and_families, classify_cii and is_cmi
-        calls = {"induced_subgraph": 0, "complement": 0}
+    def test_classify_builds_only_the_component_lists(
+        self, rebind, monkeypatch, name, recognizers_only
+    ):
+        # three induced_subgraph calls on a connected graph, the component
+        # lists of chh_case_and_families, classify_cii and is_cmi, which all
+        # return the graph itself; so the graph is split into components
+        # and 2-coloured once, however many recognizers read the result
+        calls = {"induced_subgraph": 0, "complement": 0, "_components": 0, "_bipartition": 0}
 
         def counting(original):
             def wrapper(*args):
@@ -1376,7 +1527,11 @@ class TestCliquePartition:
 
         rebind(induced_subgraph, counting(induced_subgraph))
         rebind(complement, counting(complement))
+        for kept in ("_components", "_bipartition"):
+            prop = cached_property(counting(vars(Graph)[kept].func))
+            prop.__set_name__(Graph, kept)
+            monkeypatch.setattr(Graph, kept, prop)
         g = LARGE_FAMILY_GRAPHS[name]()
         assert g.n >= 63 and is_connected(g)
         classify(g)
-        assert calls == {"induced_subgraph": 3, "complement": 0}
+        assert calls == {"induced_subgraph": 3, "complement": 0, "_components": 1, "_bipartition": 1}
