@@ -47,7 +47,6 @@ from .oracle import (
     query_for_code,
 )
 from .recognizers import (
-    ChhFamily,
     chh_case_and_families,
     chh_symmetric,
     classify,
@@ -175,16 +174,12 @@ def print_object(obj: Any) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def family_tags(
-    g: Graph,
-    cii: FamilyDescriptor | None,
-    hh_case: str | None,
-    hh_families: Sequence[ChhFamily],
-) -> list[str]:
-    """Sorted family tags of ``g``, from the recognizer results the caller
-    already has: its iso-iso family, its homo-homo case and, for a
-    connected member, its homo-homo families."""
+def family_tags(g: Graph) -> list[str]:
+    """Sorted family tags of ``g``: its iso-iso family, its multiclaw
+    parameters, its homo-homo case and, for a connected member, its
+    homo-homo families, each as ``g`` keeps it once a verdict has read it."""
     tags: list[str] = []
+    cii, (hh_case, hh_families) = classify_cii(g), chh_case_and_families(g)
     if cii is not None:
         tags.append(str(cii))
     claw = multiclaw_parameters(g)
@@ -220,9 +215,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "graph6": to_graph6(g),
             "n": g.n,
             "classes": classes_json,
-            "familyTags": family_tags(
-                g, report.classes["iso-iso"].family, report.hh_case, report.hh_families
-            ),
+            "familyTags": family_tags(g),
         }
     )
     return 0
@@ -232,19 +225,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # sweep
 
 
-def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
-    g = from_graph6(g6)
+def sweep_record(g6: str, g: Graph, codes: Sequence[str], force: bool) -> dict[str, Any]:
+    """The record of ``g``, whose graph6 string is ``g6``, for ``codes``;
+    ``g`` is read as it is, so a sweep hands over the graph it enumerated."""
     started = time.perf_counter_ns()
-    # the family tags need the iso-iso family and the homo-homo case and
-    # families, so those two recognizer verdicts are read off them, not
-    # computed again
-    cii, (case, hh_families) = classify_cii(g), chh_case_and_families(g)
-    structural = {"iso-iso": cii is not None, "homo-homo": case is not None}
     verdicts: dict[str, Any] = {}
     witnesses: list[dict[str, Any]] = []
     mismatch = False
     for code in codes:
-        rec = structural[code] if code in structural else recognizer_verdict(g, code)
+        rec = recognizer_verdict(g, code)
         try:
             result = is_class_member(g, query_for_code(code))
             orc: bool | None = result.holds
@@ -262,14 +251,14 @@ def sweep_record(g6: str, codes: Sequence[str], force: bool) -> dict[str, Any]:
         "graph6": g6,
         "n": g.n,
         "verdicts": verdicts,
-        "familyTags": family_tags(g, cii, case, hh_families),
+        "familyTags": family_tags(g),
         "witnesses": witnesses,
         "mismatch": mismatch,
         "elapsedMs": elapsed_ms,
     }
 
 
-def _sweep_worker(payload: tuple[str, tuple[str, ...], bool]) -> Any:
+def _sweep_worker(payload: tuple[str, Graph, tuple[str, ...], bool]) -> Any:
     """``sweep_record``, or the budget refusal in the record's place, so that
     a pool still returns the records before it in its chunk."""
     try:
@@ -323,7 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and not args.out:
         raise InputError("--resume needs --out")
     started = time.perf_counter_ns()
-    graph6s = map(to_graph6, sorted_graphs(args))  # an --max-n out of range exits 2 here
+    graphs = ((to_graph6(g), g) for g in sorted_graphs(args))  # a bad --max-n exits 2 here
     if args.max_n > ENUMERATION_SOFT_CAP and not args.force:
         raise BudgetExceededError(
             f"sweeping all graphs on up to {args.max_n} vertices is outside the "
@@ -357,7 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             partial = args.out + ".partial"
             source = partial if args.resume and os.path.exists(partial) else args.out
             if args.resume and os.path.exists(source):
-                skipped = read_back(source, graph6s, codes, tally)
+                skipped = read_back(source, (g6 for g6, _ in graphs), codes, tally)
             if os.path.isdir(args.out):
                 raise InputError(f"cannot write {args.out!r}: it is a directory")
             try:
@@ -368,7 +357,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
             except OSError as exc:
                 raise InputError(f"cannot write {args.out!r}: {exc}") from None
-        payloads = ((g6, tuple(codes), args.force) for g6 in graph6s)
+        payloads = ((g6, g, tuple(codes), args.force) for g6, g in graphs)
         if args.jobs > 1:
             import multiprocessing  # only a pool needs it; it slows start-up
             import signal

@@ -384,12 +384,13 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
             f"(the intended ceiling is {ENUMERATION_SOFT_CAP})",
             stacklevel=2,
         )
-    level = [empty_graph(1)]
-    yield level[0]
+    level = [empty_graph(1).adj]
+    yield empty_graph(1)
     for n in range(2, max_n + 1):
         x = n - 1
         forms = set()
-        for g in level:
+        for rows in level:
+            g = Graph(x, rows)
             gens = automorphism_generators(g)
             if gens:
                 levels = _source_representatives(g, False, gens)
@@ -410,11 +411,12 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
                 if m == x or complete_map(child, child, {x: m}, MorphKind.ISO) is not None:
                     forms.add(canon)
         # the rows of one size sort as their graph6 bytes do; only a level
-        # with a next one is kept, as its parents
+        # with a next one is kept, as its parents' rows, so that what a
+        # caller leaves on a graph it was given goes when the caller drops it
         level = []
         for canon in sorted(forms):
             g = _graph_from_rows(n, canon)
             if n < max_n:
-                level.append(g)
+                level.append(g.adj)
             if not connected_only or is_connected(g):
                 yield g

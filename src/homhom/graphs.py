@@ -9,10 +9,24 @@ deterministic: vertex iteration is ascending unless stated otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, update_wrapper
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
+
+
+def _kept(fn: Callable) -> Callable:
+    """``fn(g)``, computed once per graph and kept in ``g.__dict__``, as
+    ``cached_property`` keeps a value, under a dotted key no attribute has;
+    a first call computes it through ``__wrapped__``."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    def once(g: Graph) -> object:
+        if key not in g.__dict__:
+            g.__dict__[key] = once.__wrapped__(g)
+        return g.__dict__[key]
+
+    return update_wrapper(once, fn)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -288,13 +302,14 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, tuple(rows))
 
 
-def _complement_rows(g: Graph) -> list[int]:
+@_kept
+def _complement_rows(g: Graph) -> tuple[int, ...]:
     full = g.full_mask
-    return [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    return tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj))
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, tuple(_complement_rows(g)))
+    return Graph(g.n, _complement_rows(g))
 
 
 # ---------------------------------------------------------------------------

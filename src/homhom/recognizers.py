@@ -22,6 +22,7 @@ from .families import FamilyDescriptor
 from .graphs import (
     Graph,
     _complement_rows,
+    _kept,
     _reach,
     bipartition,
     bits,
@@ -175,6 +176,7 @@ def b2_star_holds(g: Graph) -> bool:
     return True
 
 
+@_kept
 def is_bcpm(g: Graph) -> int | None:
     """Order n if ``g`` is a complete bipartite graph on n+n vertices minus a
     perfect matching (n >= 3); None otherwise (including when ``g`` is not
@@ -524,6 +526,7 @@ def is_chh(g: Graph) -> str | None:
     return chh_case_and_families(g)[0]
 
 
+@_kept
 def chh_case_and_families(g: Graph) -> tuple[str | None, tuple[ChhFamily, ...]]:
     """``is_chh(g)``, and with it ``chh_connected_families(g)`` when ``g`` is
     a connected member (empty otherwise), from one family match per
@@ -577,6 +580,7 @@ def _chh_case(comps: list[Graph], fams: list[dict[str, ChhFamily]]) -> str | Non
 # --------------------------------------------------------------------------
 
 
+@_kept
 def complete_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
     """Sorted part sizes if ``g`` is complete multipartite (2+ parts), else
     None: the complement must be a disjoint union of 2+ cliques."""
@@ -664,6 +668,7 @@ def _single_key(g: Graph, key: Callable[[Graph], Hashable | None]) -> Hashable |
     return common
 
 
+@_kept
 def classify_cii(g: Graph) -> FamilyDescriptor | None:
     """Family descriptor if ``g`` is a disjoint union of copies of a single
     iso-iso family member, else None.  A descriptor fixes its member up to
@@ -699,6 +704,7 @@ def is_chi(g: Graph) -> bool:
     return cliques is not None and len(set(map(popcount, cliques))) == 1
 
 
+@_kept
 def multiclaw_parameters(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
     """Parameters (clique size, blob size, blob counts) if ``g`` is a
     generalized multiclaw: a clique joined completely to one or more groups,
@@ -755,14 +761,9 @@ class ClassEntry:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Per-class entries for one graph, keyed by class code, with the
-    homo-homo recognizer's full result: ``hh_case`` is the case tag (None
-    for a non-member), and ``hh_families`` every family a connected member
-    matches (empty otherwise)."""
+    """Per-class entries for one graph, keyed by class code."""
 
     classes: Mapping[str, ClassEntry]
-    hh_case: str | None = None
-    hh_families: tuple[ChhFamily, ...] = ()
 
     def verdict(self, code: str) -> Verdict:
         return self.classes[code].verdict
@@ -784,11 +785,9 @@ def recognizer_verdict(g: Graph, code: str) -> bool | None:
     raise ValueError(f"unknown class code {code!r}")
 
 
-def _known_one_sided_note(
-    g: Graph, code: str, cii: FamilyDescriptor | None
-) -> tuple[str, FamilyDescriptor | None]:
+def _known_one_sided_note(g: Graph, code: str) -> tuple[str, FamilyDescriptor | None]:
     """A fact about ``g``'s membership known without search, when one
-    applies; ``cii`` is ``classify_cii(g)``."""
+    applies."""
     if code == "iso-homo":
         params = multiclaw_parameters(g)
         if params is not None:
@@ -796,7 +795,8 @@ def _known_one_sided_note(
             desc = FamilyDescriptor("MULTICLAW", (clique_size, blob_size, *counts))
             return "generalized multiclaw: known member", desc
     if code == "mono-homo" and is_connected(g):
-        # a connected graph is its one component, so ``cii`` is its family
+        # a connected graph is its one component, so this is its family
+        cii = classify_cii(g)
         if cii is not None:
             if cii.tag in ("PETERSEN", "CLEBSCH") or (cii.tag == "LINE_KSS" and cii.params[0] > 2):
                 return f"{cii}: known non-member", cii
@@ -813,11 +813,9 @@ _IMPLIED_BY = {
 }
 
 
-def _implied_entry(
-    g: Graph, code: str, entries: Mapping[str, ClassEntry], cii: FamilyDescriptor | None
-) -> ClassEntry | None:
+def _implied_entry(g: Graph, code: str, entries: Mapping[str, ClassEntry]) -> ClassEntry | None:
     """The entry of iso-homo or mono-homo that the entries decided before it
-    force, or None; ``cii`` is ``classify_cii(g)``.
+    force, or None.
 
     An automorphism is an endomorphism, and an induced embedding is a
     monomorphism, which is a homomorphism.  So a member of iso-iso or
@@ -831,7 +829,7 @@ def _implied_entry(
         if code != "mono-homo" or entries["iso-homo"].verdict is not Verdict.NO:
             return None
         premise, verdict, witness = "iso-homo", Verdict.NO, entries["iso-homo"].witness
-    _, family = _known_one_sided_note(g, code, cii)
+    _, family = _known_one_sided_note(g, code)
     return ClassEntry(verdict, "implied", family, witness, f"implied by {premise}")
 
 
@@ -865,7 +863,7 @@ def classify(g: Graph) -> ClassReport:
         note=f"components match case ({case})" if case is not None else "",
     )
     for code in ("iso-homo", "mono-homo"):
-        entry = _implied_entry(g, code, entries, fam)
+        entry = _implied_entry(g, code, entries)
         if entry is None:
             try:
                 result = is_class_member(g, query_for_code(code))
@@ -876,7 +874,7 @@ def classify(g: Graph) -> ClassReport:
                     Verdict.YES if result.holds else Verdict.NO, "oracle", witness=result.witness
                 )
         if entry is None:
-            note, desc = _known_one_sided_note(g, code, fam)
+            note, desc = _known_one_sided_note(g, code)
             entry = ClassEntry(Verdict.ORACLE_ONLY, "", family=desc, note=note)
         entries[code] = entry
-    return ClassReport(MappingProxyType(entries), case, hh_families)
+    return ClassReport(MappingProxyType(entries))

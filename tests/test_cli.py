@@ -23,11 +23,13 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from homhom import cli, families, recognizers
+from homhom import graphs as graphs_module
 from homhom.cli import build_family, main, parse_classes
 from homhom.families import (
     FAMILIES,
@@ -40,6 +42,29 @@ from homhom.families import (
 from homhom.graphs import Graph, from_graph6, to_graph6
 from homhom.oracle import CLASS_CODES
 from helpers import is_isomorphic
+
+
+def count_kept_steps(monkeypatch) -> Counter:
+    """Count, per step and graph object, each computation of the structural
+    steps and recognizer results a graph keeps once computed.  The graphs
+    stay referenced, so no object id is reused while the counts are kept."""
+    calls: Counter = Counter()
+    graphs: list[Graph] = []
+    for fn in (
+        graphs_module._complement_rows,
+        recognizers.complete_multipartite_parts,
+        recognizers.is_bcpm,
+        recognizers.multiclaw_parameters,
+        recognizers.classify_cii,
+        recognizers.chh_case_and_families,
+    ):
+        def counted(g, _name=fn.__qualname__, _compute=fn.__wrapped__):
+            graphs.append(g)
+            calls[_name, id(g)] += 1
+            return _compute(g)
+
+        monkeypatch.setattr(fn, "__wrapped__", counted)
+    return calls
 
 
 def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -312,26 +337,42 @@ class TestClassify:
         assert from_graph6(doc["graph6"]) == cycle_graph(64)
         assert doc["classes"]["iso-iso"]["family"] == "cycle(64)"
 
-    def test_recognizers_run_once_per_graph(self, capsys, rebind):
-        # the family tags reuse the recognizer results of the verdicts
+    def test_recognizers_run_once_per_graph(self, capsys, monkeypatch):
+        # the family tags reuse the recognizer results of the verdicts: each
+        # is computed once, for the one graph, however often it is read
         names = ("chh_case_and_families", "classify_cii")
-        calls: list[str] = []
-        for name in names:
-            original = getattr(recognizers, name)
-
-            def counted(g, _name=name, _original=original):
-                calls.append(_name)
-                return _original(g)
-
-            rebind(original, counted)
+        calls = count_kept_steps(monkeypatch)
         code, out, _ = run_cli(capsys, ["classify", "--family", "cycle", "6"])
         assert code == 0
         assert "matching-complement(3)" in json.loads(out)["familyTags"]
-        assert sorted(calls) == list(names)
+        assert sorted(name for name, _ in calls if name in names) == list(names)
+        assert set(calls.values()) == {1}
         calls.clear()
-        record = cli.sweep_record(to_graph6(cycle_graph(6)), CLASS_CODES, False)
+        g = cycle_graph(6)
+        record = cli.sweep_record(to_graph6(g), g, CLASS_CODES, False)
         assert "matching-complement(3)" in record["familyTags"]
-        assert sorted(calls) == list(names)
+        assert sorted(name for name, _ in calls if name in names) == list(names)
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "family", [["rook", "6"], ["bcpm", "20"], ["cycle", "40"]], ids=["rook6", "bcpm20", "cycle40"]
+    )
+    def test_structural_steps_run_once_per_graph(self, capsys, monkeypatch, family):
+        # a recognizer-only classify, family tags included, computes each of
+        # these once for its graph, however many recognizers read it
+        monkeypatch.setenv("HOMHOM_BUDGET", "0")
+        calls = count_kept_steps(monkeypatch)
+        code, _, _ = run_cli(capsys, ["classify", "--family", *family])
+        assert code == 0
+        assert calls and set(calls.values()) == {1}
+
+    def test_sweep_records_run_structural_steps_once_per_graph(self, capsys, monkeypatch):
+        # each graph object a record builds or reads computes each of these
+        # at most once, the complement included
+        calls = count_kept_steps(monkeypatch)
+        code, _, err = run_cli(capsys, ["sweep", "--max-n", "6", "--jobs", "1"])
+        assert code == 0 and json.loads(err)["graphCount"] == 208
+        assert len(calls) > 208 and set(calls.values()) == {1}
 
     def test_homo_homo_families_matched_once_per_graph(self, capsys, rebind):
         # the case tag and the families come from one match per component
@@ -340,7 +381,8 @@ class TestClassify:
         rebind(original, lambda g: calls.append(g) or original(g))
         code, _, _ = run_cli(capsys, ["classify", "--family", "cycle", "6"])
         assert code == 0 and len(calls) == 1
-        cli.sweep_record(to_graph6(cycle_graph(6)), CLASS_CODES, False)
+        g = cycle_graph(6)
+        cli.sweep_record(to_graph6(g), g, CLASS_CODES, False)
         assert len(calls) == 2
 
     def test_two_graphs_is_an_input_error(self, capsys):
@@ -371,6 +413,17 @@ class TestSweep:
         summary = json.loads(err)
         assert summary["mismatchCount"] == 0
         assert summary["graphCount"] == 18
+
+    def test_records_take_the_enumerated_graphs(self, capsys, rebind):
+        # each record reads the graph the enumerator built, so no graph6
+        # string is parsed back on the sweep path
+        def refuse(*_args):
+            raise AssertionError("the sweep parsed a graph6 string")
+
+        rebind(from_graph6, refuse)
+        code, out, err = run_cli(capsys, ["sweep", "--max-n", "6", "--jobs", "1"])
+        assert code == 0
+        assert len(out.splitlines()) == json.loads(err)["graphCount"] == 208
 
     def test_records_sorted_and_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, ["sweep", "--max-n", "4"])
@@ -464,13 +517,13 @@ class TestSweep:
         swept: list[str] = []
         written: list[str] = [""]
 
-        def watched(g6, codes, force):
+        def watched(g6, g, codes, force):
             if to_file:
                 written.append(partial.read_text())
             else:
                 written.append(written[-1] + capsys.readouterr().out)
             swept.append(g6)
-            return original(g6, codes, force)
+            return original(g6, g, codes, force)
 
         rebind(original, watched)
         argv = ["sweep", "--max-n", "4"]
@@ -1104,6 +1157,16 @@ class TestConsoleScript:
         extra = loaded("import homhom.cli") - allowed
         assert "multiprocessing" not in allowed
         assert sorted(m for m in extra if m.split(".")[0] != "homhom") == []
+
+    def test_sources_parse_at_the_oldest_supported_python(self):
+        """Every module parses under the grammar of the oldest Python that
+        ``requires-python`` admits, so no newer syntax slips in unnoticed."""
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        oldest = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+        assert oldest is not None
+        version = (int(oldest[1]), int(oldest[2]))
+        for path in sorted((REPO_ROOT / "src" / "homhom").glob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
     @pytest.mark.skipif(
         shutil.which("homhom") is None, reason="homhom console script not installed"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import warnings
+import weakref
 from collections import Counter
 
 import networkx as nx
@@ -338,6 +339,14 @@ class TestEnumeration:
         rebind(from_graph6, refuse)
         graphs = enumerate_graphs(6, connected_only=False)
         assert Counter(g.n for g in graphs) == {n: c for n, c in ALL_COUNTS.items() if n <= 6}
+
+    def test_yielded_graphs_are_not_kept_as_parents(self):
+        # a level is kept as its rows, not as the graphs it yielded, so what a
+        # caller computes on a graph is freed when the caller drops it
+        graphs = enumerate_graphs(6, connected_only=False)
+        alive = [weakref.ref(g) for g in itertools.islice(graphs, 52)]  # every graph on <= 5 vertices
+        assert sum(r() is not None for r in alive) <= 1  # the generator holds the last in hand
+        assert next(graphs).n == 6
 
     def test_matches_dedupe_enumerator_to_six(self):
         ours = [to_graph6(g) for g in enumerate_graphs(6, connected_only=False)]

@@ -367,18 +367,26 @@ class TestAutomorphisms:
     @pytest.mark.parametrize(
         "graphs",
         [
-            lambda: enumerate_graphs(7),
-            lambda: [
-                complete_graph(8), rook_graph(4), petersen_graph(), clebsch_graph(), bcpm_graph(5)
+            lambda shrikhande: enumerate_graphs(7),
+            lambda shrikhande: [
+                complete_graph(8),
+                complete_graph(16),
+                rook_graph(4),
+                rook_graph(5),
+                shrikhande,
+                petersen_graph(),
+                clebsch_graph(),
+                bcpm_graph(5),
+                bcpm_graph(8),
             ],
         ],
         ids=["n<=7", "named"],
     )
-    def test_generators_match_the_degree_only_search(self, graphs):
+    def test_generators_match_the_degree_only_search(self, graphs, shrikhande):
         # the same generators as the search that tries every image of b's
         # degree, so the images skipped for their neighbours among 0..b-1
         # are only ones that complete_map refuses
-        for g in graphs():
+        for g in graphs(shrikhande):
             assert automorphism_generators(g) == degree_only_generators(g), g
 
     def test_clebsch_group_order(self):

@@ -804,7 +804,7 @@ class TestEngineAgreement:
         rebind(_source_representatives, level_recorder(built))
         for g in enumerate_graphs(6, connected_only=False):
             before = len(built)
-            sweep_record(to_graph6(g), CLASS_CODES, False)
+            sweep_record(to_graph6(g), g, CLASS_CODES, False)
             assert len(built) > before and built_once(built), g
             assert all(connected for _, connected, _ in built[before:]), g
         built.clear()

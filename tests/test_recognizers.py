@@ -832,14 +832,13 @@ class TestClassifyReport:
 
     def test_report_carries_the_homo_homo_result(self, recognizers_only):
         rep = classify(STAR5)
-        assert rep.hh_case == "c"
-        assert rep.hh_families == chh_connected_families(STAR5)
-        assert rep.classes["homo-homo"].family == rep.hh_families[0]
+        entry = rep.classes["homo-homo"]
+        assert (entry.family, entry.note) == (chh_connected_families(STAR5)[0], "components match case (c)")
         two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
-        rep = classify(two_triangles)
-        assert (rep.hh_case, rep.hh_families) == ("b", ())
-        rep = classify(petersen_graph())
-        assert (rep.hh_case, rep.hh_families) == (None, ())
+        entry = classify(two_triangles).classes["homo-homo"]
+        assert (entry.verdict, entry.family, entry.note) == (Verdict.YES, None, "components match case (b)")
+        entry = classify(petersen_graph()).classes["homo-homo"]
+        assert (entry.verdict, entry.family, entry.note) == (Verdict.NO, None, "")
 
     def test_known_one_sided_notes(self, recognizers_only):
         rep = classify(clebsch_graph())
@@ -877,7 +876,7 @@ class TestClassifyReport:
         assert [rep.verdict(code) for code in ("mono-iso", "homo-iso", "homo-homo")] == [
             Verdict.NO
         ] * 3
-        assert (rep.hh_case, rep.hh_families) == (None, ())
+        assert rep.classes["homo-homo"].family is None
 
     def test_oracle_filled_entries_carry_valid_witnesses(self):
         rep = classify(regular_multipartite_graph(3, 2))
@@ -1028,9 +1027,8 @@ class TestKnownOneSidedNotes:
         # more, is not a mono-homo member
         claims = {"known member": 0, "known non-member": 0}
         for g in enumerate_graphs(7, connected_only=False):
-            cii = classify_cii(g)
             for code in ("iso-homo", "mono-homo"):
-                note, _ = _known_one_sided_note(g, code, cii)
+                note, _ = _known_one_sided_note(g, code)
                 if not note:
                     continue
                 claim = note.rsplit(": ", 1)[1]
