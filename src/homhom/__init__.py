@@ -29,7 +29,6 @@ from .families import (
 from .graphs import (
     Graph,
     canonical_form,
-    complement,
     connected_components,
     disjoint_union,
     from_edge_list_text,

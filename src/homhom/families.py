@@ -393,7 +393,7 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
             g = Graph(x, rows)
             gens = automorphism_generators(g)
             if gens:
-                levels = _source_representatives(g, False, gens)
+                levels = _source_representatives(rows, False, gens)
                 masks = [0, *itertools.chain.from_iterable(levels)]
             else:
                 masks = range(1 << x)

@@ -9,16 +9,18 @@ deterministic: vertex iteration is ascending unless stated otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, update_wrapper
+from functools import update_wrapper
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
 
 def _kept(fn: Callable) -> Callable:
-    """``fn(g)``, computed once per graph and kept in ``g.__dict__``, as
-    ``cached_property`` keeps a value, under a dotted key no attribute has;
-    a first call computes it through ``__wrapped__``."""
+    """``fn(g)``, computed once per graph object and kept in ``g.__dict__``
+    under a dotted key no attribute has; a first call computes it through
+    ``__wrapped__``.  This is the one place a graph keeps what it computed.
+    No kept value refers back to its graph, so a graph is freed as soon as
+    its caller drops it, and equality, hash and repr ignore what it keeps."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     def once(g: Graph) -> object:
@@ -94,44 +96,9 @@ class Graph:
                 out.append((u, v))
         return out
 
-    # The two values below depend on (n, adj) alone, so each graph computes
-    # them on first read and keeps them; equality, hash and repr ignore them.
-
-    @cached_property
-    def _components(self) -> tuple[int, ...]:
-        """Masks of the connected components, ordered by their lowest vertex."""
-        remaining = self.full_mask
-        comps = []
-        while remaining:
-            comp = _reach(self.adj, remaining & -remaining, remaining)
-            comps.append(comp)
-            remaining &= ~comp
-        return tuple(comps)
-
-    @cached_property
-    def _bipartition(self) -> tuple[int, int] | None:
-        """One BFS per component, colouring by the parity of the distance
-        from its lowest vertex, then one check that no edge joins a side."""
-        adj = self.adj
-        x = 0
-        for comp in self._components:
-            frontier = comp & -comp
-            seen = frontier
-            level = 0
-            while frontier:
-                if not level:
-                    x |= frontier
-                level ^= 1
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= adj[v]
-                frontier = nxt & ~seen
-                seen |= frontier
-        y = self.full_mask & ~x
-        for v, row in enumerate(adj):
-            if row & (x if x >> v & 1 else y):
-                return None
-        return x, y
+    def __reduce__(self) -> tuple:
+        # a pickle or a copy carries the data alone, not what ``_kept`` keeps
+        return Graph, (self.n, self.adj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -231,21 +198,62 @@ def connected_within(g: Graph, vertex_mask: int) -> bool:
     return _reach(g.adj, start, vertex_mask) == vertex_mask
 
 
-def is_connected(g: Graph) -> bool:
-    return len(g._components) == 1
-
-
-def connected_components(g: Graph) -> list[int]:
+@_kept
+def _components(g: Graph) -> tuple[int, ...]:
     """Masks of the connected components, ordered by their lowest vertex."""
-    return list(g._components)
+    remaining = g.full_mask
+    comps = []
+    while remaining:
+        comp = _reach(g.adj, remaining & -remaining, remaining)
+        comps.append(comp)
+        remaining &= ~comp
+    return tuple(comps)
 
 
+def is_connected(g: Graph) -> bool:
+    return len(_components(g)) == 1
+
+
+def connected_components(g: Graph) -> tuple[Graph, ...]:
+    """The connected components as graphs, ordered by their lowest vertex
+    and relabelled as ``induced_subgraph`` relabels.  A connected graph is
+    its own one component, so it keeps no tuple that holds itself."""
+    return (g,) if is_connected(g) else _component_graphs(g)
+
+
+@_kept
+def _component_graphs(g: Graph) -> tuple[Graph, ...]:
+    return tuple(induced_subgraph(g, m) for m in _components(g))
+
+
+@_kept
 def bipartition(g: Graph) -> tuple[int, int] | None:
     """A 2-colouring (side_x_mask, side_y_mask) or None if none exists.
 
-    Deterministic: the lowest vertex of each component goes to side x.
+    One BFS per component, colouring by the parity of the distance from its
+    lowest vertex, so that vertex goes to side x; then one check that no
+    edge joins a side.
     """
-    return g._bipartition
+    adj = g.adj
+    x = 0
+    for comp in _components(g):
+        frontier = comp & -comp
+        seen = frontier
+        level = 0
+        while frontier:
+            if not level:
+                x |= frontier
+            level ^= 1
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+    y = g.full_mask & ~x
+    for v, row in enumerate(adj):
+        if row & (x if x >> v & 1 else y):
+            return None
+    return x, y
 
 
 def induced_cycle_lengths(g: Graph) -> frozenset[int]:
@@ -306,10 +314,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
 def _complement_rows(g: Graph) -> tuple[int, ...]:
     full = g.full_mask
     return tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj))
-
-
-def complement(g: Graph) -> Graph:
-    return Graph(g.n, _complement_rows(g))
 
 
 # ---------------------------------------------------------------------------

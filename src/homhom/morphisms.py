@@ -235,8 +235,8 @@ def _complete(
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """A strong generating set for Aut(g) relative to the base 0, 1, ...,
     n-1, as image tuples, found by individualisation; the group itself is
-    never enumerated.  Nothing is kept between calls; ``oracle`` keeps the
-    set of the last graph it asked about.
+    never enumerated.  Nothing is kept between calls; a graph keeps its set
+    in the ``oracle._Symmetry`` it keeps.
 
     Let G_b be the automorphisms fixing 0..b-1 pointwise, so G_0 = Aut(g)
     and G_(n-1) is trivial.  Levels run deepest first, b = n-2 down to 0,
@@ -343,14 +343,15 @@ def _mask_images(n: int, gens: Sequence[tuple[int, ...]]) -> Callable[[int], Ite
 
 
 def _source_representatives(
-    g: Graph, connected: bool, gens: tuple[tuple[int, ...], ...]
+    adj: Sequence[int], connected: bool, gens: tuple[tuple[int, ...], ...]
 ) -> Iterator[list[int]]:
-    """The source subsets of ``g``, one per orbit of the group ``gens``
-    generates, each orbit represented by its lexicographically first
-    member, yielded one size at a time, smallest first, each size's list
-    ascending as ``tuple(bits(mask))``; the stream ends at the first size
-    with no subset.  Each size is built only when it is asked for, so a
-    search that stops early builds none of the larger ones.
+    """The source subsets of the graph with the adjacency rows ``adj``, one
+    per orbit of the group ``gens`` generates, each orbit represented by
+    its lexicographically first member, yielded one size at a time,
+    smallest first, each size's list ascending as ``tuple(bits(mask))``;
+    the stream ends at the first size with no subset.  Each size is built
+    only when it is asked for, so a search that stops early builds none of
+    the larger ones.
 
     Sound for extension checking: relabelling a failing source map by an
     automorphism yields a failing source map on the orbit-mate.  With no
@@ -373,21 +374,22 @@ def _source_representatives(
     do.  So each size lists the same subsets as filtering every subset and
     keeping the first of each orbit in ``tuple(bits)`` order.
     """
-    reps = [o & -o for o in _vertex_orbits(g.n, gens)]
+    n = len(adj)
+    reps = [o & -o for o in _vertex_orbits(n, gens)]
     if not reps:
         return
     yield reps
-    images = _mask_images(g.n, gens)
+    images = _mask_images(n, gens)
 
     def growth(r: int) -> int:
         if not connected:
-            return g.full_mask & ~r
+            return (1 << n) - 1 & ~r
         reach = 0
         for v in bits(r):
-            reach |= g.adj[v]
+            reach |= adj[v]
         return reach & ~r
 
-    for _ in range(1, g.n):
+    for _ in range(1, n):
         candidates = (r | 1 << v for r in reps for v in bits(growth(r)))
         seen: set[int] = set()
         reps = []

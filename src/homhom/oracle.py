@@ -17,6 +17,8 @@ it graphs where exhaustion cannot finish.
 
 Two engines do the search, and both prune by the symmetry that one strong
 generating set of each graph's automorphism group gives (``_Symmetry``).
+Each graph object keeps its own, built on first need, so every class asked
+about it, and both directions between two graphs, read the same one.
 The per-map engine decides five of the properties.  It tries the source
 maps on one source subset per automorphism orbit of g1, keyed by the
 candidate images each vertex has left, and returns the first failing map
@@ -35,10 +37,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
+    _kept,
     _reach,
     bits,
     connected_within,
@@ -144,7 +147,7 @@ def env_budget(default: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the symmetry data of the last graph asked about
+# the symmetry data each graph keeps
 
 
 class _Record:
@@ -162,23 +165,26 @@ class _Record:
 _Layout = tuple[list[int], list[int], int, list[int], list[int]]
 
 
-def _key_layout(g1: Graph, n2: int) -> _Layout:
-    """The key layout of ``_per_map_search`` from g1 into a graph on ``n2``
-    vertices: ``at[x]`` and ``high[x]``, where vertex x's source and
-    target masks start, ``spread_all``, with bit ``at[x]`` set for every x,
-    and for each vertex v, ``near_spread[v]`` and ``far_spread[v]``, those
-    bits of v's neighbours and of the vertices neither v nor next to it."""
-    dbits = g1.n.bit_length()
-    at = [dbits + x * 2 * n2 for x in range(g1.n)]
+def _key_layout(adj1: Sequence[int], n2: int) -> _Layout:
+    """The key layout of ``_per_map_search`` from the graph g1 with the
+    adjacency rows ``adj1`` into a graph on ``n2`` vertices: ``at[x]`` and
+    ``high[x]``, where vertex x's source and target masks start,
+    ``spread_all``, with bit ``at[x]`` set for every x, and for each vertex
+    v, ``near_spread[v]`` and ``far_spread[v]``, those bits of v's
+    neighbours and of the vertices neither v nor next to it."""
+    dbits = len(adj1).bit_length()
+    at = [dbits + x * 2 * n2 for x in range(len(adj1))]
     spread_all = sum(1 << a for a in at)
-    near_spread = [sum(1 << at[x] for x in bits(row)) for row in g1.adj]
+    near_spread = [sum(1 << at[x] for x in bits(row)) for row in adj1]
     far_spread = [spread_all ^ near ^ 1 << a for near, a in zip(near_spread, at)]
     return at, [a + n2 for a in at], spread_all, near_spread, far_spread
 
 
 class _Symmetry:
     """The symmetry data of one graph object, and the per-map search's work
-    on it, shared by every oracle call on it.
+    on it, shared by every oracle call on it; the graph keeps it
+    (``_symmetry``).  It holds the graph's ``n`` and ``adj`` rows, not the
+    graph, so that it does not keep the graph alive.
 
     ``generators`` is ``automorphism_generators(graph)``, ``orbits`` the
     vertex orbits of the group they generate, Aut(graph), and ``fixers[w]``
@@ -195,7 +201,7 @@ class _Symmetry:
     """
 
     def __init__(self, g: Graph) -> None:
-        self.graph = g
+        self.n, self.adj = g.n, g.adj
         self.generators = automorphism_generators(g)
         self.orbits = _vertex_orbits(g.n, self.generators)
         self.fixers = fixers = [0] * g.n
@@ -205,24 +211,24 @@ class _Symmetry:
                 if image == w:
                     fixers[w] |= bit
         self._sources: list[int] = []
-        self._levels = _source_representatives(g, True, self.generators)
+        self._levels = _source_representatives(g.adj, True, self.generators)
         self._least = {0: g.full_mask}
         self.domains: dict[int, list] = {}
 
     @cached_property
     def record(self) -> _Record:
-        return _Record(self.graph.n, self.graph.n)
+        return _Record(self.n, self.n)
 
     @cached_property
     def layout(self) -> _Layout:
-        return _key_layout(self.graph, self.graph.n)
+        return _key_layout(self.adj, self.n)
 
     def least(self, h: int) -> int:
         """The mask of the vertices least in their orbit under the
         generators in ``h``, a mask over their indices."""
         if h not in self._least:
             gens = [self.generators[i] for i in bits(h)]
-            self._least[h] = sum(o & -o for o in _vertex_orbits(self.graph.n, gens))
+            self._least[h] = sum(o & -o for o in _vertex_orbits(self.n, gens))
         return self._least[h]
 
     def sources(self) -> Iterator[int]:
@@ -245,27 +251,9 @@ class _Symmetry:
             i += 1
 
 
-_last_symmetry: _Symmetry | None = None
-
-
+@_kept
 def _symmetry(g: Graph) -> _Symmetry:
-    """The ``_Symmetry`` of ``g``, kept for the last graph object asked
-    about.
-
-    The slot is keyed by identity, not equality, so a new graph object, even
-    an equal one, does the same work whatever was asked before it; and as
-    the slot holds its graph, no later object can take that graph's
-    identity.  One slot is enough: a sweep record and a ``classify`` ask
-    about one graph object at a time, so its five per-map classes build the
-    generators, orbits, connected sources and each domain's order and rims
-    once, its homo-target classes share one record, and the one-point
-    engine reads the same orbits.  ``extension_symmetric`` alternates
-    between two graphs, so most of its calls build the data again.
-    """
-    global _last_symmetry
-    if _last_symmetry is None or _last_symmetry.graph is not g:
-        _last_symmetry = _Symmetry(g)
-    return _last_symmetry
+    return _Symmetry(g)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +395,9 @@ def _per_map_search(
     ``far[w]``, through a product with the spread of the neighbours or the
     others, and clears v's own field; the sum adds one to the depth.  A
     row of ``step`` is built the first time its vertex is assigned.  The
-    field offsets and spreads, ``_key_layout``, depend only on g1 and
-    g2.n, so the searches from a graph to itself read the one its
-    ``_Symmetry`` keeps.
+    field offsets and spreads, ``_key_layout``, depend only on g1's rows and
+    g2.n, so the searches from a graph to itself read the one kept in the
+    graph's ``_Symmetry``.
     """
     n1, n2, full2, adj2 = g1.n, g2.n, g2.full_mask, g2.adj
     src_iso = query.source is MorphKind.ISO
@@ -419,8 +407,8 @@ def _per_map_search(
     # an isomorphism needs as many vertices on both sides
     extendable = not tgt_iso or n1 == n2
     depth_bits = (1 << n1.bit_length()) - 1
-    shared = sym2 is not None and sym2.graph is g1
-    layout = sym2.layout if shared else _key_layout(g1, n2)
+    shared = sym2 is not None and sym2 is _symmetry(g1)
+    layout = sym2.layout if shared else _key_layout(g1.adj, n2)
     at, high, spread_all, near_spread, far_spread = layout
     near: list[int] = []
     far: list[int] = []
@@ -592,9 +580,7 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     More than ``STATE_LIMIT`` states raise ``BudgetExceededError``.
     """
     limit = STATE_LIMIT
-    # g2 first, so that the slot ends on g1 when they differ
-    sym2 = _symmetry(g2)
-    sym1 = _symmetry(g1)
+    sym1, sym2 = _symmetry(g1), _symmetry(g2)
     orbits1, fixers1, fixers2 = sym1.orbits, sym1.fixers, sym2.fixers
     least1, least2 = sym1.least, sym2.least
     reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in sym2.orbits]
@@ -685,10 +671,7 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
 def _per_map(g1: Graph, g2: Graph, query: ClassQuery) -> OracleResult:
     """``_per_map_search`` on one source subset per automorphism orbit of
     g1, pruned by the stabilisers in Aut(g2)."""
-    # g2 first, so that the slot ends on g1 when they differ
-    sym2 = _symmetry(g2)
-    sources = _symmetry(g1).sources()
-    return _per_map_search(g1, g2, query, sources, sym2)
+    return _per_map_search(g1, g2, query, _symmetry(g1).sources(), _symmetry(g2))
 
 
 # ---------------------------------------------------------------------------

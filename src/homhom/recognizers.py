@@ -531,7 +531,7 @@ def chh_case_and_families(g: Graph) -> tuple[str | None, tuple[ChhFamily, ...]]:
     """``is_chh(g)``, and with it ``chh_connected_families(g)`` when ``g`` is
     a connected member (empty otherwise), from one family match per
     component."""
-    comps = [induced_subgraph(g, m) for m in connected_components(g)]
+    comps = connected_components(g)
     fams = []
     for comp in comps:
         kinds = {fam.kind: fam for fam in chh_connected_families(comp)}
@@ -542,7 +542,7 @@ def chh_case_and_families(g: Graph) -> tuple[str | None, tuple[ChhFamily, ...]]:
     return case, tuple(fams[0].values()) if case is not None and len(comps) == 1 else ()
 
 
-def _chh_case(comps: list[Graph], fams: list[dict[str, ChhFamily]]) -> str | None:
+def _chh_case(comps: Sequence[Graph], fams: list[dict[str, ChhFamily]]) -> str | None:
     """The case tag of ``is_chh`` from the components, each of which matches
     at least one family, and their families keyed by kind."""
     if any(comp.n == 1 for comp in comps):
@@ -660,8 +660,8 @@ def _single_key(g: Graph, key: Callable[[Graph], Hashable | None]) -> Hashable |
     """The common ``key`` of every component of ``g``, or None when a
     component's key is None or two components' keys differ."""
     common = None
-    for m in connected_components(g):
-        k = key(induced_subgraph(g, m))
+    for comp in connected_components(g):
+        k = key(comp)
         if k is None or common not in (None, k):
             return None
         common = k

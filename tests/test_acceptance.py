@@ -252,7 +252,7 @@ def test_neighbour_subgraphs_form_equal_cliques_and_stay_homogeneous(
                 if g.adj[v] == 0:
                     continue  # a lone vertex: nothing to constrain
                 h = induced_subgraph(g, g.adj[v])
-                comps = [induced_subgraph(h, m) for m in connected_components(h)]
+                comps = connected_components(h)
                 sizes = {c.n for c in comps}
                 assert len(sizes) <= 1, (to_graph6(g), v)
                 for c in comps:

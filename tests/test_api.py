@@ -68,8 +68,6 @@ CALLERLESS_ALLOWED = {
     # perfbench/workloads.py builds its inputs with these two
     "graphs.to_edge_list_text",
     "graphs.disjoint_union",
-    # the tests' reference for the multipartite recognizer
-    "graphs.complement",
 }
 
 
@@ -252,13 +250,41 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
     )
 
 
+def _bindings(tree: ast.Module, module: str) -> dict[str, str]:
+    """The module each bare name of ``module`` is bound to a definition of:
+    ``module`` itself for a function or class it defines, at any depth, and
+    the source module for a name imported from one."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = module
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.module.rpartition(".")[2]
+    return bound
+
+
 def test_every_defaulted_parameter_is_passed():
     # a default that every caller keeps is an option nobody takes; a call
-    # inside the definition itself, a recursion, does not count, and a call
-    # is matched to its callee by name, bare or as an attribute
+    # inside the definition itself, a recursion, does not count.  A call as
+    # an attribute is matched to its callee by name; a bare-name call only
+    # where that name is bound to the callee in the calling module, defined
+    # there or imported from the callee's module
     src = Path(homhom.__file__).parent
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in src.glob("*.py")}
-    calls = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.Call)]
+    bindings = {module: _bindings(tree, module) for module, tree in trees.items()}
+    calls = [
+        (c, bindings[module])
+        for module, tree in trees.items()
+        for c in ast.walk(tree)
+        if isinstance(c, ast.Call)
+    ]
+
+    def calls_callee(call: ast.Call, bound: dict[str, str], module: str, callee: str) -> bool:
+        if isinstance(call.func, ast.Name):
+            return call.func.id == callee and bound.get(callee) == module
+        return _name(call.func) == callee
+
     unpassed = set()
     for module in LIBRARY_MODULES:
         for parent in ast.walk(trees[module]):
@@ -273,10 +299,23 @@ def test_every_defaulted_parameter_is_passed():
                 inside = {id(sub) for sub in ast.walk(node)}
                 for callee, name, position in _defaulted(node):
                     if not any(
-                        _name(call.func) == callee
+                        calls_callee(call, bound, module, callee)
                         and id(call) not in inside
                         and _passes(call, name, position)
-                        for call in calls
+                        for call, bound in calls
                     ):
                         unpassed.add(f"{owner}.{callee}.{name}")
     assert unpassed == UNPASSED_ALLOWED
+
+
+def test_no_module_keeps_global_state():
+    # what a graph computes it keeps itself (``graphs._kept``), so no
+    # module rebinds a global
+    src = Path(homhom.__file__).parent
+    rebinding = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert rebinding == []

@@ -23,13 +23,11 @@ import subprocess
 import sys
 import time
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from homhom import cli, families, recognizers
-from homhom import graphs as graphs_module
+from homhom import cli, families, graphs, recognizers
 from homhom.cli import build_family, main, parse_classes
 from homhom.families import (
     FAMILIES,
@@ -41,30 +39,7 @@ from homhom.families import (
 )
 from homhom.graphs import Graph, from_graph6, to_graph6
 from homhom.oracle import CLASS_CODES
-from helpers import is_isomorphic
-
-
-def count_kept_steps(monkeypatch) -> Counter:
-    """Count, per step and graph object, each computation of the structural
-    steps and recognizer results a graph keeps once computed.  The graphs
-    stay referenced, so no object id is reused while the counts are kept."""
-    calls: Counter = Counter()
-    graphs: list[Graph] = []
-    for fn in (
-        graphs_module._complement_rows,
-        recognizers.complete_multipartite_parts,
-        recognizers.is_bcpm,
-        recognizers.multiclaw_parameters,
-        recognizers.classify_cii,
-        recognizers.chh_case_and_families,
-    ):
-        def counted(g, _name=fn.__qualname__, _compute=fn.__wrapped__):
-            graphs.append(g)
-            calls[_name, id(g)] += 1
-            return _compute(g)
-
-        monkeypatch.setattr(fn, "__wrapped__", counted)
-    return calls
+from helpers import count_kept_steps, is_isomorphic
 
 
 def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
@@ -366,13 +341,22 @@ class TestClassify:
         assert code == 0
         assert calls and set(calls.values()) == {1}
 
-    def test_sweep_records_run_structural_steps_once_per_graph(self, capsys, monkeypatch):
-        # each graph object a record builds or reads computes each of these
-        # at most once, the complement included
+    def test_sweep_records_run_structural_steps_once_per_graph(self, capsys, monkeypatch, rebind):
+        # each graph object a record builds or reads computes each value it
+        # keeps at most once, its symmetry data and complement included, and
+        # builds each subgraph, each component of a disconnected graph among
+        # them, once
         calls = count_kept_steps(monkeypatch)
+        original = graphs.induced_subgraph
+        built = []
+        rebind(original, lambda g, mask: built.append((g, mask)) or original(g, mask))
         code, _, err = run_cli(capsys, ["sweep", "--max-n", "6", "--jobs", "1"])
         assert code == 0 and json.loads(err)["graphCount"] == 208
         assert len(calls) > 208 and set(calls.values()) == {1}
+        assert sum(step == "_symmetry" for step, _ in calls) == 208
+        # the 65 disconnected graphs split into components once each
+        assert sum(step == "_component_graphs" for step, _ in calls) == 65
+        assert built and len({(id(g), mask) for g, mask in built}) == len(built)
 
     def test_homo_homo_families_matched_once_per_graph(self, capsys, rebind):
         # the case tag and the families come from one match per component

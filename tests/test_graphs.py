@@ -15,7 +15,6 @@ from homhom.graphs import (
     bits,
     canonical_form,
     common_neighbors,
-    complement,
     connected_components,
     connected_within,
     disjoint_union,
@@ -29,7 +28,7 @@ from homhom.graphs import (
     to_edge_list_text,
     to_graph6,
 )
-from helpers import is_isomorphic
+from helpers import complement, is_isomorphic
 
 # -- small fixtures ---------------------------------------------------------
 
@@ -124,7 +123,7 @@ def test_induced_subgraph_on_every_vertex_is_the_graph_itself():
 def test_connectivity_basics():
     g = disjoint_union(complete(3), complete(2))
     assert not is_connected(g)
-    assert connected_components(g) == [mask_of([0, 1, 2]), mask_of([3, 4])]
+    assert connected_components(g) == (complete(3), complete(2))
     assert connected_within(g, mask_of([0, 1]))
     assert not connected_within(g, mask_of([0, 3]))
 

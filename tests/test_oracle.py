@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
+import pickle
 import random
+import weakref
 from typing import Callable, Iterator
 
 import pytest
@@ -34,7 +37,6 @@ from homhom.graphs import (
     disjoint_union,
     from_edges,
     from_graph6,
-    induced_subgraph,
     mask_of,
     popcount,
     to_graph6,
@@ -62,6 +64,7 @@ from homhom.oracle import (
     validate_witness,
 )
 from homhom.recognizers import chh_case_and_families, classify
+from helpers import count_kept_steps
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
@@ -99,7 +102,7 @@ def star_graph(n: int, centre: int) -> Graph:
 def member_via_components(g: Graph, query: ClassQuery) -> bool:
     """Equivalent componentwise criterion: every component has the property
     and every pair of components has it symmetrically."""
-    comps = [induced_subgraph(g, m) for m in connected_components(g)]
+    comps = connected_components(g)
     for c in comps:
         if not is_class_member(c, query).holds:
             return False
@@ -192,7 +195,7 @@ def grown_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
     """The streamed sizes, flattened; each is one non-empty size, larger
     than the one before."""
     gens = automorphism_generators(g) if reduce else ()
-    levels = list(_source_representatives(g, connected, gens))
+    levels = list(_source_representatives(g.adj, connected, gens))
     sizes = [{popcount(m) for m in level} for level in levels]
     assert all(len(s) == 1 for s in sizes)
     assert [s.pop() for s in sizes] == sorted({popcount(m) for m in sum(levels, [])})
@@ -200,20 +203,22 @@ def grown_sources(g: Graph, connected: bool, reduce: bool) -> list[int]:
 
 
 def level_recorder(built: list) -> Callable:
-    """A stand-in for ``_source_representatives`` that appends (graph,
-    connected, size) to ``built`` for each size it yields."""
+    """A stand-in for ``_source_representatives`` that appends (adjacency
+    rows, connected, size) to ``built`` for each size it yields.  Each graph
+    built here has its own rows object, which ``built`` keeps alive, so the
+    rows tell graph objects apart."""
     grow = _source_representatives
 
-    def recording(g: Graph, connected: bool, gens: tuple) -> Iterator[list[int]]:
-        for level in grow(g, connected, gens):
-            built.append((g, connected, popcount(level[0])))
+    def recording(adj: tuple, connected: bool, gens: tuple) -> Iterator[list[int]]:
+        for level in grow(adj, connected, gens):
+            built.append((adj, connected, popcount(level[0])))
             yield level
 
     return recording
 
 
 def built_once(built: list) -> bool:
-    keys = [(id(g), connected, size) for g, connected, size in built]
+    keys = [(id(adj), connected, size) for adj, connected, size in built]
     return len(set(keys)) == len(keys)
 
 
@@ -264,13 +269,13 @@ class TestSourceRepresentatives:
         # shorter; the first three sizes must be those got by applying each
         # permutation vertex by vertex
         gens = automorphism_generators(g)
-        got = list(itertools.islice(_source_representatives(g, True, gens), 3))
+        got = list(itertools.islice(_source_representatives(g.adj, True, gens), 3))
 
         def vertex_by_vertex(n: int, perms: tuple) -> Callable:
             return lambda q: [mask_of(p[v] for v in bits(q)) for p in perms]
 
         rebind(_mask_images, vertex_by_vertex)
-        want = list(itertools.islice(_source_representatives(g, True, gens), 3))
+        want = list(itertools.islice(_source_representatives(g.adj, True, gens), 3))
         assert got == want and [popcount(level[0]) for level in got] == [1, 2, 3]
 
 
@@ -282,7 +287,7 @@ def reference_per_map(
     representative of g2, completed one by one in stream order."""
     gens = automorphism_generators(g1)
     reps = mask_of((o & -o).bit_length() - 1 for o in oracle._symmetry(g2).orbits)
-    for domain in itertools.chain.from_iterable(_source_representatives(g1, connected, gens)):
+    for domain in itertools.chain.from_iterable(_source_representatives(g1.adj, connected, gens)):
         for phi in enumerate_morphisms(g1, g2, q.source, domain):
             if reps >> phi[next(iter(phi))] & 1:
                 if complete_map(g1, g2, phi, q.target) is None:
@@ -296,10 +301,9 @@ def per_map(g1: Graph, g2: Graph, q: ClassQuery, connected: bool = True) -> orac
     engine itself does not care whether its domains are connected."""
     if connected:
         return oracle._per_map(g1, g2, q)
-    # g2 first, so that the slot ends on g1 when they differ, as in _per_map
-    sym2 = oracle._symmetry(g2)
-    levels = _source_representatives(g1, False, oracle._symmetry(g1).generators)
-    return oracle._per_map_search(g1, g2, q, itertools.chain.from_iterable(levels), sym2)
+    levels = _source_representatives(g1.adj, False, oracle._symmetry(g1).generators)
+    sources = itertools.chain.from_iterable(levels)
+    return oracle._per_map_search(g1, g2, q, sources, oracle._symmetry(g2))
 
 
 def assert_matches_reference(
@@ -315,7 +319,7 @@ def assert_matches_reference(
 
 def unreduced(g1: Graph, g2: Graph, q: ClassQuery) -> oracle.OracleResult:
     """The per-map search on every source subset, with no symmetry."""
-    levels = _source_representatives(g1, True, ())
+    levels = _source_representatives(g1.adj, True, ())
     return oracle._per_map_search(g1, g2, q, itertools.chain.from_iterable(levels), None)
 
 
@@ -770,31 +774,39 @@ class TestEngineAgreement:
             is_class_member(g, query_for_code("homo-homo"))
         assert str(info.value) == message
 
-    def test_generators_computed_once_per_graph_object(self, rebind):
-        # the generators and vertex orbits of a graph object are built once,
-        # and each size of its source list at most once, whatever classes
-        # are asked about it
-        calls, built = [], []
-        rebind(
-            automorphism_generators,
-            lambda g: calls.append(g) or automorphism_generators(g),
-        )
+    def test_generators_computed_once_per_graph_object(self, rebind, monkeypatch):
+        # the symmetry data of a graph object, its generators and vertex
+        # orbits, is built once, and each size of its source list at most
+        # once, whatever classes are asked about it
+        calls = count_kept_steps(monkeypatch)
+        built = []
         rebind(_source_representatives, level_recorder(built))
         g = cycle_graph(6)
         for code in CLASS_CODES[:5]:  # the per-map classes
             is_class_member(g, query_for_code(code))
-        assert calls == [g] and built and built_once(built)
-        assert {(h, connected) for h, connected, _ in built} == {(g, True)}
+        assert calls == {("_symmetry", id(g)): 1} and built and built_once(built)
+        assert {(adj, connected) for adj, connected, _ in built} == {(g.adj, True)}
         # the one-point engine reads its start orbits off the same generators
         completions = []
         rebind(
             complete_map, lambda *args: completions.append(args) or complete_map(*args)
         )
         assert is_class_member(g, query_for_code("homo-homo")).holds
-        assert calls == [g] and completions == []
+        assert calls == {("_symmetry", id(g)): 1} and completions == []
         before = len(built)
-        is_class_member(cycle_graph(6), query_for_code("iso-iso"))
-        assert len(calls) == 2 and len(built) > before and built_once(built)
+        h = cycle_graph(6)
+        is_class_member(h, query_for_code("iso-iso"))
+        assert calls[("_symmetry", id(h))] == 1 and len(calls) == 2
+        assert len(built) > before and built_once(built)
+
+    def test_extension_symmetric_builds_each_graphs_symmetry_once(self, monkeypatch):
+        # each of two equal graph objects keeps its own symmetry data, which
+        # both directions read
+        calls = count_kept_steps(monkeypatch)
+        g1, g2 = cycle_graph(6), cycle_graph(6)
+        for code in CLASS_CODES:
+            extension_symmetric(g1, g2, query_for_code(code))
+        assert calls == {("_symmetry", id(g1)): 1, ("_symmetry", id(g2)): 1}
 
     def test_sources_grown_once_per_record_and_classify(self, rebind):
         # all five per-map classes use connected sources, so one list serves
@@ -1001,3 +1013,53 @@ class TestHierarchyAndWitnesses:
         res = is_class_member(path_graph(3), query_for_code("iso-iso"))
         assert not res.holds
         assert res.witness.domain_mask.bit_count() == 1
+
+
+class TestWhatAGraphKeeps:
+    GRAPHS = {
+        "cycle6": lambda: cycle_graph(6),
+        "P3+K3": lambda: disjoint_union(path_graph(3), complete_graph(3)),
+        "multiclaw": lambda: multiclaw_graph(2, 1, (3, 3)),
+    }
+
+    @pytest.mark.parametrize("make", list(GRAPHS.values()), ids=list(GRAPHS))
+    def test_a_dropped_graph_is_freed_without_the_cycle_collector(self, make):
+        # nothing a graph keeps refers back to it, and no module holds it,
+        # so reference counting frees it once its caller drops it
+        def six_classes(g: Graph) -> None:
+            for code in CLASS_CODES:
+                is_class_member(g, query_for_code(code))
+
+        def both_ways(g: Graph) -> None:
+            other = make()
+            for code in CLASS_CODES:
+                extension_symmetric(g, other, query_for_code(code))
+            others.append(weakref.ref(other))
+
+        uses = [
+            classify,
+            six_classes,
+            lambda g: sweep_record(to_graph6(g), g, CLASS_CODES, False),
+            both_ways,
+        ]
+        others: list = []
+        gc.disable()
+        try:
+            for use in uses:
+                g = make()
+                ref = weakref.ref(g)
+                use(g)
+                del g
+                assert ref() is None, use
+            assert [r() for r in others] == [None]
+        finally:
+            gc.enable()
+
+    def test_a_pickle_carries_the_graph_alone(self):
+        # a graph keeps a generator in its symmetry data once the oracle has
+        # read it; a pickle of it carries n and adj and nothing kept
+        g = multiclaw_graph(2, 1, (3, 3))
+        classify(g)
+        assert "homhom.oracle._symmetry" in vars(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and vars(copy) == {"n": g.n, "adj": g.adj}

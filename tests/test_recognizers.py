@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from functools import cached_property
 
 import networkx as nx
 import pytest
@@ -38,7 +37,6 @@ from homhom.graphs import (
     bits,
     canonical_form,
     common_neighbors,
-    complement,
     connected_components,
     connected_within,
     disjoint_union,
@@ -90,7 +88,7 @@ from homhom.recognizers import (
     recognizer_verdict,
     validate_pcm_certificate,
 )
-from helpers import is_isomorphic
+from helpers import complement, count_kept_steps, is_isomorphic
 
 BOWTIE = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 DIAMOND = from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -636,7 +634,7 @@ class TestIsCmiAndIsChi:
 def common_component_by_pairs(g: Graph) -> Graph | None:
     """The common component when every component of ``g`` is isomorphic to
     the first: the pairwise definition that the descriptors replaced."""
-    comps = [induced_subgraph(g, m) for m in connected_components(g)]
+    comps = connected_components(g)
     if all(is_isomorphic(c, comps[0]) for c in comps[1:]):
         return comps[0]
     return None
@@ -804,9 +802,8 @@ class TestStructuralLaws:
                     continue
                 sub = induced_subgraph(g, nb)
                 for comp in connected_components(sub):
-                    cnt = bin(comp).count("1")
-                    comp_graph = induced_subgraph(sub, comp)
-                    assert comp_graph.edge_count() == cnt * (cnt - 1) // 2, to_graph6(g)
+                    cnt = comp.n
+                    assert comp.edge_count() == cnt * (cnt - 1) // 2, to_graph6(g)
                     sizes.add(cnt)
             assert len(sizes) <= 1, to_graph6(g)
 
@@ -941,7 +938,7 @@ class TestDescriptorRoundTrip:
             (family,) = (f for f in FAMILIES.values() if f.tag == desc.tag)
             built = family.build(*desc.params)
             for comp in connected_components(g):
-                assert is_isomorphic(built, induced_subgraph(g, comp)), (g, desc)
+                assert is_isomorphic(built, comp), (g, desc)
         assert tags == {
             "COMPLETE": 15,
             "CYCLE": 8,
@@ -1000,8 +997,8 @@ class TestImpliedEntries:
         built = []
         grow = _source_representatives
 
-        def counting(g, connected, gens):
-            for level in grow(g, connected, gens):
+        def counting(adj, connected, gens):
+            for level in grow(adj, connected, gens):
                 built.extend(level)
                 yield level
 
@@ -1401,8 +1398,8 @@ def kn_treelike_by_subgraphs(g: Graph) -> int | None:
     for v in range(g.n):
         nbhd = induced_subgraph(g, g.adj[v])
         for comp in connected_components(nbhd):
-            k = popcount(comp)
-            if induced_subgraph(nbhd, comp).edge_count() != k * (k - 1) // 2:
+            k = comp.n
+            if comp.edge_count() != k * (k - 1) // 2:
                 return None
             if block is None:
                 block = k
@@ -1422,8 +1419,8 @@ def multipartite_parts_by_subgraphs(g: Graph) -> tuple[int, ...] | None:
         return None
     sizes = []
     for part in parts:
-        k = popcount(part)
-        if induced_subgraph(comp, part).edge_count() != k * (k - 1) // 2:
+        k = part.n
+        if part.edge_count() != k * (k - 1) // 2:
             return None
         sizes.append(k)
     return tuple(sorted(sizes))
@@ -1432,11 +1429,11 @@ def multipartite_parts_by_subgraphs(g: Graph) -> tuple[int, ...] | None:
 def chi_by_subgraphs(g: Graph) -> bool:
     """Reference ``is_chi``: components of one size, each a clique."""
     comps = connected_components(g)
-    sizes = {popcount(m) for m in comps}
+    sizes = {c.n for c in comps}
     if len(sizes) != 1:
         return False
     k = sizes.pop()
-    return all(induced_subgraph(g, m).edge_count() == k * (k - 1) // 2 for m in comps)
+    return all(c.edge_count() == k * (k - 1) // 2 for c in comps)
 
 
 def multiclaw_by_subgraphs(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
@@ -1447,10 +1444,10 @@ def multiclaw_by_subgraphs(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
     blob_size: int | None = None
     counts: list[int] = []
     for part in connected_components(comp):
-        if popcount(part) == 1:
+        if part.n == 1:
             clique_size += 1
             continue
-        sizes = multipartite_parts_by_subgraphs(induced_subgraph(comp, part))
+        sizes = multipartite_parts_by_subgraphs(part)
         if sizes is None or len(set(sizes)) != 1:
             return None
         if blob_size is None:
@@ -1507,29 +1504,19 @@ class TestCliquePartition:
         assert_recognizers_match_references(LARGE_FAMILY_GRAPHS[name]())
 
     @pytest.mark.parametrize("name", list(LARGE_FAMILY_GRAPHS)[:6])
-    def test_classify_builds_only_the_component_lists(
-        self, rebind, monkeypatch, name, recognizers_only
-    ):
-        # three induced_subgraph calls on a connected graph, the component
-        # lists of chh_case_and_families, classify_cii and is_cmi, which all
-        # return the graph itself; so the graph is split into components
-        # and 2-coloured once, however many recognizers read the result
-        calls = {"induced_subgraph": 0, "complement": 0, "_components": 0, "_bipartition": 0}
-
-        def counting(original):
-            def wrapper(*args):
-                calls[original.__name__] += 1
-                return original(*args)
-
-            return wrapper
-
-        rebind(induced_subgraph, counting(induced_subgraph))
-        rebind(complement, counting(complement))
-        for kept in ("_components", "_bipartition"):
-            prop = cached_property(counting(vars(Graph)[kept].func))
-            prop.__set_name__(Graph, kept)
-            monkeypatch.setattr(Graph, kept, prop)
+    def test_classify_splits_a_connected_graph_once(self, monkeypatch, name, recognizers_only):
+        # a connected graph is its own one component, so classify builds no
+        # graph, neither a subgraph nor a complement graph; the graph is
+        # split into components and 2-coloured once, however many
+        # recognizers read the result
+        calls = count_kept_steps(monkeypatch)
         g = LARGE_FAMILY_GRAPHS[name]()
         assert g.n >= 63 and is_connected(g)
+        built = []
+        check = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda h: built.append(h) or check(h))
         classify(g)
-        assert calls == {"induced_subgraph": 3, "complement": 0, "_components": 1, "_bipartition": 1}
+        assert built == []
+        steps = {step for step, _ in calls}
+        assert {"_components", "bipartition"} <= steps and "_component_graphs" not in steps
+        assert set(calls.values()) == {1}
