@@ -364,10 +364,21 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
       mask to the other.  So the level's set of canonical forms, sorted
       for output, holds the same forms as with every mask, and the same
       graphs come out in the same order.
-    The cheap tests run first.  The last slot holds the top colour of
-    ``_refined_colors``, whose class holds vertices of maximum degree only,
-    so x must have maximum degree and the top colour before C is labelled;
-    only when m(C) != x does an isomorphism search decide the orbit.
+    The cheap tests run first, on C's adjacency rows.  The last slot holds
+    the top colour of ``_refined_colors``, whose class holds vertices of
+    maximum degree only, so x must have maximum degree and the top colour
+    before C is labelled.  The degree test reads the mask M alone: with
+    at_least[k] the parent's vertices of degree >= k, x has degree
+    k = |M|, a vertex in M gains one and the others keep theirs, so x has
+    maximum degree exactly when k is at least the parent's maximum degree
+    and M misses at_least[k].  Only when m(C) != x does an isomorphism
+    search decide the orbit, and only then is C built as a ``Graph``.
+
+    Each level is kept as the rows and automorphism generators of its
+    graphs.  A graph's generators are read once the caller has resumed
+    the enumeration, so that a caller that searched them on the graph it
+    was given (the oracle does) shares that search, and the graph, with
+    what the caller computed on it, goes when the caller drops it.
 
     Representatives are canonically labelled; order is (vertex count,
     canonical graph6 bytes) ascending.
@@ -384,39 +395,41 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
             f"(the intended ceiling is {ENUMERATION_SOFT_CAP})",
             stacklevel=2,
         )
-    level = [empty_graph(1).adj]
-    yield empty_graph(1)
+    g = empty_graph(1)
+    yield g
+    level = [(g.adj, automorphism_generators(g))]
     for n in range(2, max_n + 1):
         x = n - 1
         forms = set()
-        for rows in level:
-            g = Graph(x, rows)
-            gens = automorphism_generators(g)
+        for rows, gens in level:
+            degrees = [popcount(row) for row in rows]
+            top_degree = max(degrees)
+            at_least = [sum(1 << v for v, d in enumerate(degrees) if d >= k) for k in range(n)]
             if gens:
                 levels = _source_representatives(rows, False, gens)
                 masks = [0, *itertools.chain.from_iterable(levels)]
             else:
                 masks = range(1 << x)
             for mask in masks:
-                rows = [row | (mask >> v & 1) << x for v, row in enumerate(g.adj)]
-                rows.append(mask)
-                if popcount(mask) < max(map(popcount, rows)):
+                k = popcount(mask)
+                if k < top_degree or mask & at_least[k]:
                     continue
-                child = Graph(n, tuple(rows))
+                child = (*(row | (mask >> v & 1) << x for v, row in enumerate(rows)), mask)
                 colors = _refined_colors(child)
                 if colors[x] != max(colors):
                     continue
-                canon, perm = _canonical_labelling(child, colors=colors)
+                canon, perm = _canonical_labelling(child, colors)
                 m = perm[-1]
-                if m == x or complete_map(child, child, {x: m}, MorphKind.ISO) is not None:
-                    forms.add(canon)
-        # the rows of one size sort as their graph6 bytes do; only a level
-        # with a next one is kept, as its parents' rows, so that what a
-        # caller leaves on a graph it was given goes when the caller drops it
+                if m != x:
+                    g = Graph(n, child)
+                    if complete_map(g, g, {x: m}, MorphKind.ISO) is None:
+                        continue
+                forms.add(canon)
+        # the rows of one size sort as their graph6 bytes do
         level = []
         for canon in sorted(forms):
             g = _graph_from_rows(n, canon)
-            if n < max_n:
-                level.append(g.adj)
             if not connected_only or is_connected(g):
                 yield g
+            if n < max_n:
+                level.append((g.adj, automorphism_generators(g)))

@@ -320,34 +320,71 @@ def _complement_rows(g: Graph) -> tuple[int, ...]:
 # canonical form
 
 
-def _refined_colors(g: Graph) -> list[int]:
-    """Iterated neighbourhood-refinement colours (isomorphism-invariant ids).
+# the set bits of each byte value, ascending: neighbour lists are read off
+# the adjacency rows 8 bits at a time
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
-    The first colours are the degrees, and each round numbers the classes
-    by their sorted signatures, which begin with the previous colour.  So a
-    round only splits classes and never reorders them: the top colour class
-    holds vertices of maximum degree only, which ``enumerate_graphs`` relies
-    on to reject a child before labelling it.
+
+def _neighbour_lists(adj: Sequence[int]) -> list[list[int]]:
+    """Each row's set bits, ascending."""
+    out = []
+    for row in adj:
+        vs = [*_BYTE_BITS[row & 255]]
+        k = 8
+        row >>= 8
+        while row:
+            vs += [k + i for i in _BYTE_BITS[row & 255]]
+            k += 8
+            row >>= 8
+        out.append(vs)
+    return out
+
+
+def _refined_colors(adj: Sequence[int]) -> list[int]:
+    """Iterated neighbourhood-refinement colours (isomorphism-invariant ids)
+    of the graph with adjacency rows ``adj``.
+
+    The first colours are the degrees.  Each round numbers the vertices by
+    the rank of their signature (colour(v), sorted colours of v's
+    neighbours) among the distinct signatures.  A signature begins with the
+    previous colour, so a round only splits classes and never reorders
+    them: the top colour class holds vertices of maximum degree only, which
+    ``enumerate_graphs`` relies on to reject a child before labelling it.
+    The ids are those of the first round that splits no class; they are the
+    dense ranks of the colours before that round.
+
+    A signature is packed into one int, colour(v) << w*n minus the sum over
+    neighbours u of 1 << w*(n-1-colour(u)), with w = n.bit_length(), and
+    the ints order as the signatures do.  The colours refine the degrees,
+    so the vertices of one class have neighbour tuples of one length.  Of
+    two sorted tuples of equal length, A < B exactly when A has the larger
+    count at the least colour where their counts differ.  That is the order
+    of the negated count vectors packed w bits a colour, least colour most
+    significant: every count is below 2**w, and the packed value is below
+    2**(w*n), so the colour term dominates.
     """
-    colors = [popcount(row) for row in g.adj]
-    for _ in range(g.n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ids[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
+    n = len(adj)
+    w = n.bit_length()
+    top = w * n
+    nbrs = _neighbour_lists(adj)
+    colors = [len(vs) for vs in nbrs]
+    classes = len(set(colors))
+    while True:
+        unit = [1 << top - w - w * c for c in colors].__getitem__
+        sigs = [(c << top) - sum(map(unit, vs)) for c, vs in zip(colors, nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == classes:
+            return colors
+        classes = len(rank)
 
 
 def _canonical_labelling(
-    g: Graph, colors: list[int] | None = None
+    adj: Sequence[int], colors: list[int] | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically-minimal upper-triangle rows over vertex relabellings,
-    and the relabelling that first reached them.
+    """Lexicographically-minimal upper-triangle rows over vertex relabellings
+    of the graph with adjacency rows ``adj``, and the relabelling that first
+    reached them.
 
     Returns ``(rows, perm)``: ``perm[i]`` is the vertex placed in slot i, and
     entry j-1 of ``rows`` holds the bits (slot i, slot j) for i < j, most
@@ -355,44 +392,67 @@ def _canonical_labelling(
     tuple minimises the graph6 string.  Relabellings are restricted to those
     listing the refined colour classes in ascending colour order (colour ids
     are isomorphism-invariant, so the minimum is too).  Branch-and-bound
-    beyond that.  Two relabellings that reach the minimum differ by an
-    automorphism.  ``colors`` passes in ``_refined_colors(g)`` when the
+    beyond that: a slot's candidates are tried by ascending row, then
+    vertex, skipping a vertex that is a twin of one already tried with the
+    same row.  Two relabellings that reach the minimum differ by an
+    automorphism.  ``colors`` passes in ``_refined_colors(adj)`` when the
     caller has it already.
     """
-    n = g.n
+    n = len(adj)
     if colors is None:
-        colors = _refined_colors(g)
-    slot_color = sorted(colors)
+        colors = _refined_colors(adj)
+    # each slot's colour class, as its vertices ascending and as a mask
+    members: list[list[int]] = [[] for _ in range(n)]
+    for v, c in enumerate(colors):
+        members[c].append(v)
+    slot_vertices = [vs for vs in members for _ in vs]
+    slot_cell = [mask_of(vs) for vs in slot_vertices]
     best: list[int] | None = None
     best_perm: list[int] = []
     perm: list[int] = []
     rows: list[int] = []
 
-    def twins(u: int, v: int) -> bool:
-        # swapping u and v is an automorphism (equal neighbourhoods apart
-        # from each other), so their subtrees are interchangeable
-        return g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
-
-    def place(i: int, tight: bool) -> None:
+    def place(i: int, tight: bool, free: int) -> None:
         nonlocal best, best_perm
         if i == n:
             if best is None or rows < best:
                 best = rows.copy()
                 best_perm = perm.copy()
             return
-        options = []
-        for v in range(n):
-            if colors[v] != slot_color[i] or v in perm:
-                continue
+        cell = slot_cell[i] & free
+        if not cell & cell - 1:
+            # one free vertex: no options to sort, and no twin to skip
+            v = cell.bit_length() - 1
             row = 0
-            av = g.adj[v]
+            av = adj[v]
             for u in perm:
                 row = row << 1 | (av >> u & 1)
-            options.append((row, v))
+            if i > 0:
+                if best is not None and tight:
+                    if row > best[i - 1]:
+                        return
+                    tight = row == best[i - 1]
+                rows.append(row)
+            perm.append(v)
+            place(i + 1, tight, free & ~(1 << v))
+            perm.pop()
+            if i > 0:
+                rows.pop()
+            return
+        options = []
+        for v in slot_vertices[i]:
+            if free >> v & 1:
+                row = 0
+                av = adj[v]
+                for u in perm:
+                    row = row << 1 | (av >> u & 1)
+                options.append((row, v))
         options.sort()
         tried: list[tuple[int, int]] = []
         for row, v in options:
-            if any(r == row and twins(u, v) for r, u in tried):
+            # swapping twins (equal neighbourhoods apart from each other) is
+            # an automorphism, so their subtrees are interchangeable
+            if any(r == row and adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for r, u in tried):
                 continue
             tried.append((row, v))
             child_tight = tight
@@ -404,19 +464,19 @@ def _canonical_labelling(
                     child_tight = row == ref
                 rows.append(row)
             perm.append(v)
-            place(i + 1, child_tight)
+            place(i + 1, child_tight, free & ~(1 << v))
             perm.pop()
             if i > 0:
                 rows.pop()
 
-    place(0, True)
+    place(0, True, (1 << n) - 1)
     assert best is not None
     return tuple(best), tuple(best_perm)
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical graph6 byte string: equal iff the graphs are isomorphic."""
-    return _graph6_from_rows(g.n, _canonical_labelling(g)[0])
+    return _graph6_from_rows(g.n, _canonical_labelling(g.adj)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +503,13 @@ def _graph6_from_rows(n: int, rows: Iterable[int]) -> bytes:
 def _graph_from_rows(n: int, rows: Iterable[int]) -> Graph:
     """The graph on n vertices with the upper-triangle rows that
     ``_graph6_from_rows`` reads."""
-    return from_edges(
-        n, ((i, j) for j, row in enumerate(rows, 1) for i in range(j) if row >> j - 1 - i & 1)
-    )
+    adj = [0] * n
+    for j, ones in enumerate(_neighbour_lists(rows), 1):
+        for b in ones:
+            i = j - 1 - b
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 def to_graph6(g: Graph) -> str:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     Graph,
+    _kept,
     bits,
     canonical_form,
     induced_subgraph,
@@ -232,11 +233,13 @@ def _complete(
 # automorphism groups
 
 
+@_kept
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """A strong generating set for Aut(g) relative to the base 0, 1, ...,
     n-1, as image tuples, found by individualisation; the group itself is
-    never enumerated.  Nothing is kept between calls; a graph keeps its set
-    in the ``oracle._Symmetry`` it keeps.
+    never enumerated.  The graph keeps its set, which the oracle's
+    ``_Symmetry`` and ``families.enumerate_graphs`` both read, so a sweep
+    record and the enumerator share one search on the same graph object.
 
     Let G_b be the automorphisms fixing 0..b-1 pointwise, so G_0 = Aut(g)
     and G_(n-1) is trivial.  Levels run deepest first, b = n-2 down to 0,

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from homhom import graphs, oracle, recognizers
-from homhom.graphs import Graph, _complement_rows, popcount
+from homhom import graphs, morphisms, oracle, recognizers
+from homhom.graphs import Graph, _complement_rows, bits, popcount
 from homhom.morphisms import MorphKind, complete_map
 
 
@@ -21,6 +21,78 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return complete_map(g1, g2, {}, MorphKind.ISO) is not None
 
 
+def reference_refined_colors(adj: tuple[int, ...]) -> list[int]:
+    """Neighbourhood refinement as first written: degrees, then rounds that
+    rank the signatures (colour, sorted neighbour colours) as tuples, until
+    a round gives the ids of the round before."""
+    n = len(adj)
+    colors = [popcount(row) for row in adj]
+    for _ in range(n):
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in bits(adj[v])))) for v in range(n)]
+        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ids[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def reference_canonical_labelling(
+    adj: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical labelling's branch-and-bound as first written: every
+    slot builds, sorts and twin-checks its list of candidate vertices."""
+    n = len(adj)
+    colors = reference_refined_colors(adj)
+    slot_color = sorted(colors)
+    best: list[int] | None = None
+    best_perm: list[int] = []
+    perm: list[int] = []
+    rows: list[int] = []
+
+    def twins(u: int, v: int) -> bool:
+        return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+
+    def place(i: int, tight: bool) -> None:
+        nonlocal best, best_perm
+        if i == n:
+            if best is None or rows < best:
+                best = rows.copy()
+                best_perm = perm.copy()
+            return
+        options = []
+        for v in range(n):
+            if colors[v] != slot_color[i] or v in perm:
+                continue
+            row = 0
+            for u in perm:
+                row = row << 1 | (adj[v] >> u & 1)
+            options.append((row, v))
+        options.sort()
+        tried: list[tuple[int, int]] = []
+        for row, v in options:
+            if any(r == row and twins(u, v) for r, u in tried):
+                continue
+            tried.append((row, v))
+            child_tight = tight
+            if i > 0:
+                if best is not None and tight:
+                    ref = best[i - 1]
+                    if row > ref:
+                        break
+                    child_tight = row == ref
+                rows.append(row)
+            perm.append(v)
+            place(i + 1, child_tight)
+            perm.pop()
+            if i > 0:
+                rows.pop()
+
+    place(0, True)
+    assert best is not None
+    return tuple(best), tuple(best_perm)
+
+
 def complement(g: Graph) -> Graph:
     return Graph(g.n, _complement_rows(g))
 
@@ -31,7 +103,7 @@ def kept_steps() -> set:
     once = graphs._complement_rows.__code__
     return {
         fn
-        for module in (graphs, oracle, recognizers)
+        for module in (graphs, morphisms, oracle, recognizers)
         for fn in vars(module).values()
         if getattr(fn, "__code__", None) is once
     }

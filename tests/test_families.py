@@ -33,6 +33,7 @@ from homhom.families import (
 from homhom.graphs import (
     Graph,
     _canonical_labelling,
+    _refined_colors,
     bipartition,
     bits,
     degree,
@@ -47,7 +48,8 @@ from homhom.graphs import (
     popcount,
     to_graph6,
 )
-from helpers import is_isomorphic
+from homhom.morphisms import automorphism_generators
+from helpers import count_kept_steps, is_isomorphic
 
 
 def degrees(g: Graph) -> list[int]:
@@ -281,6 +283,9 @@ N7_SHA256 = {
     False: "6207d5ea27b8b308d5638de11e576b426bc64b8c51677584817050c700367e8b",
     True: "105860e8b0697294fc2bd533032b06cb6507c6ef528c99f8397442503fb5322b",
 }
+# and of enumerate_graphs(8, connected_only=False), as the enumerator that
+# built every candidate child as a graph produced it
+N8_SHA256 = "1f24429b52e47c4eadcfd5657fc25358e374caff5f75ee6d12030643113dd9dc"
 
 
 def enumerate_by_dedupe(max_n: int) -> list[Graph]:
@@ -329,6 +334,8 @@ class TestEnumeration:
         assert Counter(g.n for g in graphs) == ALL_COUNTS
         assert Counter(g.n for g in graphs if is_connected(g)) == CONNECTED_COUNTS
         assert len(calls) == 13624
+        lines = "\n".join(to_graph6(g) for g in graphs)
+        assert hashlib.sha256(lines.encode()).hexdigest() == N8_SHA256
 
     def test_levels_built_from_canonical_rows(self, rebind):
         # each level's graphs are built from the rows the labelling returned;
@@ -348,6 +355,20 @@ class TestEnumeration:
         assert sum(r() is not None for r in alive) <= 1  # the generator holds the last in hand
         assert next(graphs).n == 6
 
+    def test_generator_search_shared_with_the_caller(self, monkeypatch):
+        # the enumerator reads a parent's generators off the graph it
+        # yielded once the caller is done with it, so a caller that searched
+        # them (as a sweep record's oracle does) leaves nothing to search
+        # again: one search per graph, where a rebuilt parent made its own
+        calls = count_kept_steps(monkeypatch)
+        for g in enumerate_graphs(6, connected_only=False):
+            automorphism_generators(g)
+        searches = [k for k in calls if k[0] == "automorphism_generators"]
+        assert len(searches) == 208 and {calls[k] for k in searches} == {1}
+        calls.clear()
+        list(enumerate_graphs(6, connected_only=False))
+        assert sum(calls.values()) == 52  # the graphs on <= 5 vertices, as parents
+
     def test_matches_dedupe_enumerator_to_six(self):
         ours = [to_graph6(g) for g in enumerate_graphs(6, connected_only=False)]
         assert ours == [to_graph6(g) for g in enumerate_by_dedupe(6)]
@@ -359,16 +380,30 @@ class TestEnumeration:
 
     def test_labelling_count_to_seven(self, rebind):
         # the dedupe enumerator labels all 11 290 children; canonical
-        # augmentation labels only those whose new vertex has the top colour,
+        # augmentation refines only the children whose new vertex has
+        # maximum degree, and labels only those where it has the top colour,
         # from one neighbour mask per orbit of the parent's automorphisms
-        # (2 365 with every mask)
-        calls = []
+        # (2 365 labellings with every mask)
+        calls, refined = [], []
         rebind(
             _canonical_labelling,
             lambda *a, **k: calls.append(1) or _canonical_labelling(*a, **k),
         )
+        rebind(_refined_colors, lambda adj: refined.append(1) or _refined_colors(adj))
         list(enumerate_graphs(7, connected_only=False))
         assert len(calls) == 1253
+        assert len(refined) == 1639
+
+    def test_children_are_screened_as_rows(self, monkeypatch):
+        # a candidate child stays adjacency rows: a graph is built for each
+        # of the 1 252 graphs yielded, and for the 13 children whose orbit
+        # check needs an isomorphism search (3 100 when every child
+        # refined was built as a graph)
+        built = []
+        validate = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(1) or validate(g))
+        assert sum(1 for _ in enumerate_graphs(7, connected_only=False)) == 1252
+        assert len(built) <= 1266
 
     def test_representatives_are_canonical_and_ordered(self):
         # sweep takes this order as it comes, without sorting again

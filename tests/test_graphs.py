@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homhom.families import enumerate_graphs
 from homhom.graphs import (
     Graph,
+    _canonical_labelling,
+    _refined_colors,
     bipartition,
     bits,
     canonical_form,
@@ -28,7 +31,12 @@ from homhom.graphs import (
     to_edge_list_text,
     to_graph6,
 )
-from helpers import complement, is_isomorphic
+from helpers import (
+    complement,
+    is_isomorphic,
+    reference_canonical_labelling,
+    reference_refined_colors,
+)
 
 # -- small fixtures ---------------------------------------------------------
 
@@ -239,6 +247,53 @@ def test_canonical_form_above_ten_vertices(g):
     form = canonical_form(g)
     assert canonical_form(h) == form
     assert is_isomorphic(from_graph6(form.decode()), g)
+
+
+def relabelled_rows(adj: tuple[int, ...], perm: list[int]) -> tuple[int, ...]:
+    """The rows of the graph with vertex v renamed perm[v]."""
+    rows = [0] * len(adj)
+    for v, row in enumerate(adj):
+        for u in bits(row):
+            rows[perm[v]] |= 1 << perm[u]
+    return tuple(rows)
+
+
+def test_refinement_and_labelling_match_the_reference_to_seven_vertices():
+    # every graph on at most 7 vertices, as enumerated and under a seeded
+    # relabelling: the same colour ids, canonical rows and permutation
+    import random
+
+    rng = random.Random(7)
+    for g in enumerate_graphs(7, connected_only=False):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for adj in (g.adj, relabelled_rows(g.adj, perm)):
+            colors = _refined_colors(adj)
+            assert colors == reference_refined_colors(adj), adj
+            assert _canonical_labelling(adj) == reference_canonical_labelling(adj), adj
+            assert _canonical_labelling(adj, colors) == _canonical_labelling(adj)
+
+
+def test_refinement_and_labelling_match_the_reference_to_64_vertices():
+    # 300 seeded random graphs on 9-64 vertices at densities 0.05-0.95;
+    # the reference labelling is exponential where many vertices share a
+    # colour, so labellings are compared where at most 2 vertices do
+    import random
+    from collections import Counter
+
+    rng = random.Random(64)
+    labelled = 0
+    for _ in range(300):
+        n, p = rng.randint(9, 64), rng.uniform(0.05, 0.95)
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        colors = _refined_colors(g.adj)
+        assert colors == reference_refined_colors(g.adj), g.adj
+        if sum(c for c in Counter(colors).values() if c > 1) <= 2:
+            labelled += 1
+            assert _canonical_labelling(g.adj) == reference_canonical_labelling(g.adj), g.adj
+    assert labelled == 258
+    for g in (cycle(64), complete(64), path(63)):  # one or few colours
+        assert _refined_colors(g.adj) == reference_refined_colors(g.adj)
 
 
 # -- graph6 -----------------------------------------------------------------------

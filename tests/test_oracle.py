@@ -777,14 +777,16 @@ class TestEngineAgreement:
     def test_generators_computed_once_per_graph_object(self, rebind, monkeypatch):
         # the symmetry data of a graph object, its generators and vertex
         # orbits, is built once, and each size of its source list at most
-        # once, whatever classes are asked about it
+        # once, whatever classes are asked about it; the graph keeps its
+        # generators too, so one search serves the data and any other reader
         calls = count_kept_steps(monkeypatch)
         built = []
         rebind(_source_representatives, level_recorder(built))
         g = cycle_graph(6)
+        once = {("_symmetry", id(g)): 1, ("automorphism_generators", id(g)): 1}
         for code in CLASS_CODES[:5]:  # the per-map classes
             is_class_member(g, query_for_code(code))
-        assert calls == {("_symmetry", id(g)): 1} and built and built_once(built)
+        assert calls == once and built and built_once(built)
         assert {(adj, connected) for adj, connected, _ in built} == {(g.adj, True)}
         # the one-point engine reads its start orbits off the same generators
         completions = []
@@ -792,21 +794,24 @@ class TestEngineAgreement:
             complete_map, lambda *args: completions.append(args) or complete_map(*args)
         )
         assert is_class_member(g, query_for_code("homo-homo")).holds
-        assert calls == {("_symmetry", id(g)): 1} and completions == []
+        assert calls == once and completions == []
         before = len(built)
         h = cycle_graph(6)
         is_class_member(h, query_for_code("iso-iso"))
-        assert calls[("_symmetry", id(h))] == 1 and len(calls) == 2
+        assert calls[("_symmetry", id(h))] == calls[("automorphism_generators", id(h))] == 1
+        assert len(calls) == 4
         assert len(built) > before and built_once(built)
 
     def test_extension_symmetric_builds_each_graphs_symmetry_once(self, monkeypatch):
-        # each of two equal graph objects keeps its own symmetry data, which
-        # both directions read
+        # each of two equal graph objects keeps its own symmetry data, and
+        # the generators it is built from, which both directions read
         calls = count_kept_steps(monkeypatch)
         g1, g2 = cycle_graph(6), cycle_graph(6)
         for code in CLASS_CODES:
             extension_symmetric(g1, g2, query_for_code(code))
-        assert calls == {("_symmetry", id(g1)): 1, ("_symmetry", id(g2)): 1}
+        assert calls == {
+            (step, id(g)): 1 for step in ("_symmetry", "automorphism_generators") for g in (g1, g2)
+        }
 
     def test_sources_grown_once_per_record_and_classify(self, rebind):
         # all five per-map classes use connected sources, so one list serves
