@@ -4,13 +4,15 @@ Vertices are always 0..n-1.  A set of vertices is an ``int`` bitmask (bit v set
 iff vertex v is a member), which keeps the search loops in this package cheap.
 ``Graph.adj[v]`` is the bitmask of neighbours of v.  Everything here is
 deterministic: vertex iteration is ascending unless stated otherwise.
+``bits(mask)`` is the one way the package walks a mask: the tuple of its set
+bits, ascending, for a mask of at most ``MAX_VERTICES`` bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import update_wrapper
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 MAX_VERTICES = 64
 
@@ -39,12 +41,39 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bits of ``mask`` in ascending order."""
+def _chunk_tables() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each 8-bit chunk of a ``MAX_VERTICES``-bit mask, the tuple of
+    set bits of every chunk value, ascending and offset to the chunk's
+    place.  Built by doubling: for each bit i of a chunk, the table so far
+    is followed by a copy with i appended to every entry."""
+    tables = []
+    for offset in range(0, MAX_VERTICES, 8):
+        table: list[tuple[int, ...]] = [()]
+        for i in range(offset, offset + 8):
+            table += [t + (i,) for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+_CHUNK_BITS = _chunk_tables()
+_LOW_BITS = _CHUNK_BITS[0]
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending, as a tuple.  ``mask`` is a
+    nonnegative int of at most ``MAX_VERTICES`` bits; a higher bit raises
+    ``IndexError``.  A mask below 256 is one table lookup; a wider one is
+    read a byte at a time from its lowest nonzero byte up."""
+    if mask < 256:
+        return _LOW_BITS[mask]
+    chunk = (mask & -mask).bit_length() - 1 >> 3
+    mask >>= chunk << 3
+    out: tuple[int, ...] = ()
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        out += _CHUNK_BITS[chunk][mask & 255]
+        mask >>= 8
+        chunk += 1
+    return out
 
 
 def popcount(mask: int) -> int:
@@ -71,12 +100,9 @@ class Graph:
                 raise ValueError(f"vertex {v} has a self-loop")
         adj = self.adj
         for v, row in enumerate(adj):
-            while row:
-                low = row & -row
-                u = low.bit_length() - 1
+            for u in bits(row):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency is not symmetric at ({v}, {u})")
-                row ^= low
 
     @property
     def full_mask(self) -> int:
@@ -121,19 +147,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # basic local operations
 
 
-def neighbors(g: Graph, v: int) -> int:
-    """Bitmask of neighbours of v."""
-    return g.adj[v]
-
-
-def degree(g: Graph, v: int) -> int:
-    return popcount(g.adj[v])
-
-
-def max_degree(g: Graph) -> int:
-    return max(popcount(row) for row in g.adj)
-
-
 def common_neighbors(g: Graph, vertex_mask: int) -> int:
     """Bitmask of vertices adjacent to *every* vertex in ``vertex_mask``.
 
@@ -161,7 +174,7 @@ def induced_subgraph(g: Graph, vertex_mask: int) -> Graph:
         raise ValueError("vertex mask mentions vertices outside the graph")
     if vertex_mask == g.full_mask:
         return g
-    old = list(bits(vertex_mask))
+    old = bits(vertex_mask)
     index = {v: i for i, v in enumerate(old)}
     rows = []
     for v in old:
@@ -320,26 +333,6 @@ def _complement_rows(g: Graph) -> tuple[int, ...]:
 # canonical form
 
 
-# the set bits of each byte value, ascending: neighbour lists are read off
-# the adjacency rows 8 bits at a time
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
-def _neighbour_lists(adj: Sequence[int]) -> list[list[int]]:
-    """Each row's set bits, ascending."""
-    out = []
-    for row in adj:
-        vs = [*_BYTE_BITS[row & 255]]
-        k = 8
-        row >>= 8
-        while row:
-            vs += [k + i for i in _BYTE_BITS[row & 255]]
-            k += 8
-            row >>= 8
-        out.append(vs)
-    return out
-
-
 def _refined_colors(adj: Sequence[int]) -> list[int]:
     """Iterated neighbourhood-refinement colours (isomorphism-invariant ids)
     of the graph with adjacency rows ``adj``.
@@ -366,7 +359,7 @@ def _refined_colors(adj: Sequence[int]) -> list[int]:
     n = len(adj)
     w = n.bit_length()
     top = w * n
-    nbrs = _neighbour_lists(adj)
+    nbrs = [bits(row) for row in adj]
     colors = [len(vs) for vs in nbrs]
     classes = len(set(colors))
     while True:
@@ -504,8 +497,8 @@ def _graph_from_rows(n: int, rows: Iterable[int]) -> Graph:
     """The graph on n vertices with the upper-triangle rows that
     ``_graph6_from_rows`` reads."""
     adj = [0] * n
-    for j, ones in enumerate(_neighbour_lists(rows), 1):
-        for b in ones:
+    for j, row in enumerate(rows, 1):
+        for b in bits(row):
             i = j - 1 - b
             adj[i] |= 1 << j
             adj[j] |= 1 << i

@@ -201,13 +201,10 @@ def _complete(
         k = c.bit_count()
         if k < fewest:
             v, fewest = u, k
-    row, rest = g1.adj[v], cand[v]
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        w = low.bit_length() - 1
+    row = g1.adj[v]
+    for w in bits(cand[v]):
         adj_w = g2.adj[w]
-        non_adj_w = ~(adj_w | low)
+        non_adj_w = ~(adj_w | 1 << w)
         narrowed: dict[int, int] = {}
         dead = False
         for u, c in cand.items():
@@ -351,7 +348,7 @@ def _source_representatives(
     """The source subsets of the graph with the adjacency rows ``adj``, one
     per orbit of the group ``gens`` generates, each orbit represented by
     its lexicographically first member, yielded one size at a time,
-    smallest first, each size's list ascending as ``tuple(bits(mask))``;
+    smallest first, each size's list ascending as ``bits(mask)``;
     the stream ends at the first size with no subset.  Each size is built
     only when it is asked for, so a search that stops early builds none of
     the larger ones.
@@ -375,7 +372,7 @@ def _source_representatives(
     tree), and if a sends T to its representative R, then a(S) = R | {a(v)}
     is a candidate in S's orbit.  Without connectedness any vertex of S will
     do.  So each size lists the same subsets as filtering every subset and
-    keeping the first of each orbit in ``tuple(bits)`` order.
+    keeping the first of each orbit in ``bits`` order.
     """
     n = len(adj)
     reps = [o & -o for o in _vertex_orbits(n, gens)]
@@ -414,7 +411,7 @@ def _source_representatives(
             reps.append(first)
         if not reps:
             return
-        reps.sort(key=lambda m: tuple(bits(m)))
+        reps.sort(key=bits)
         yield reps
 
 

@@ -264,21 +264,17 @@ def _rims(g: Graph, domain: int, shifts: list[int], full: int) -> list[tuple[int
     """The rim of each component outside ``domain`` that touches it: the
     OR of the fields ``full << shifts[x]`` of its vertices x with a
     neighbour in ``domain``, and the mask of those vertices."""
-    outside, touch, rest = g.full_mask & ~domain, 0, domain
-    while rest:
-        low = rest & -rest
-        touch |= g.adj[low.bit_length() - 1]
-        rest ^= low
+    outside, touch = g.full_mask & ~domain, 0
+    for v in bits(domain):
+        touch |= g.adj[v]
     touch &= outside
     rims = []
     while touch:
         rim = _reach(g.adj, touch & -touch, outside) & touch
         touch ^= rim
-        fields, rest = 0, rim
-        while rest:
-            low = rest & -rest
-            fields |= full << shifts[low.bit_length() - 1]
-            rest ^= low
+        fields = 0
+        for x in bits(rim):
+            fields |= full << shifts[x]
         rims.append((fields, rim))
     return rims
 
@@ -294,15 +290,10 @@ def _recorded(
         if sub in proved:
             continue
         common = -1
-        while rim:
-            low = rim & -rim
-            rim ^= low
-            x = low.bit_length() - 1
-            row, ext, m = hold[x], 0, key >> shifts[x] & full
-            while m:
-                low = m & -m
-                ext |= row[low.bit_length() - 1]
-                m ^= low
+        for x in bits(rim):
+            row, ext = hold[x], 0
+            for w in bits(key >> shifts[x] & full):
+                ext |= row[w]
             common &= ext
             if not common:
                 return False
@@ -436,7 +427,7 @@ def _per_map_search(
             entry = domains[domain] = [_variable_order(g1, domain), None]
         order = entry[0]
         inside = sum(1 << at[x] for x in bits(domain))
-        rest = list(bits(g1.full_mask ^ domain))
+        rest = bits(g1.full_mask ^ domain)
         outside = spread_all if track else spread_all ^ inside
         start = full2 * inside | (full2 << n2) * outside
         seen: set[int] = set()
@@ -478,12 +469,9 @@ def _per_map_search(
                     depth_bits | near[w] * near_v | far[w] * far_v for w in range(n2)
                 ]
             children = []
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                w = low.bit_length() - 1
+            for w in bits(cand):
                 child = (key & row[w]) + 1
-                dooms = doomed or not allowed & low
+                dooms = doomed or not allowed >> w & 1
                 if not dooms:
                     if child in seen:
                         continue
@@ -590,11 +578,9 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     step: list[list[int] | None] = [None] * n1
 
     def row_of(v: int) -> list[int]:
-        spread, rest = 0, adj1[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            spread |= 1 << shifts[low.bit_length() - 1]
+        spread = 0
+        for u in bits(adj1[v]):
+            spread |= 1 << shifts[u]
         keep = everything & ~(full2 * (spread | 1 << shifts[v]))
         step[v] = [keep | adj2[w] * spread for w in range(n2)]
         return step[v]
@@ -622,11 +608,7 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
             grow = front & allowed
             if h1 and grow & (grow - 1):
                 grow &= least1(h1)
-            rest = front
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                v = bit.bit_length() - 1
+            for v in bits(front):
                 cand = key >> shifts[v] & full2
                 if not cand:
                     domain = key & g1.full_mask
@@ -638,18 +620,16 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                         "mapped neighbours",
                     )
                     return OracleResult(False, wit, checked)
-                if not grow & bit:
+                if not grow >> v & 1:
                     continue
                 if h2 and cand & (cand - 1):
                     cand &= least2(h2)
                 row = step[v] or row_of(v)
+                bit = 1 << v
                 grown = (front | adj1[v]) & ~(key | bit)
                 at = v * width
                 h1v = h1 & fixers1[v]
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    w = low.bit_length() - 1
+                for w in bits(cand):
                     nxt = key & row[w] | bit
                     if nxt not in seen:
                         if len(seen) >= limit:

@@ -29,12 +29,9 @@ from .graphs import (
     common_neighbors,
     connected_components,
     connected_within,
-    degree,
     induced_subgraph,
     is_connected,
     mask_of,
-    max_degree,
-    neighbors,
     popcount,
 )
 from .oracle import (
@@ -68,6 +65,8 @@ def _clique_partition(rows: Sequence[int], within: int) -> list[int] | None:
     while left:
         low = left & -left
         clique = rows[low.bit_length() - 1] & within | low
+        # walked by hand, not through ``bits``: the scan usually stops at
+        # its first vertex, before a tuple of the clique would pay off
         rest = clique
         while rest:
             w = rest & -rest
@@ -194,7 +193,7 @@ def is_bcpm(g: Graph) -> int | None:
     n = popcount(x)
     if n != popcount(y) or n < 3:
         return None
-    if any(degree(g, v) != n - 1 for v in range(g.n)):
+    if any(popcount(row) != n - 1 for row in g.adj):
         return None
     return n
 
@@ -229,7 +228,7 @@ def validate_pcm_certificate(g: Graph, cert: PcmCertificate, n: int) -> bool:
     if not 2 <= popcount(z) <= popcount(w) == n:
         return False
     for side in (z, w):
-        if any(neighbors(g, v) & side for v in bits(side)):
+        if any(g.adj[v] & side for v in bits(side)):
             return False  # parts must be independent sets
     if not connected_within(g, z | w):
         return False
@@ -240,7 +239,7 @@ def validate_pcm_certificate(g: Graph, cert: PcmCertificate, n: int) -> bool:
         if not (w >> ww) & 1 or ww in seen_w:
             return False
         seen_w.add(ww)
-        if (neighbors(g, zz) >> ww) & 1:
+        if (g.adj[zz] >> ww) & 1:
             return False  # matched pairs must be non-adjacent
     return True
 
@@ -284,7 +283,7 @@ def embeds_pcm(g: Graph, n: int) -> PcmCertificate | None:
             z_side &= ~full
         for zs, ws in comps:
             if popcount(ws) >= n:
-                old = list(bits(zs | ws))
+                old = bits(zs | ws)
                 sub_w = mask_of(i for i, v in enumerate(old) if ws >> v & 1)
                 cert = pcm_extract(induced_subgraph(g, zs | ws), sub_w, n)
                 return PcmCertificate(
@@ -320,7 +319,7 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
         raise ValueError("both sides of the bipartition must be nonempty")
     for side, label in ((z_side, "source"), (w_side, "target")):
         for v in bits(side):
-            if neighbors(a, v) & side:
+            if a.adj[v] & side:
                 raise ValueError(f"the {label} side is not independent: vertex {v} has a neighbour inside it")
     if not is_connected(a):
         raise ValueError("the graph must be connected")
@@ -328,29 +327,29 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
     if nw < n:
         raise ValueError(f"the target side has {nw} vertices, fewer than the required {n}")
     for z in bits(z_side):
-        if not (w_side & ~neighbors(a, z)):
+        if not (w_side & ~a.adj[z]):
             raise ValueError(f"vertex {z} is adjacent to the whole target side")
 
     # Seed: a maximal-degree z1, a second small-side vertex z2 two steps away
     # seeing as many vertices outside N(z1) as possible, plus one shared
     # neighbour w0, one private neighbour w1 of z2 and one private w2 of z1.
-    z1 = max(bits(z_side), key=lambda v: (degree(a, v), -v))
-    n_z1 = neighbors(a, z1)
+    z1 = max(bits(z_side), key=lambda v: (popcount(a.adj[v]), -v))
+    n_z1 = a.adj[z1]
     best_gain, z2 = 0, -1
     for cand in bits(z_side & ~(1 << z1)):
-        if not (neighbors(a, cand) & n_z1):
+        if not (a.adj[cand] & n_z1):
             continue
-        gain = popcount(neighbors(a, cand) & ~n_z1)
+        gain = popcount(a.adj[cand] & ~n_z1)
         if gain > best_gain:
             best_gain, z2 = gain, cand
     if z2 < 0:
         raise ValueError(f"no second seed vertex is reachable from vertex {z1} with a private neighbour")
-    w0 = next(bits(n_z1 & neighbors(a, z2)))
-    w1 = next(bits(neighbors(a, z2) & ~n_z1))
-    private_z1 = n_z1 & ~neighbors(a, z2)
+    w0 = bits(n_z1 & a.adj[z2])[0]
+    w1 = bits(a.adj[z2] & ~n_z1)[0]
+    private_z1 = n_z1 & ~a.adj[z2]
     if not private_z1:
         raise ValueError(f"vertex {z1} has no neighbour missed by vertex {z2}")
-    w2 = next(bits(private_z1))
+    w2 = bits(private_z1)[0]
     z_order = [z1, z2]
     w_mask = mask_of((w0, w1, w2))
     matching = {z1: w1, z2: w2}
@@ -358,13 +357,13 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
     while True:
         absorbed = 0
         for z in z_order:
-            absorbed |= neighbors(a, z)
+            absorbed |= a.adj[z]
         if popcount(absorbed) >= n:
             break
         in_seed = mask_of(z_order)
         best_gain, z_new = 0, -1
         for cand in bits(z_side & ~in_seed):
-            nb = neighbors(a, cand)
+            nb = a.adj[cand]
             if not (nb & absorbed):
                 continue
             gain = popcount(nb & ~absorbed)
@@ -372,16 +371,16 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
                 best_gain, z_new = gain, cand
         if z_new < 0:
             raise ValueError("the pattern cannot grow further; the graph cannot be connected")
-        outside = next(bits(neighbors(a, z_new) & ~absorbed))
-        free = absorbed & ~neighbors(a, z_new) & ~mask_of(matching.values())
+        outside = bits(a.adj[z_new] & ~absorbed)[0]
+        free = absorbed & ~a.adj[z_new] & ~mask_of(matching.values())
         if free:
-            matching[z_new] = next(bits(free))
+            matching[z_new] = bits(free)[0]
         else:
             # Every non-neighbour of z_new in the absorbed set is already
             # matched: steal the earliest such partner and re-match its owner
             # to the fresh outside vertex, which no seed vertex sees yet.
             for z_old in z_order:
-                if not (neighbors(a, z_new) >> matching[z_old]) & 1:
+                if not (a.adj[z_new] >> matching[z_old]) & 1:
                     matching[z_new] = matching[z_old]
                     matching[z_old] = outside
                     break
@@ -390,7 +389,7 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
         z_order.append(z_new)
         w_mask = absorbed | (1 << outside)
 
-    padding = [w for w in bits(absorbed & ~w_mask)][: n - popcount(w_mask)]
+    padding = bits(absorbed & ~w_mask)[: n - popcount(w_mask)]
     cert = PcmCertificate(
         z_mask=mask_of(z_order),
         w_mask=w_mask | mask_of(padding),
@@ -500,7 +499,7 @@ def chh_symmetric(g1: Graph, g2: Graph) -> bool:
     if "matching-complement" in f1 and "matching-complement" in f2:
         # matching complements are isomorphic iff equal order
         return f1["matching-complement"].order == f2["matching-complement"].order
-    d1, d2 = max_degree(g1), max_degree(g2)
+    d1, d2 = max(map(popcount, g1.adj)), max(map(popcount, g2.adj))
     if d1 == d2:
         return True
     small, big = (f1, g2) if d1 < d2 else (f2, g1)
@@ -600,7 +599,7 @@ def _cii_component_family(c: Graph) -> FamilyDescriptor | None:
     parts = complete_multipartite_parts(c)
     if parts is not None and len(set(parts)) == 1 and parts[0] >= 2:
         return FamilyDescriptor("REGULAR_MULTIPARTITE", (len(parts), parts[0]))
-    if n >= 5 and all(degree(c, v) == 2 for v in range(n)):
+    if n >= 5 and all(popcount(row) == 2 for row in c.adj):
         return FamilyDescriptor("CYCLE", (n,))
     side = isqrt(n)
     if side >= 3 and side * side == n and _is_rook(c, side):
@@ -682,7 +681,7 @@ def _cmi_shape(c: Graph) -> tuple[str, int] | None:
     n = c.n
     if c.edge_count() == n * (n - 1) // 2:
         return "complete", n
-    if n >= 3 and all(degree(c, v) == 2 for v in range(n)):
+    if n >= 3 and all(popcount(row) == 2 for row in c.adj):
         return "cycle", n
     parts = bipartition(c)
     if parts is not None:

@@ -5,10 +5,20 @@ needs them."""
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterator
 
 from homhom import graphs, morphisms, oracle, recognizers
 from homhom.graphs import Graph, _complement_rows, bits, popcount
 from homhom.morphisms import MorphKind, complete_map
+
+
+def reference_bits(mask: int) -> Iterator[int]:
+    """Yield the set bits of ``mask`` in ascending order, one lowest bit at
+    a time: ``graphs.bits`` as first written."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -6,7 +6,7 @@ query and the canonical form by the graph alone.  Every function, class,
 module-level name and non-dunder method of the library modules has a reader
 in ``src`` besides the package's exports, every name the package exports is
 read somewhere, and every defaulted parameter or dataclass field is passed
-by some call in ``src``.
+by some call in ``src``.  Vertex masks are walked through ``graphs.bits``.
 """
 
 from __future__ import annotations
@@ -319,3 +319,63 @@ def test_no_module_keeps_global_state():
         if isinstance(node, ast.Global)
     ]
     assert rebinding == []
+
+
+# -- one way to walk a vertex mask ---------------------------------------------
+
+# functions that walk a mask lowest bit first by hand, each with its reason
+HAND_WALKS_ALLOWED = {
+    # the clique scan usually stops at its first vertex, so building the
+    # clique's tuple first cost the recognize-large benchmark 5 % of its
+    # in-process time (bcpm(20): 15 %)
+    "recognizers._clique_partition",
+}
+
+
+def _is_lowest_bit(node: ast.AST, mask: str) -> bool:
+    """Whether ``node`` is the expression ``mask & -mask``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and _name(node.left) == mask
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+        and _name(node.right.operand) == mask
+    )
+
+
+def _hand_walks(loop: ast.While) -> bool:
+    """Whether ``loop`` is ``while x:`` with a body that binds ``y = x & -x``
+    and then does ``x ^= y``."""
+    mask = _name(loop.test)
+    if mask is None:
+        return False
+    body = [sub for stmt in loop.body for sub in ast.walk(stmt)]
+    lows = [
+        (sub.lineno, sub.targets[0].id)
+        for sub in body
+        if isinstance(sub, ast.Assign)
+        and len(sub.targets) == 1
+        and isinstance(sub.targets[0], ast.Name)
+        and _is_lowest_bit(sub.value, mask)
+    ]
+    return any(
+        isinstance(sub, ast.AugAssign)
+        and isinstance(sub.op, ast.BitXor)
+        and _name(sub.target) == mask
+        and any(_name(sub.value) == low and line < sub.lineno for line, low in lows)
+        for sub in body
+    )
+
+
+def test_masks_are_walked_through_bits_alone():
+    # ``graphs.bits`` reads a mask's set bits from byte tables; a loop that
+    # peels the lowest bit off by hand is a second way to do its job
+    src = Path(homhom.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(sub, ast.While) and _hand_walks(sub) for sub in ast.walk(fn)):
+                    found.add(f"{path.stem}.{fn.name}")
+    assert found == HAND_WALKS_ALLOWED

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from homhom.families import enumerate_graphs
 from homhom.graphs import (
+    MAX_VERTICES,
     Graph,
     _canonical_labelling,
     _refined_colors,
@@ -34,6 +35,7 @@ from homhom.graphs import (
 from helpers import (
     complement,
     is_isomorphic,
+    reference_bits,
     reference_canonical_labelling,
     reference_refined_colors,
 )
@@ -99,6 +101,32 @@ def test_mask_helpers():
     assert mask_of([0, 2, 5]) == 0b100101
     assert list(bits(0b100101)) == [0, 2, 5]
     assert list(bits(0)) == []
+
+
+def test_bits_matches_the_reference_walk():
+    # every width 0..64, each at seeded masks of one bit, two bits,
+    # densities 0.1, 0.5 and 0.9, and all bits set
+    import random
+
+    rng = random.Random(36)
+    masks = [1 << 63, (1 << 64) - 1]
+    for width in range(MAX_VERTICES + 1):
+        masks.append((1 << width) - 1)
+        for _ in range(3):
+            if width >= 1:
+                masks.append(1 << rng.randrange(width))
+            if width >= 2:
+                a, b = rng.sample(range(width), 2)
+                masks.append(1 << a | 1 << b)
+            for p in (0.1, 0.5, 0.9):
+                masks.append(mask_of(i for i in range(width) if rng.random() < p))
+    for m in masks:
+        got = bits(m)
+        assert type(got) is tuple and got == tuple(reference_bits(m)), hex(m)
+    # a bit past MAX_VERTICES is refused, not dropped
+    for m in (1 << MAX_VERTICES, (1 << MAX_VERTICES + 1) - 1):
+        with pytest.raises(IndexError):
+            bits(m)
 
 
 # -- neighbours and common neighbours ----------------------------------------

@@ -44,7 +44,6 @@ from homhom.graphs import (
     induced_cycle_lengths,
     induced_subgraph,
     is_connected,
-    max_degree,
     popcount,
     to_graph6,
 )
@@ -1076,7 +1075,7 @@ def b2_by_subsets(g: Graph) -> bool:
         return False
     for part in parts:
         verts = list(bits(part))
-        for k in range(1, min(max_degree(g), len(verts)) + 1):
+        for k in range(1, min(max(map(popcount, g.adj)), len(verts)) + 1):
             if any(common_neighbors(g, mask(combo)) == 0 for combo in itertools.combinations(verts, k)):
                 return False
     return True
