@@ -29,7 +29,10 @@ homomorphism from a connected induced subgraph gets stuck, that is, has an
 adjacent vertex with no feasible image.  That engine grows such maps one
 vertex at a time from one start per pair of vertex orbits, keyed by domain
 and candidate images, under the stabilisers of the domain and of its
-image; see ``_one_point_search`` for why it misses no stuck map.
+image, and tests each map for a stuck vertex when it is made (forward
+checking; Haralick and Elliott, Artif. Intell. 1980), so a "no" search
+stops at the first stuck map it builds; see ``_one_point_search`` for why
+it misses no stuck map.
 """
 
 from __future__ import annotations
@@ -212,7 +215,9 @@ class _Symmetry:
                     fixers[w] |= bit
         self._sources: list[int] = []
         self._levels = _source_representatives(g.adj, True, self.generators)
-        self._least = {0: g.full_mask}
+        # under the whole group, the least vertices are the orbits' least
+        everyone = (1 << len(self.generators)) - 1
+        self._least = {0: g.full_mask, everyone: sum(o & -o for o in self.orbits)}
         self.domains: dict[int, list] = {}
 
     @cached_property
@@ -495,16 +500,16 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     with no homomorphism into g2 needs no test of its own.
 
     Only one state per orbit of start points is explored.  Let O_1, O_2, ...
-    be the vertex orbits of Aut(g1) ordered by least vertex r_i, and R2 a set
-    of orbit representatives of Aut(g2).  Phase i seeds r_i -> w for w in R2
-    and grows domains only into vertices outside O_1 ... O_(i-1); the stuck
-    test still looks at every unmapped neighbour.  This is exact because
-    stuckness is invariant under Aut(g1) x Aut(g2): given a stuck state, let
-    i be the least index with D meeting O_i; an automorphism pair moves it
-    to a stuck state containing r_i -> (a member of R2) that avoids the
-    earlier orbits, and that state is reached by growth from its seed inside
-    the allowed vertices, since a connected set containing r_i can be built
-    from r_i one adjacent vertex at a time.
+    be the vertex orbits of Aut(g1) ordered by least vertex r_i, and R2 a
+    set of orbit representatives of Aut(g2).  Phase i seeds r_i -> w for w
+    in R2 and grows domains only into vertices outside O_1 ... O_(i-1); the
+    stuck test still looks at unmapped neighbours inside them.  This is
+    exact because stuckness is invariant under Aut(g1) x Aut(g2): given a
+    stuck state, let i be the least index with D meeting O_i; an
+    automorphism pair moves it to a stuck state containing r_i -> (a member
+    of R2) that avoids the earlier orbits, and that state is reached by
+    growth from its seed inside the allowed vertices, since a connected set
+    containing r_i can be built from r_i one adjacent vertex at a time.
 
     States are told apart by their key (D, cand), not by phi.  For v outside
     D, cand(v) is the intersection of N(phi(u)) over the neighbours u of v
@@ -521,35 +526,38 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     Each state grows only part of its children, pruned by stabilisers on
     both sides.  Its entry carries h1, the generators of Aut(g1) fixing
     every vertex of D, and h2, those of Aut(g2) fixing every image in
-    phi(D), as masks over ``_Symmetry.fixers``: a seed r -> w starts them
-    at ``fixers[r]`` and ``fixers[w]``, and mapping v to w ANDs them with
+    phi(D), as masks over ``_Symmetry.fixers``: a seed r -> w starts them at
+    ``fixers[r]`` and ``fixers[w]``, and mapping v to w ANDs them with
     ``fixers[v]`` and ``fixers[w]``.  The state grows only the allowed
-    frontier vertices least in their orbit under h1, and maps each v only
-    to the images in cand(v) least in their orbit under h2
-    (``_Symmetry.least``); the stuck test still reads every frontier
-    vertex.  No stuck state is missed.  Take b in the group H1 that h1
-    generates and a in the group H2 that h2 generates.  b fixes D
-    pointwise, so it maps the frontier onto itself, and the allowed set,
-    a union of orbits of Aut(g1), too, and b(v) has the neighbours in D
-    that v has, so cand(b(v)) = cand(v).  a fixes each phi(u), u in D, so
-    it maps each N(phi(u)), and with them every cand field, onto itself.
-    So (b, a) fixes the state and carries its child v -> w onto its child
-    b(v) -> a(w), and carries the growth inside the allowed set below the
-    one onto growth below the other, stuck states onto stuck states.  Call
-    a key doomed at distance d when d growth steps inside the allowed set
-    reach a stuck state from it, and no fewer.  Induct on d, that is, on
-    the size of D counted down from that stuck state's: a doomed key at
-    distance 0 is stuck, and the stuck test of the first entry popped with
-    it fires.  At distance d > 0, some child v -> w is doomed at distance
-    d - 1; b in H1 moves v to the least of its orbit under H1, then a in
-    H2 moves w to the least of its orbit under H2, so a child that the
-    entry keeps is doomed at distance d - 1.  It is pushed unless its key
+    frontier vertices least in their orbit under h1, and maps each v only to
+    the images in cand(v) least in their orbit under h2
+    (``_Symmetry.least``); the stuck test reads every field a child narrows,
+    grown or not.  No stuck state is missed.  Take b in the group H1 that h1
+    generates and a in the group H2 that h2 generates.  b fixes D pointwise,
+    so it maps the frontier onto itself, and the allowed set, a union of
+    orbits of Aut(g1), too, and b(v) has the neighbours in D that v has, so
+    cand(b(v)) = cand(v).  a fixes each phi(u), u in D, so it maps each
+    N(phi(u)), and with them every cand field, onto itself.  So (b, a) fixes
+    the state and carries its child v -> w onto its child b(v) -> a(w), and
+    carries the growth inside the allowed set below the one onto growth
+    below the other, stuck states onto stuck states.  Call a key doomed at
+    distance d when d growth steps inside the allowed set reach a stuck
+    state from it, and no fewer.  Induct on d, that is, on the size of D
+    counted down from that stuck state's: a doomed key at distance 0 is
+    stuck, and the stuck test fires when the key is first made, since each
+    seed is tested before it is pushed and each child before it enters
+    ``seen``; a key already in ``seen`` passed that test when it was added.
+    At distance d > 0, some child v -> w is doomed at distance d - 1; b in
+    H1 moves v to the least of its orbit under H1, then a in H2 moves w to
+    the least of its orbit under H2, so a child that the entry keeps is
+    doomed at distance d - 1.  It is made when the entry is popped; at d = 1
+    the stuck test fires on it, and further out it is pushed unless its key
     was pushed before, and either way it is popped.  That holds whichever
     phi, with its own h1 and h2, first reached the key, so every doomed key
     pushed leads to a stuck state, and a phase with a stuck state has a
-    doomed seed, as above.  A frontier with one allowed vertex, or a
-    cand(v) with one image, needs no orbit lookup: H1 maps the first onto
-    itself and H2 the second, so their lone member is fixed, hence least.
+    doomed seed, as above.  A frontier with one allowed vertex, or a cand(v)
+    with one image, needs no orbit lookup: H1 maps the first onto itself and
+    H2 the second, so their lone member is fixed, hence least.
 
     A key is one int: D in the low n1 bits, then one g2.n-bit field per
     vertex of g1 holding cand, with the fields of D cleared.  Mapping v to w
@@ -558,10 +566,18 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     fields, zeros in v's own field and ones everywhere else, so D and the
     other fields stay whole.  A row of ``step`` is built the first time its
     vertex is assigned.  A field differs from all of g2 exactly when its
-    vertex is next to D, since a row of g2 never contains its own vertex.
-    So each stack entry carries the frontier N(D) \\ D as a vertex mask,
-    grown by ``(front | N(v)) & ~(D | 1 << v)``, and a state reads only the
-    fields of its frontier, in ascending order.  The stack holds (key,
+    vertex is next to D, since a row of g2 never contains its own vertex.  So
+    each stack entry carries the frontier N(D) \\ D as a vertex mask, grown
+    by ``(front | N(v)) & ~(D | 1 << v)``.  A state popped is never stuck,
+    since its key passed the stuck test when it was made, so it reads only
+    the fields of the frontier vertices it grows, in ascending order.  A new
+    key reads the fields its last step can have emptied, ascending, and the
+    first empty one returns the witness: D and v, phi and v -> w, and that
+    neighbour stuck.  A seed r -> w gives each neighbour of r the field
+    N(w), empty when w is isolated.  A child v -> w ANDs N(w) into the field
+    of each neighbour of v outside D and v, and only those already on the
+    frontier, ``adj1[v] & front``, can empty: the others get N(w) itself,
+    which holds the image of v's neighbour in D.  The stack holds (key,
     front, phi, h1, h2), phi packed with phi(v) + 1 in a ``width``-bit
     field per vertex.
 
@@ -590,6 +606,17 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     start = everything & ~g1.full_mask  # D empty, every cand all of g2
     seen: set[int] = set()
     checked = 0
+
+    def stuck(key: int, phi: int, v: int) -> OracleResult:
+        domain = key & g1.full_mask
+        wit = Witness(
+            domain,
+            {u: (phi >> u * width & field) - 1 for u in bits(domain)},
+            v,
+            "no image is adjacent to the images of the vertex's mapped neighbours",
+        )
+        return OracleResult(False, wit, checked)
+
     allowed = g1.full_mask
     for phase, orbit in enumerate(orbits1, 1):
         r = (orbit & -orbit).bit_length() - 1
@@ -598,30 +625,20 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
         for w in reps2:
             key = start & row[w] | 1 << r
             if key not in seen:
+                phi = (w + 1) << r * width
+                for u in bits(adj1[r]):
+                    if not key >> shifts[u] & full2:
+                        return stuck(key, phi, u)
                 seen.add(key)
-                stack.append(
-                    (key, adj1[r], (w + 1) << r * width, fixers1[r], fixers2[w])
-                )
+                stack.append((key, adj1[r], phi, fixers1[r], fixers2[w]))
         while stack:
             key, front, phi, h1, h2 = stack.pop()
             checked += 1
             grow = front & allowed
             if h1 and grow & (grow - 1):
                 grow &= least1(h1)
-            for v in bits(front):
+            for v in bits(grow):
                 cand = key >> shifts[v] & full2
-                if not cand:
-                    domain = key & g1.full_mask
-                    wit = Witness(
-                        domain,
-                        {u: (phi >> u * width & field) - 1 for u in bits(domain)},
-                        v,
-                        "no image is adjacent to the images of the vertex's "
-                        "mapped neighbours",
-                    )
-                    return OracleResult(False, wit, checked)
-                if not grow >> v & 1:
-                    continue
                 if h2 and cand & (cand - 1):
                     cand &= least2(h2)
                 row = step[v] or row_of(v)
@@ -632,6 +649,9 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                 for w in bits(cand):
                     nxt = key & row[w] | bit
                     if nxt not in seen:
+                        for u in bits(adj1[v] & front):
+                            if not nxt >> shifts[u] & full2:
+                                return stuck(nxt, phi | (w + 1) << at, u)
                         if len(seen) >= limit:
                             largest = max(popcount(k & g1.full_mask) for k in seen)
                             raise BudgetExceededError(

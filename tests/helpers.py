@@ -10,6 +10,7 @@ from typing import Iterator
 from homhom import graphs, morphisms, oracle, recognizers
 from homhom.graphs import Graph, _complement_rows, bits, popcount
 from homhom.morphisms import MorphKind, complete_map
+from homhom.oracle import OracleResult, Witness
 
 
 def reference_bits(mask: int) -> Iterator[int]:
@@ -101,6 +102,71 @@ def reference_canonical_labelling(
     place(0, True)
     assert best is not None
     return tuple(best), tuple(best_perm)
+
+
+def reference_one_point(g1: Graph, g2: Graph) -> OracleResult:
+    """The one-point engine as first keyed by (D, cand): the same states,
+    stabiliser pruning and seeds as ``oracle._one_point_search``, but each
+    state is tested for a stuck vertex when it is popped, reading every
+    frontier vertex, so a "no" search may pop more states first."""
+    sym1, sym2 = oracle._symmetry(g1), oracle._symmetry(g2)
+    reps2 = [(orbit & -orbit).bit_length() - 1 for orbit in sym2.orbits]
+    n1, n2, full2, adj1, adj2 = g1.n, g2.n, g2.full_mask, g1.adj, g2.adj
+    shifts = [n1 + v * n2 for v in range(n1)]
+    everything = (1 << n1 + n1 * n2) - 1
+    step: list[list[int] | None] = [None] * n1
+
+    def row_of(v: int) -> list[int]:
+        spread = sum(1 << shifts[u] for u in bits(adj1[v]))
+        keep = everything & ~(full2 * (spread | 1 << shifts[v]))
+        step[v] = [keep | adj2[w] * spread for w in range(n2)]
+        return step[v]
+
+    width = n2.bit_length()
+    field = (1 << width) - 1
+    start = everything & ~g1.full_mask
+    seen: set[int] = set()
+    checked = 0
+    allowed = g1.full_mask
+    for orbit in sym1.orbits:
+        r = (orbit & -orbit).bit_length() - 1
+        row = step[r] or row_of(r)
+        stack = []
+        for w in reps2:
+            key = start & row[w] | 1 << r
+            if key not in seen:
+                seen.add(key)
+                stack.append(
+                    (key, adj1[r], (w + 1) << r * width, sym1.fixers[r], sym2.fixers[w])
+                )
+        while stack:
+            key, front, phi, h1, h2 = stack.pop()
+            checked += 1
+            grow = front & allowed
+            if h1 and grow & (grow - 1):
+                grow &= sym1.least(h1)
+            for v in bits(front):
+                cand = key >> shifts[v] & full2
+                if not cand:
+                    domain = key & g1.full_mask
+                    phi_map = {u: (phi >> u * width & field) - 1 for u in bits(domain)}
+                    return OracleResult(False, Witness(domain, phi_map, v), checked)
+                if not grow >> v & 1:
+                    continue
+                if h2 and cand & (cand - 1):
+                    cand &= sym2.least(h2)
+                row = step[v] or row_of(v)
+                bit = 1 << v
+                grown = (front | adj1[v]) & ~(key | bit)
+                h1v = h1 & sym1.fixers[v]
+                for w in bits(cand):
+                    nxt = key & row[w] | bit
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        h2w = h2 & sym2.fixers[w]
+                        stack.append((nxt, grown, phi | (w + 1) << v * width, h1v, h2w))
+        allowed &= ~orbit
+    return OracleResult(True, None, checked)
 
 
 def complement(g: Graph) -> Graph:

@@ -64,14 +64,57 @@ from homhom.oracle import (
     validate_witness,
 )
 from homhom.recognizers import chh_case_and_families, classify
-from helpers import count_kept_steps
+from helpers import count_kept_steps, reference_one_point
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
-# see TestEngineAgreement.test_one_point_results_are_pinned
-ONE_POINT_SHA256 = "cee7d392e342559501c9d683b9cf568c5ce5178bf479490b340969b56566b3a2"
+# see TestEngineAgreement.test_one_point_results_are_pinned; the one-point
+# engine gave POP_TIME_SHA256 when it tested each state for a stuck vertex
+# as it was popped, and helpers.reference_one_point still does
+ONE_POINT_SHA256 = "d332cd8482ca4064c1ba2135d931b39542b21b69a675bd4925fbed8dc61d8490"
+POP_TIME_SHA256 = "cee7d392e342559501c9d683b9cf568c5ce5178bf479490b340969b56566b3a2"
 # see TestKeyedPerMapSearch.test_per_map_results_are_pinned
 PER_MAP_SHA256 = "e208e44bd7833a57bb4bfd5dbcd0619b7203ab974f7675b8c6d2a6b0560fefc4"
+
+
+def small_pairs() -> list[tuple[Graph, Graph]]:
+    """The 18 graphs on at most 4 vertices in all 324 ordered pairs; the
+    diagonal passes the same object twice, which shares the vertex orbits.
+    Then 400 sampled pairs with g1 on 5-6 vertices and g2 on at most 5: g2
+    is never g1, so the seeds come from g2's own orbits, and the candidate
+    fields are g2.n bits wide for a g1 of another size."""
+    graphs = list(enumerate_graphs(4, connected_only=False))
+    assert len(graphs) == 18
+    sources = [g for g in enumerate_graphs(6, connected_only=False) if g.n >= 5]
+    targets = list(enumerate_graphs(5, connected_only=False))
+    rng = random.Random(2026)
+    return [(g1, g2) for g1 in graphs for g2 in graphs] + [
+        (rng.choice(sources), rng.choice(targets)) for _ in range(400)
+    ]
+
+
+def one_point_runs(search: Callable) -> list[tuple]:
+    """``search`` on every connected graph on at most 7 vertices into
+    itself, then on every ordered pair of graphs on at most 4, each with
+    the graph6 names of its line: g1's, then g2's for a pair."""
+    cases = [([to_graph6(g)], g, g) for g in enumerate_graphs(7, connected_only=True)]
+    small = list(enumerate_graphs(4, connected_only=False))
+    cases += [([to_graph6(a), to_graph6(b)], a, b) for a in small for b in small]
+    assert len(cases) == 996 + 18 * 18
+    return [(names, g1, g2, search(g1, g2)) for names, g1, g2 in cases]
+
+
+def one_point_digest(runs: list) -> str:
+    """SHA-256 of one line per run: its names, holds, checked_maps, and the
+    witness domain, mapping and stuck vertex."""
+    lines = []
+    for names, _, _, res in runs:
+        w = res.witness
+        wit = "-" if w is None else (
+            f"{w.domain_mask} {sorted(w.mapping.items())} {w.stuck_vertex}"
+        )
+        lines.append(f"{' '.join(names)} {res.holds} {res.checked_maps} {wit}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def memberships(g: Graph) -> dict[str, bool]:
@@ -618,26 +661,30 @@ class TestEngineAgreement:
             assert fast.holds == slow.holds, g
 
     def test_one_point_matches_per_map_on_all_small_pairs(self):
-        # 18 graphs on at most 4 vertices, 324 ordered pairs; the diagonal
-        # passes the same object twice, which shares the vertex orbits.
-        # Then 400 sampled pairs with g1 on 5-6 vertices and g2 on at most
-        # 5: g2 is never g1, so the seeds come from g2's own orbits, and the
-        # candidate fields are g2.n bits wide for a g1 of another size
         q = query_for_code("homo-homo")
-        graphs = list(enumerate_graphs(4, connected_only=False))
-        assert len(graphs) == 18
-        sources = [g for g in enumerate_graphs(6, connected_only=False) if g.n >= 5]
-        targets = list(enumerate_graphs(5, connected_only=False))
-        rng = random.Random(2026)
-        pairs = [(g1, g2) for g1 in graphs for g2 in graphs] + [
-            (rng.choice(sources), rng.choice(targets)) for _ in range(400)
-        ]
-        for g1, g2 in pairs:
+        for g1, g2 in small_pairs():
             fast = extension_morphic(g1, g2, q)
             slow = oracle._per_map(g1, g2, q)
             assert fast.holds == slow.holds, (g1, g2)
             if not fast.holds:
                 assert validate_witness(g1, g2, q, fast.witness), (g1, g2)
+
+    def test_one_point_matches_the_pop_time_reference(self):
+        # the engine tests each state for a stuck vertex when it is made,
+        # the reference when it is popped: the same verdicts, the same
+        # states on every "yes" search and never more on a "no" search
+        q = query_for_code("homo-homo")
+        cases = [(g, g) for g in enumerate_graphs(7, connected_only=True)]
+        for g1, g2 in cases + small_pairs():
+            fast = extension_morphic(g1, g2, q)
+            slow = reference_one_point(g1, g2)
+            assert fast.holds == slow.holds, (g1, g2)
+            if fast.holds:
+                assert fast.checked_maps == slow.checked_maps, (g1, g2)
+            else:
+                assert fast.checked_maps <= slow.checked_maps, (g1, g2)
+                assert validate_witness(g1, g2, q, fast.witness), (g1, g2)
+                assert validate_witness(g1, g2, q, slow.witness), (g1, g2)
 
     def test_vertex_orbits_match_the_automorphism_group(self):
         for g in enumerate_graphs(6, connected_only=False):
@@ -695,43 +742,32 @@ class TestEngineAgreement:
         assert res.holds == (chh_case_and_families(g)[0] is not None)
 
     def test_connected_population_counter_gate(self):
-        # all 996 connected graphs on at most 7 vertices pop 25 422 states
-        # (40 631 before the stabiliser pruning, 423 575 when states were
-        # keyed by phi)
+        # all 996 connected graphs on at most 7 vertices pop 16 282 states
+        # (25 422 when each state was tested for a stuck vertex as it was
+        # popped, not as it was made, 40 631 before the stabiliser pruning,
+        # 423 575 when states were keyed by phi)
         q = query_for_code("homo-homo")
         total = sum(
             is_class_member(g, q).checked_maps
             for g in enumerate_graphs(7, connected_only=True)
         )
-        assert total == 25_422
+        assert total == 16_282
 
     def test_one_point_results_are_pinned(self):
-        # SHA-256 of one line per decision, (graph6 of g1 [and g2], holds,
-        # checked_maps, witness domain, mapping and stuck vertex), for every
-        # connected graph on at most 7 vertices and every ordered pair of
-        # graphs on at most 4; pins the states popped and each witness, not
-        # only the verdicts
-        def line(names, res):
-            w = res.witness
-            wit = "-" if w is None else (
-                f"{w.domain_mask} {sorted(w.mapping.items())} {w.stuck_vertex}"
-            )
-            return f"{' '.join(names)} {res.holds} {res.checked_maps} {wit}"
-
+        # pins the states popped and each witness of ``one_point_runs``,
+        # not only the verdicts, and checks each witness before pinning it
         q = query_for_code("homo-homo")
-        lines = [
-            line([to_graph6(g)], is_class_member(g, q))
-            for g in enumerate_graphs(7, connected_only=True)
-        ]
-        small = list(enumerate_graphs(4, connected_only=False))
-        lines += [
-            line([to_graph6(a), to_graph6(b)], extension_morphic(a, b, q))
-            for a in small
-            for b in small
-        ]
-        assert len(lines) == 996 + 18 * 18
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == ONE_POINT_SHA256
+        runs = one_point_runs(lambda g1, g2: extension_morphic(g1, g2, q))
+        for _, g1, g2, res in runs:
+            if not res.holds:
+                assert validate_witness(g1, g2, q, res.witness), (g1, g2)
+        assert one_point_digest(runs) == ONE_POINT_SHA256
+
+    def test_reference_keeps_the_pop_time_pin(self):
+        # the reference is the engine that tested each state when popped:
+        # it still gives that engine's pinned lines
+        runs = one_point_runs(reference_one_point)
+        assert one_point_digest(runs) == POP_TIME_SHA256
 
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
