@@ -23,7 +23,6 @@ from .graphs import (
     _refined_colors,
     from_edges,
     is_connected,
-    popcount,
 )
 from .morphisms import (
     MorphKind,
@@ -138,7 +137,7 @@ def clebsch_graph() -> Graph:
     Class representatives are the 16 bitstrings with the top (5th) bit clear,
     i.e. plain 0..15; two classes are adjacent iff some representatives differ
     in exactly one of five coordinates, which for the chosen representatives
-    means popcount(a ^ b) is 1 or 4.
+    means (a ^ b).bit_count() is 1 or 4.
     """
     edges = [
         (a, b)
@@ -402,7 +401,7 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
         x = n - 1
         forms = set()
         for rows, gens in level:
-            degrees = [popcount(row) for row in rows]
+            degrees = [row.bit_count() for row in rows]
             top_degree = max(degrees)
             at_least = [sum(1 << v for v, d in enumerate(degrees) if d >= k) for k in range(n)]
             if gens:
@@ -411,7 +410,7 @@ def enumerate_graphs(max_n: int, connected_only: bool = True) -> Iterator[Graph]
             else:
                 masks = range(1 << x)
             for mask in masks:
-                k = popcount(mask)
+                k = mask.bit_count()
                 if k < top_degree or mask & at_least[k]:
                     continue
                 child = (*(row | (mask >> v & 1) << x for v, row in enumerate(rows)), mask)

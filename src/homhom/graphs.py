@@ -76,10 +76,6 @@ def bits(mask: int) -> tuple[int, ...]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with bitmask adjacency rows."""
@@ -112,7 +108,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def edge_count(self) -> int:
-        return sum(popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted ascending."""
@@ -292,9 +288,9 @@ def induced_cycle_lengths(g: Graph) -> frozenset[int]:
                 continue  # chord to the path interior
             if g.adj[w] >> start & 1:
                 # the path has at least two vertices, so the cycle has three
-                lengths.add(popcount(path_mask) + 1)
+                lengths.add(path_mask.bit_count() + 1)
                 continue  # extending past w would leave a chord to start
-            if popcount(path_mask) + 1 < n:
+            if path_mask.bit_count() + 1 < n:
                 state = (path_mask | 1 << w, w)
                 if state not in seen_states:
                     seen_states.add(state)

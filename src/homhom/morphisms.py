@@ -19,15 +19,7 @@ import itertools
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import (
-    Graph,
-    _kept,
-    bits,
-    canonical_form,
-    induced_subgraph,
-    mask_of,
-    popcount,
-)
+from .graphs import Graph, _kept, bits, mask_of
 
 
 class MorphKind(Enum):
@@ -71,7 +63,7 @@ def _variable_order(g: Graph, domain_mask: int) -> list[int]:
     n, rest = g.n, list(bits(domain_mask))
     score = [0] * n
     for v in rest:
-        score[v] = popcount(g.adj[v] & domain_mask)
+        score[v] = (g.adj[v] & domain_mask).bit_count()
     order: list[int] = []
     while rest:
         v = max(rest, key=score.__getitem__)
@@ -165,7 +157,7 @@ def complete_map(
         return None
     if any(not allowed >> w & 1 for w in partial.values()):
         return None
-    if iso and (g1.n != g2.n or popcount(allowed) < g1.n):
+    if iso and (g1.n != g2.n or allowed.bit_count() < g1.n):
         return None
 
     used = mask_of(partial.values()) if iso else 0
@@ -255,7 +247,7 @@ def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     generated before it.
     """
     n = g.n
-    degrees = [popcount(row) for row in g.adj]
+    degrees = [row.bit_count() for row in g.adj]
     gens: list[tuple[int, ...]] = []
     for b in range(n - 2, -1, -1):
         fixed = {u: u for u in range(b)}
@@ -423,8 +415,9 @@ def core_mask(g: Graph) -> int:
     """Vertex mask of the core: a minimum-size induced subgraph onto which the
     whole graph retracts (an endomorphism fixing the subset pointwise).
 
-    Among minimum-size retracts the winner has the lexicographically least
-    (canonical form, mask) pair, so the choice is deterministic.
+    Every minimum-size retract is a core, and the cores of a graph are
+    isomorphic (Hell & Nesetril, Discrete Math. 1992), so the choice among
+    them is of a mask alone: the least one.
     """
     for size in range(1, g.n + 1):
         found: list[int] = []
@@ -434,7 +427,5 @@ def core_mask(g: Graph) -> int:
             if complete_map(g, g, fixed, MorphKind.HOMO, allowed_mask=m) is not None:
                 found.append(m)
         if found:
-            return min(
-                found, key=lambda m: (canonical_form(induced_subgraph(g, m)), m)
-            )
+            return min(found)
     raise AssertionError("identity is always a retraction")  # pragma: no cover

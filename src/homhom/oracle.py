@@ -42,14 +42,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (
-    Graph,
-    _kept,
-    _reach,
-    bits,
-    connected_within,
-    popcount,
-)
+from .graphs import Graph, _kept, _reach, bits, connected_within
 from .morphisms import (
     MorphKind,
     _complete,
@@ -653,7 +646,7 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
                             if not nxt >> shifts[u] & full2:
                                 return stuck(nxt, phi | (w + 1) << at, u)
                         if len(seen) >= limit:
-                            largest = max(popcount(k & g1.full_mask) for k in seen)
+                            largest = max((k & g1.full_mask).bit_count() for k in seen)
                             raise BudgetExceededError(
                                 f"more than {limit} partial-map states "
                                 f"(popped {checked}, seeding phase {phase} of "

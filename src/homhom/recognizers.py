@@ -1,13 +1,16 @@
 """Structure-matching deciders for the extension classes with known shape.
 
 Four of the six extension properties decided by :mod:`homhom.oracle` admit
-fast structural recognizers: membership is equivalent to the graph being a
-disjoint union of copies drawn from a short list of families.  This module
-implements those recognizers, the bipartite predicates they are built from
-(square-only cycles, common-neighbour conditions, complement matchings), the
-pattern extraction machinery for the homo-homo case analysis, and a combined
-per-graph report.  The two remaining properties (iso-homo and mono-homo) have
-no known structural description and stay with the search oracle.
+fast structural recognizers, and they rest on two matchers.  The iso-iso
+descriptor (``classify_cii``) names the one family member, from Gardiner's
+list, of which the graph is a disjoint union of copies; mono-iso and
+homo-iso are read off it, as their lists are derived from that one.  The
+homo-homo case analysis (``chh_case_and_families``) matches each component
+against its own families, with the bipartite predicates it is built from
+(square-only cycles, common-neighbour conditions, complement matchings) and
+the pattern extraction machinery.  A combined per-graph report closes the
+module.  The two remaining properties (iso-homo and mono-homo) have no
+known structural description and stay with the search oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from types import MappingProxyType
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .families import FamilyDescriptor
 from .graphs import (
@@ -32,7 +35,6 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     mask_of,
-    popcount,
 )
 from .oracle import (
     BudgetExceededError,
@@ -110,7 +112,7 @@ def is_kn_treelike(g: Graph) -> int | None:
         cliques = _clique_partition(g.adj, row)
         if cliques is None:
             return None
-        sizes.update(map(popcount, cliques))
+        sizes.update(map(int.bit_count, cliques))
         if len(sizes) > 1:
             return None
     # connected with n >= 2: every vertex has a neighbour, so sizes is nonempty
@@ -190,10 +192,10 @@ def is_bcpm(g: Graph) -> int | None:
     if parts is None:
         return None
     x, y = parts
-    n = popcount(x)
-    if n != popcount(y) or n < 3:
+    n = x.bit_count()
+    if n != y.bit_count() or n < 3:
         return None
-    if any(popcount(row) != n - 1 for row in g.adj):
+    if any(row.bit_count() != n - 1 for row in g.adj):
         return None
     return n
 
@@ -225,7 +227,7 @@ def validate_pcm_certificate(g: Graph, cert: PcmCertificate, n: int) -> bool:
         return False
     if (z | w) & ~g.full_mask:
         return False
-    if not 2 <= popcount(z) <= popcount(w) == n:
+    if not 2 <= z.bit_count() <= w.bit_count() == n:
         return False
     for side in (z, w):
         if any(g.adj[v] & side for v in bits(side)):
@@ -282,7 +284,7 @@ def embeds_pcm(g: Graph, n: int) -> PcmCertificate | None:
                 break
             z_side &= ~full
         for zs, ws in comps:
-            if popcount(ws) >= n:
+            if ws.bit_count() >= n:
                 old = bits(zs | ws)
                 sub_w = mask_of(i for i, v in enumerate(old) if ws >> v & 1)
                 cert = pcm_extract(induced_subgraph(g, zs | ws), sub_w, n)
@@ -323,7 +325,7 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
                 raise ValueError(f"the {label} side is not independent: vertex {v} has a neighbour inside it")
     if not is_connected(a):
         raise ValueError("the graph must be connected")
-    nw = popcount(w_side)
+    nw = w_side.bit_count()
     if nw < n:
         raise ValueError(f"the target side has {nw} vertices, fewer than the required {n}")
     for z in bits(z_side):
@@ -333,13 +335,13 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
     # Seed: a maximal-degree z1, a second small-side vertex z2 two steps away
     # seeing as many vertices outside N(z1) as possible, plus one shared
     # neighbour w0, one private neighbour w1 of z2 and one private w2 of z1.
-    z1 = max(bits(z_side), key=lambda v: (popcount(a.adj[v]), -v))
+    z1 = max(bits(z_side), key=lambda v: (a.adj[v].bit_count(), -v))
     n_z1 = a.adj[z1]
     best_gain, z2 = 0, -1
     for cand in bits(z_side & ~(1 << z1)):
         if not (a.adj[cand] & n_z1):
             continue
-        gain = popcount(a.adj[cand] & ~n_z1)
+        gain = (a.adj[cand] & ~n_z1).bit_count()
         if gain > best_gain:
             best_gain, z2 = gain, cand
     if z2 < 0:
@@ -358,7 +360,7 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
         absorbed = 0
         for z in z_order:
             absorbed |= a.adj[z]
-        if popcount(absorbed) >= n:
+        if absorbed.bit_count() >= n:
             break
         in_seed = mask_of(z_order)
         best_gain, z_new = 0, -1
@@ -366,7 +368,7 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
             nb = a.adj[cand]
             if not (nb & absorbed):
                 continue
-            gain = popcount(nb & ~absorbed)
+            gain = (nb & ~absorbed).bit_count()
             if gain > best_gain:
                 best_gain, z_new = gain, cand
         if z_new < 0:
@@ -389,7 +391,7 @@ def pcm_extract(a: Graph, w_side: int, n: int) -> PcmCertificate:
         z_order.append(z_new)
         w_mask = absorbed | (1 << outside)
 
-    padding = bits(absorbed & ~w_mask)[: n - popcount(w_mask)]
+    padding = bits(absorbed & ~w_mask)[: n - w_mask.bit_count()]
     cert = PcmCertificate(
         z_mask=mask_of(z_order),
         w_mask=w_mask | mask_of(padding),
@@ -499,7 +501,7 @@ def chh_symmetric(g1: Graph, g2: Graph) -> bool:
     if "matching-complement" in f1 and "matching-complement" in f2:
         # matching complements are isomorphic iff equal order
         return f1["matching-complement"].order == f2["matching-complement"].order
-    d1, d2 = max(map(popcount, g1.adj)), max(map(popcount, g2.adj))
+    d1, d2 = max(map(int.bit_count, g1.adj)), max(map(int.bit_count, g2.adj))
     if d1 == d2:
         return True
     small, big = (f1, g2) if d1 < d2 else (f2, g1)
@@ -586,20 +588,22 @@ def complete_multipartite_parts(g: Graph) -> tuple[int, ...] | None:
     parts = _clique_partition(_complement_rows(g), g.full_mask)
     if parts is None or len(parts) < 2:
         return None
-    return tuple(sorted(map(popcount, parts)))
+    return tuple(sorted(map(int.bit_count, parts)))
 
 
 def _cii_component_family(c: Graph) -> FamilyDescriptor | None:
     """Family of one connected component, in the fixed match order: complete,
     regular complete multipartite, cycle (length >= 5), rook graph (side >=
-    3), matching complement (order >= 3), then the two sporadic graphs."""
+    3), matching complement (order >= 3), then the two sporadic graphs.
+    C6 is also bcpm(3); the cycle test runs first, so it reads CYCLE(6),
+    which ``is_cmi`` relies on."""
     n = c.n
     if c.edge_count() == n * (n - 1) // 2:
         return FamilyDescriptor("COMPLETE", (n,))
     parts = complete_multipartite_parts(c)
     if parts is not None and len(set(parts)) == 1 and parts[0] >= 2:
         return FamilyDescriptor("REGULAR_MULTIPARTITE", (len(parts), parts[0]))
-    if n >= 5 and all(popcount(row) == 2 for row in c.adj):
+    if n >= 5 and all(row.bit_count() == 2 for row in c.adj):
         return FamilyDescriptor("CYCLE", (n,))
     side = isqrt(n)
     if side >= 3 and side * side == n and _is_rook(c, side):
@@ -631,10 +635,10 @@ def _is_rook(c: Graph, side: int) -> bool:
     """
     size = side - 1
     for row in c.adj:
-        if popcount(row) != 2 * size:
+        if row.bit_count() != 2 * size:
             return False
         cliques = _clique_partition(c.adj, row)
-        if cliques is None or len(cliques) != 2 or popcount(cliques[0]) != size:
+        if cliques is None or len(cliques) != 2 or cliques[0].bit_count() != size:
             return False
     return True
 
@@ -647,24 +651,12 @@ def _strongly_regular(c: Graph, k: int, lam: int, mu: int) -> bool:
     Appl. 1968)."""
     adj = c.adj
     for v, row in enumerate(adj):
-        if popcount(row) != k:
+        if row.bit_count() != k:
             return False
         for u in range(v + 1, c.n):
-            if popcount(row & adj[u]) != (lam if row >> u & 1 else mu):
+            if (row & adj[u]).bit_count() != (lam if row >> u & 1 else mu):
                 return False
     return True
-
-
-def _single_key(g: Graph, key: Callable[[Graph], Hashable | None]) -> Hashable | None:
-    """The common ``key`` of every component of ``g``, or None when a
-    component's key is None or two components' keys differ."""
-    common = None
-    for comp in connected_components(g):
-        k = key(comp)
-        if k is None or common not in (None, k):
-            return None
-        common = k
-    return common
 
 
 @_kept
@@ -672,35 +664,46 @@ def classify_cii(g: Graph) -> FamilyDescriptor | None:
     """Family descriptor if ``g`` is a disjoint union of copies of a single
     iso-iso family member, else None.  A descriptor fixes its member up to
     isomorphism, so equal descriptors mean isomorphic components."""
-    return _single_key(g, _cii_component_family)
-
-
-def _cmi_shape(c: Graph) -> tuple[str, int] | None:
-    """Shape of one connected component, in the fixed test order: complete
-    n, cycle n, or K_{s,s} with s >= 2."""
-    n = c.n
-    if c.edge_count() == n * (n - 1) // 2:
-        return "complete", n
-    if n >= 3 and all(popcount(row) == 2 for row in c.adj):
-        return "cycle", n
-    parts = bipartition(c)
-    if parts is not None:
-        s = popcount(parts[0])
-        if s >= 2 and s == popcount(parts[1]) and c.edge_count() == s * s:
-            return "kss", s
-    return None
+    common = None
+    for comp in connected_components(g):
+        fam = _cii_component_family(comp)
+        if fam is None or common not in (None, fam):
+            return None
+        common = fam
+    return common
 
 
 def is_cmi(g: Graph) -> bool:
     """Whether ``g`` is a disjoint union of copies of one of: a complete
-    graph, a complete bipartite graph with equal parts, or a cycle."""
-    return _single_key(g, _cmi_shape) is not None
+    graph, a complete bipartite graph with equal parts, or a cycle.
+
+    Read off the iso-iso descriptor, as the mono-iso list is derived from
+    Gardiner's: each shape is a member of an iso-iso family.  K_n is
+    COMPLETE(n), C3 is COMPLETE(3), K_{s,s} with s >= 2 (C4 among them) is
+    REGULAR_MULTIPARTITE(2, s), and C_n with n >= 5 is CYCLE(n).  A
+    descriptor fixes its member up to isomorphism and ``classify_cii`` asks
+    every component for one common descriptor, so the union is of copies of
+    one shape exactly when the common descriptor is one of these.  No other
+    tag names a complete graph, a cycle or a K_{s,s}.  C6 is also bcpm(3);
+    it reads CYCLE(6) only because ``_cii_component_family`` tests for a
+    cycle before it tests for a matching complement, and that order must
+    stay.
+    """
+    fam = classify_cii(g)
+    if fam is None:
+        return False
+    return fam.tag in ("COMPLETE", "CYCLE") or (
+        fam.tag == "REGULAR_MULTIPARTITE" and fam.params[0] == 2
+    )
 
 
 def is_chi(g: Graph) -> bool:
-    """Whether every component of ``g`` is a complete graph of one size."""
-    cliques = _clique_partition(g.adj, g.full_mask)
-    return cliques is not None and len(set(map(popcount, cliques))) == 1
+    """Whether every component of ``g`` is a complete graph of one size:
+    the iso-iso descriptor is COMPLETE(n).  ``_cii_component_family`` tests
+    for a complete graph first, so a complete component always reads
+    COMPLETE, and a common descriptor fixes one size."""
+    fam = classify_cii(g)
+    return fam is not None and fam.tag == "COMPLETE"
 
 
 @_kept
@@ -721,13 +724,13 @@ def multiclaw_parameters(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
     while left:
         part = _reach(co_rows, left & -left, left)
         left &= ~part
-        if popcount(part) == 1:
+        if part.bit_count() == 1:
             clique_size += 1
             continue
         blobs = _clique_partition(g.adj, part)
         if blobs is None:
             return None
-        sizes.update(map(popcount, blobs))
+        sizes.update(map(int.bit_count, blobs))
         if len(sizes) > 1:
             return None
         counts.append(len(blobs))

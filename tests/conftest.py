@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import itertools
 import sys
+import warnings
 
 import pytest
+
+# Hypothesis imports its patch writer the first time a ``@given`` test
+# fails, and that import reaches libcst, which raises a DeprecationWarning
+# from mypy_extensions.  Under ``error::DeprecationWarning`` that aborts the
+# session inside the report hook, so it is imported once here with that
+# warning ignored for the import alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -8,9 +8,13 @@ from collections import Counter
 from typing import Iterator
 
 from homhom import graphs, morphisms, oracle, recognizers
-from homhom.graphs import Graph, _complement_rows, bits, popcount
+from homhom.graphs import Graph, _complement_rows, bipartition, bits, connected_components
 from homhom.morphisms import MorphKind, complete_map
 from homhom.oracle import OracleResult, Witness
+
+
+def popcount(mask: int) -> int:
+    return mask.bit_count()
 
 
 def reference_bits(mask: int) -> Iterator[int]:
@@ -30,6 +34,34 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     if sorted(map(popcount, g1.adj)) != sorted(map(popcount, g2.adj)):
         return False
     return complete_map(g1, g2, {}, MorphKind.ISO) is not None
+
+
+def reference_cmi_shape(c: Graph) -> tuple[str, int] | None:
+    """Shape of one connected component, in the fixed test order: complete
+    n, cycle n, or K_{s,s} with s >= 2."""
+    n = c.n
+    if c.edge_count() == n * (n - 1) // 2:
+        return "complete", n
+    if n >= 3 and all(popcount(row) == 2 for row in c.adj):
+        return "cycle", n
+    parts = bipartition(c)
+    if parts is not None:
+        s = popcount(parts[0])
+        if s >= 2 and s == popcount(parts[1]) and c.edge_count() == s * s:
+            return "kss", s
+    return None
+
+
+def reference_is_cmi(g: Graph) -> bool:
+    """``recognizers.is_cmi`` as first written: a second match of every
+    component against its own list of shapes, all components one shape."""
+    common = None
+    for comp in connected_components(g):
+        k = reference_cmi_shape(comp)
+        if k is None or common not in (None, k):
+            return False
+        common = k
+    return True
 
 
 def reference_refined_colors(adj: tuple[int, ...]) -> list[int]:

@@ -61,6 +61,7 @@ LIBRARY_MODULES = ("graphs", "morphisms", "families", "oracle", "recognizers")
 # definitions that nothing in ``src`` reads, each kept for a reader outside it
 CALLERLESS_ALLOWED = {
     # traced by name by the benchmark, and the tests' reference searches
+    "graphs.canonical_form",
     "graphs.induced_cycle_lengths",
     "morphisms.enumerate_morphisms",
     # the witness check of perfbench/check.py

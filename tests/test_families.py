@@ -43,11 +43,10 @@ from homhom.graphs import (
     induced_cycle_lengths,
     induced_subgraph,
     is_connected,
-    popcount,
     to_graph6,
 )
 from homhom.morphisms import automorphism_generators
-from helpers import count_kept_steps, is_isomorphic
+from helpers import count_kept_steps, is_isomorphic, popcount
 
 
 def degrees(g: Graph) -> list[int]:

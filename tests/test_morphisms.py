@@ -27,11 +27,11 @@ from homhom.families import (
 from homhom.graphs import (
     Graph,
     bits,
+    canonical_form,
     disjoint_union,
     from_edges,
     induced_subgraph,
     mask_of,
-    popcount,
 )
 from homhom.morphisms import (
     MorphKind,
@@ -44,7 +44,7 @@ from homhom.morphisms import (
     orbit_closure,
 )
 from homhom.oracle import is_class_member, query_for_code
-from helpers import is_isomorphic
+from helpers import is_isomorphic, popcount
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
@@ -438,6 +438,29 @@ class TestCores:
         r = complete_map(g, g, fixed, HOMO, allowed_mask=m)
         assert r is not None and mask_of(r.values()) == m
         assert core_mask(g) == m  # repeatable
+
+    def test_minimum_retracts_are_one_core_and_the_least_is_chosen(self):
+        # cores are unique up to isomorphism, so core_mask needs no
+        # canonical form to choose among the minimum retracts
+        graphs = list(enumerate_graphs(6, connected_only=False))
+        assert len(graphs) == 208
+        several = 0
+        for g in graphs:
+            for size in range(1, g.n + 1):
+                found = [
+                    mask_of(combo)
+                    for combo in itertools.combinations(range(g.n), size)
+                    if complete_map(
+                        g, g, {v: v for v in combo}, HOMO, allowed_mask=mask_of(combo)
+                    )
+                    is not None
+                ]
+                if found:
+                    break
+            forms = {canonical_form(induced_subgraph(g, m)) for m in found}
+            assert len(forms) == 1 and core_mask(g) == min(found), g
+            several += len(found) > 1
+        assert several == 136
 
     @given(graph_strategy)
     @settings(max_examples=25, deadline=None)

@@ -38,7 +38,6 @@ from homhom.graphs import (
     from_edges,
     from_graph6,
     mask_of,
-    popcount,
     to_graph6,
 )
 from homhom.morphisms import (
@@ -64,7 +63,7 @@ from homhom.oracle import (
     validate_witness,
 )
 from homhom.recognizers import chh_case_and_families, classify
-from helpers import count_kept_steps, reference_one_point
+from helpers import count_kept_steps, popcount, reference_one_point
 
 HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 

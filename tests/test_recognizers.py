@@ -44,7 +44,6 @@ from homhom.graphs import (
     induced_cycle_lengths,
     induced_subgraph,
     is_connected,
-    popcount,
     to_graph6,
 )
 from homhom.morphisms import (
@@ -87,7 +86,7 @@ from homhom.recognizers import (
     recognizer_verdict,
     validate_pcm_certificate,
 )
-from helpers import complement, count_kept_steps, is_isomorphic
+from helpers import complement, count_kept_steps, is_isomorphic, popcount, reference_is_cmi
 
 BOWTIE = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 DIAMOND = from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
@@ -628,6 +627,45 @@ class TestIsCmiAndIsChi:
         assert not is_chi(path_graph(2))
         assert not is_chi(disjoint_union(complete_graph(3), complete_graph(4)))
         assert not is_chi(cycle_graph(4))
+
+    def test_descriptor_readings_match_the_shape_references(self, shrikhande):
+        # is_cmi and is_chi read the iso-iso descriptor; the references
+        # match every component against its own shapes.  C6 (also bcpm(3)),
+        # C4 (K_{2,2}) and K_{2,2,2} are among the small graphs
+        members = [
+            *(complete_graph(n) for n in (1, 2, 3, 5)),
+            *(cycle_graph(n) for n in (4, 5, 6, 8)),
+            *(regular_multipartite_graph(p, s) for p, s in ((2, 3), (2, 4), (3, 2))),
+            *(bcpm_graph(n) for n in (3, 4)),
+            rook_graph(3),
+            petersen_graph(),
+            clebsch_graph(),
+            shrikhande,
+            prism(),
+            K23,
+            path_graph(2),
+        ]
+        unions = [
+            disjoint_union(*parts)
+            for k in (2, 3)
+            for parts in itertools.combinations_with_replacement(members, k)
+            if sum(p.n for p in parts) <= 64
+        ]
+        graphs = list(enumerate_graphs(7, connected_only=False))
+        assert len(graphs) == 1252
+        seen = Counter()
+        for g in graphs + members + unions:
+            cmi, chi = is_cmi(g), is_chi(g)
+            assert cmi == reference_is_cmi(g), to_graph6(g)
+            assert chi == chi_by_subgraphs(g), to_graph6(g)
+            seen["cmi", cmi] += 1
+            seen["chi", chi] += 1
+        assert seen == {
+            ("cmi", True): 57,
+            ("cmi", False): 2_965,
+            ("chi", True): 28,
+            ("chi", False): 2_994,
+        }
 
 
 def common_component_by_pairs(g: Graph) -> Graph | None:
