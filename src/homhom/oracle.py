@@ -31,8 +31,10 @@ vertex at a time from one start per pair of vertex orbits, keyed by domain
 and candidate images, under the stabilisers of the domain and of its
 image, and tests each map for a stuck vertex when it is made (forward
 checking; Haralick and Elliott, Artif. Intell. 1980), so a "no" search
-stops at the first stuck map it builds; see ``_one_point_search`` for why
-it misses no stuck map.
+stops at the first stuck map it builds.  Before it builds any symmetry
+data it looks for the smallest stuck map, a triangle edge mapped onto an
+edge in no triangle; see ``_one_point_search`` for why it misses no stuck
+map.
 """
 
 from __future__ import annotations
@@ -479,6 +481,28 @@ def _per_map_search(
     return OracleResult(True, None, checked)
 
 
+def _triangle_edge_stuck(g1: Graph, g2: Graph) -> Witness | None:
+    """The stuck map {u: a, v: b} of an edge uv of g1 in a triangle uvx onto
+    an edge ab of g2 in no triangle, with x stuck, or None when there is
+    none: the least u < v, then the least x, and the first a < b."""
+    adj1, adj2 = g1.adj, g2.adj
+    for a, row in enumerate(adj2):
+        for b in bits(row >> a + 1 << a + 1):
+            if not row & adj2[b]:
+                for u, urow in enumerate(adj1):
+                    for v in bits(urow >> u + 1 << u + 1):
+                        common = urow & adj1[v]
+                        if common:
+                            x = (common & -common).bit_length() - 1
+                            note = (
+                                f"the edge {u}-{v} lies in a triangle with {x}, "
+                                f"its image {a}-{b} in none"
+                            )
+                            return Witness(1 << u | 1 << v, {u: a, v: b}, x, note)
+                return None
+    return None
+
+
 def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     """Decide the connected homo-homo property by one-point extensions.
 
@@ -574,8 +598,19 @@ def _one_point_search(g1: Graph, g2: Graph) -> OracleResult:
     front, phi, h1, h2), phi packed with phi(v) + 1 in a ``width``-bit
     field per vertex.
 
+    Before any symmetry data is built, ``_triangle_edge_stuck`` looks for
+    the smallest stuck map there is: an edge uv of g1 with a common
+    neighbour x, mapped onto an edge ab of g2 with none.  {u: a, v: b} keeps
+    the edge, so it is a homomorphism on a connected domain, and cand(x) is
+    N(a) & N(b), empty: a stuck state, so the verdict "no" is exact, with
+    no state popped.  It is a certificate for "no" alone; when there is no
+    such pair the search runs as above, and only it says "yes".
+
     More than ``STATE_LIMIT`` states raise ``BudgetExceededError``.
     """
+    wit = _triangle_edge_stuck(g1, g2)
+    if wit is not None:
+        return OracleResult(False, wit, 0)
     limit = STATE_LIMIT
     sym1, sym2 = _symmetry(g1), _symmetry(g2)
     orbits1, fixers1, fixers2 = sym1.orbits, sym1.fixers, sym2.fixers

@@ -358,6 +358,17 @@ class TestClassify:
         assert sum(step == "_component_graphs" for step, _ in calls) == 65
         assert built and len({(id(g), mask) for g, mask in built}) == len(built)
 
+    def test_connected_homo_homo_sweep_generator_search_gate(self, capsys, monkeypatch):
+        # the one-point engine builds no symmetry data for a graph it decides
+        # by a triangle edge mapped onto an edge in no triangle, so the 996
+        # records and the enumerator run 485 generator searches (1 061 when
+        # every record built its graph's symmetry data)
+        calls = count_kept_steps(monkeypatch)
+        argv = ["sweep", "--max-n", "7", "--connected", "--classes", "c-hh", "--jobs", "1"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0 and json.loads(err)["graphCount"] == 996
+        assert sum(k for (step, _), k in calls.items() if step == "automorphism_generators") == 485
+
     def test_homo_homo_families_matched_once_per_graph(self, capsys, rebind):
         # the case tag and the families come from one match per component
         original = recognizers.chh_connected_families

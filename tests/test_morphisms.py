@@ -236,12 +236,21 @@ class TestCompletion:
             assert check_kind(g, h, found, HOMO) and len(found) == g.n
 
     @pytest.mark.parametrize(
-        "code, holds", [("iso-iso", True), ("mono-homo", False), ("homo-homo", False)]
+        "make, code, holds",
+        [
+            (petersen_graph, "iso-iso", True),
+            (petersen_graph, "mono-homo", False),
+            (petersen_graph, "homo-homo", False),
+            (lambda: from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]), "homo-homo", False),
+        ],
+        ids=["iso-iso-True", "mono-homo-False", "homo-homo-False", "paw-homo-homo-False"],
     )
-    def test_searches_leave_no_reference_cycles(self, code, holds):
+    def test_searches_leave_no_reference_cycles(self, make, code, holds):
         # the recursive searches are module-level functions, so the
-        # refcounts free everything they build without the cyclic collector
-        g = petersen_graph()
+        # refcounts free everything they build without the cyclic collector;
+        # the paw's triangle edge onto its pendant edge is decided before any
+        # symmetry data is built, the triangle-free Petersen graph's never is
+        g = make()
         gc.collect()
         gc.disable()
         try:

@@ -69,8 +69,12 @@ HOMO, MONO, ISO = MorphKind.HOMO, MorphKind.MONO, MorphKind.ISO
 
 # see TestEngineAgreement.test_one_point_results_are_pinned; the one-point
 # engine gave POP_TIME_SHA256 when it tested each state for a stuck vertex
-# as it was popped, and helpers.reference_one_point still does
-ONE_POINT_SHA256 = "d332cd8482ca4064c1ba2135d931b39542b21b69a675bd4925fbed8dc61d8490"
+# as it was popped, and helpers.reference_one_point still does; it gave
+# d332cd8482ca4064c1ba2135d931b39542b21b69a675bd4925fbed8dc61d8490 before
+# it looked for a triangle edge mapped onto an edge in no triangle, and the
+# verdicts alone, ONE_POINT_VERDICTS_SHA256, were pinned then
+ONE_POINT_SHA256 = "f0d270293a5eb028cd721b470a25a51cdd0f15a5fbe599a19a723a187a030cd8"
+ONE_POINT_VERDICTS_SHA256 = "83a27daca57cca78313ec9d98ac1012405c1b070948f6afc5e4ab50adf5d9b3d"
 POP_TIME_SHA256 = "cee7d392e342559501c9d683b9cf568c5ce5178bf479490b340969b56566b3a2"
 # see TestKeyedPerMapSearch.test_per_map_results_are_pinned
 PER_MAP_SHA256 = "e208e44bd7833a57bb4bfd5dbcd0619b7203ab974f7675b8c6d2a6b0560fefc4"
@@ -113,6 +117,12 @@ def one_point_digest(runs: list) -> str:
             f"{w.domain_mask} {sorted(w.mapping.items())} {w.stuck_vertex}"
         )
         lines.append(f"{' '.join(names)} {res.holds} {res.checked_maps} {wit}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def one_point_verdicts_digest(runs: list) -> str:
+    """SHA-256 of one line per run: its names and holds."""
+    lines = [f"{' '.join(names)} {res.holds}" for names, _, _, res in runs]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -741,32 +751,36 @@ class TestEngineAgreement:
         assert res.holds == (chh_case_and_families(g)[0] is not None)
 
     def test_connected_population_counter_gate(self):
-        # all 996 connected graphs on at most 7 vertices pop 16 282 states
-        # (25 422 when each state was tested for a stuck vertex as it was
-        # popped, not as it was made, 40 631 before the stabiliser pruning,
-        # 423 575 when states were keyed by phi)
+        # all 996 connected graphs on at most 7 vertices pop 13 842 states
+        # (16 282 before the triangle-edge certificate decided 647 of them
+        # with none, 25 422 when each state was tested for a stuck vertex as
+        # it was popped, not as it was made, 40 631 before the stabiliser
+        # pruning, 423 575 when states were keyed by phi)
         q = query_for_code("homo-homo")
         total = sum(
             is_class_member(g, q).checked_maps
             for g in enumerate_graphs(7, connected_only=True)
         )
-        assert total == 16_282
+        assert total == 13_842
 
     def test_one_point_results_are_pinned(self):
         # pins the states popped and each witness of ``one_point_runs``,
-        # not only the verdicts, and checks each witness before pinning it
+        # not only the verdicts, and checks each witness before pinning it;
+        # the verdicts alone keep an older pin
         q = query_for_code("homo-homo")
         runs = one_point_runs(lambda g1, g2: extension_morphic(g1, g2, q))
         for _, g1, g2, res in runs:
             if not res.holds:
                 assert validate_witness(g1, g2, q, res.witness), (g1, g2)
         assert one_point_digest(runs) == ONE_POINT_SHA256
+        assert one_point_verdicts_digest(runs) == ONE_POINT_VERDICTS_SHA256
 
     def test_reference_keeps_the_pop_time_pin(self):
         # the reference is the engine that tested each state when popped:
         # it still gives that engine's pinned lines
         runs = one_point_runs(reference_one_point)
         assert one_point_digest(runs) == POP_TIME_SHA256
+        assert one_point_verdicts_digest(runs) == ONE_POINT_VERDICTS_SHA256
 
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -934,6 +948,79 @@ class TestEngineAgreement:
                     g,
                     code,
                 )
+
+
+class TestTriangleEdgeCertificate:
+    """An edge of g1 in a triangle, mapped onto an edge of g2 in no
+    triangle, is a stuck map: the one-point engine looks for one before it
+    builds any symmetry data."""
+
+    @staticmethod
+    def expected(g1: Graph, g2: Graph) -> tuple | None:
+        """(domain, mapping, stuck vertex) of the least triangle edge u < v
+        of g1, its least third vertex x, and the first edge a < b of g2 in
+        no triangle, or None when either is missing."""
+        triangles = [
+            (u, v, (common & -common).bit_length() - 1)
+            for u, v in g1.edges()
+            if (common := g1.adj[u] & g1.adj[v])
+        ]
+        free = [(a, b) for a, b in g2.edges() if not g2.adj[a] & g2.adj[b]]
+        if not triangles or not free:
+            return None
+        (u, v, x), (a, b) = triangles[0], free[0]
+        return 1 << u | 1 << v, {u: a, v: b}, x
+
+    def test_fires_exactly_on_a_triangle_edge_and_an_edge_in_no_triangle(
+        self, monkeypatch
+    ):
+        # every connected graph on at most 7 vertices into itself, then
+        # ``small_pairs``: the certificate decides 647 of the 996 graphs with
+        # no state popped and no symmetry data built, and no other input
+        q = query_for_code("homo-homo")
+        calls = count_kept_steps(monkeypatch)
+
+        def symmetry_steps() -> int:
+            return sum(k for (step, _), k in calls.items() if step == "_symmetry")
+
+        connected = [(g, g) for g in enumerate_graphs(7, connected_only=True)]
+        assert len(connected) == 996
+        fired = 0
+        for i, (a, b) in enumerate(connected + small_pairs()):
+            # fresh objects keep no symmetry data; a diagonal pair stays one
+            g1 = Graph(a.n, a.adj)
+            g2 = g1 if b is a else Graph(b.n, b.adj)
+            before = symmetry_steps()
+            res = extension_morphic(g1, g2, q)
+            want = self.expected(g1, g2)
+            w = res.witness
+            certified = (
+                res.checked_maps == 0 and w is not None and popcount(w.domain_mask) == 2
+            )
+            assert certified == (want is not None), (g1, g2)
+            if want is None:
+                assert symmetry_steps() > before, (g1, g2)
+                continue
+            fired += i < len(connected)
+            assert (w.domain_mask, w.mapping, w.stuck_vertex) == want, (g1, g2)
+            assert w.note.startswith("the edge "), (g1, g2)
+            assert validate_witness(g1, g2, q, w), (g1, g2)
+            assert symmetry_steps() == before, (g1, g2)
+        assert fired == 647
+
+    @pytest.mark.parametrize("bcpm_first", [True, False], ids=["bcpm6-K3", "K3-bcpm6"])
+    def test_a_triangle_seeded_last_pops_no_state(self, bcpm_first):
+        # bcpm(6) + K3 into bcpm(8) popped 186 830 states, the whole phase of
+        # bcpm(6), before the triangle's phase got stuck, and K3 + bcpm(6)
+        # popped 1; the order still matters for a stuck component with no
+        # triangle (bcpm(5) + C5 into bcpm(8) pops 13 312, C5 + bcpm(5) 3)
+        q = query_for_code("homo-homo")
+        parts = [bcpm_graph(6), complete_graph(3)]
+        g1 = disjoint_union(*(parts if bcpm_first else parts[::-1]))
+        g2 = bcpm_graph(8)
+        res = extension_morphic(g1, g2, q)
+        assert not res.holds and res.checked_maps == 0
+        assert validate_witness(g1, g2, q, res.witness)
 
 
 class TestBetweenGraphs:
